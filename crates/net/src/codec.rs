@@ -595,13 +595,12 @@ impl ModelDescription {
                 return Err(format!("scheme override on non-switch {s:?}"));
             }
         }
-        self.failure.validate(&self.topo)?;
-        let mut model = NetworkModel::new(
+        let mut model = NetworkModel::try_new(
             self.topo.clone(),
             self.dst,
             self.scheme,
             self.failure.clone(),
-        );
+        )?;
         model.scheme_overrides = self.scheme_overrides.clone();
         model.hop_cap = self.hop_cap;
         Ok(model)

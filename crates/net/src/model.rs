@@ -52,16 +52,35 @@ impl NetworkModel {
     /// # Panics
     ///
     /// Panics if the spec fails [`FailureSpec::validate`] against `topo`
-    /// (bad probabilities, unknown group members, overlapping groups).
+    /// (bad probabilities, unknown group members, overlapping groups);
+    /// [`NetworkModel::try_new`] returns the reason instead.
     pub fn new(
         topo: Topology,
         dst: NodeId,
         scheme: RoutingScheme,
         failure: impl Into<FailureSpec>,
     ) -> NetworkModel {
+        NetworkModel::try_new(topo, dst, scheme, failure)
+            .unwrap_or_else(|e| panic!("invalid failure spec: {e}"))
+    }
+
+    /// [`NetworkModel::new`] for a spec that may not validate — one that
+    /// arrives from outside the program, such as a model delta or a
+    /// decoded description.
+    ///
+    /// # Errors
+    ///
+    /// The first [`FailureSpec::validate`] violation against `topo`.
+    pub fn try_new(
+        topo: Topology,
+        dst: NodeId,
+        scheme: RoutingScheme,
+        failure: impl Into<FailureSpec>,
+    ) -> Result<NetworkModel, String> {
         let failure = failure.into();
+        failure.validate(&topo)?;
         let fields = NetFields::with_groups(topo.max_degree(), failure.group_count());
-        NetworkModel::new_with_fields(topo, dst, fields, scheme, failure)
+        Ok(NetworkModel::from_parts(topo, dst, fields, scheme, failure))
     }
 
     /// Builds a model over explicitly provided field handles — the hook
@@ -83,6 +102,22 @@ impl NetworkModel {
         if let Err(e) = failure.validate(&topo) {
             panic!("invalid failure spec: {e}");
         }
+        NetworkModel::from_parts(topo, dst, fields, scheme, failure)
+    }
+
+    /// Assembles a model from an already-validated spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fields` declares fewer `up`/`grp` handles than the
+    /// topology and spec need.
+    fn from_parts(
+        topo: Topology,
+        dst: NodeId,
+        fields: NetFields,
+        scheme: RoutingScheme,
+        failure: FailureSpec,
+    ) -> NetworkModel {
         assert!(
             fields.ups().len() >= topo.max_degree(),
             "fields declare {} up flags, topology needs {}",
@@ -524,5 +559,16 @@ mod tests {
             let o = o.expect("no drops without failures");
             assert_eq!(o.get(cnt), 2, "prob {r}");
         }
+    }
+
+    #[test]
+    fn try_new_returns_the_validation_error() {
+        let topo = ab_fattree(4);
+        let dst = topo.find("edge0_0").unwrap();
+        let bad = FailureModel::independent(Ratio::new(3, 2));
+        let err = NetworkModel::try_new(topo.clone(), dst, RoutingScheme::Ecmp, bad).unwrap_err();
+        assert!(err.contains("probability"), "{err}");
+        let ok = FailureModel::independent(Ratio::new(1, 2));
+        assert!(NetworkModel::try_new(topo, dst, RoutingScheme::Ecmp, ok).is_ok());
     }
 }

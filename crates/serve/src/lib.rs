@@ -8,20 +8,22 @@
 //! crate exploits that: an [`Engine`] owns one long-lived
 //! [`Manager`], caches every per-switch diagram keyed on its full compile
 //! inputs ([`mcnetkat_net::fused::HopInputs`] — switch program, failure-spec
-//! slice, hop cap), and on [`Engine::apply`] recompiles only the switches
-//! whose inputs changed, re-folds the `sw`-case chain, and finishes
-//! through the same [`mcnetkat_net::fused::assemble_model`] tail as the
-//! batch pipeline. The manager's `while`-loop solution cache makes the
-//! loop solve incremental too: a chain body the engine has seen before
-//! (a link flapping back up, a scheme toggled back) skips the solve
-//! entirely.
+//! slice, hop cap), and on [`Engine::apply`] re-keys only the switches
+//! the delta touches ([`Delta::touched`]), recompiles those whose inputs
+//! changed, re-folds the `sw`-case chain, and finishes through the same
+//! [`mcnetkat_net::fused::assemble_model`] tail as the batch pipeline.
+//! The manager's `while`-loop solution cache makes the loop solve
+//! incremental too: a chain body the engine has seen before (a link
+//! flapping back up, a scheme toggled back) skips the solve entirely.
 //!
-//! Invalidation is *correct by construction*: a hop diagram depends on
+//! Cache lookups are *correct by construction*: a hop diagram depends on
 //! nothing but its `HopInputs`, two hops with equal inputs compile to
 //! identical diagrams, so cache keys are exactly the structural hashes of
-//! those inputs. Deltas that touch shared structure — the failure budget
-//! `k`, the topology — fall back to a full rebuild (the per-switch cache
-//! is dropped); see [`Delta::is_structural`].
+//! those inputs. Which switches get looked up is a contract: every
+//! switch outside [`Delta::touched`] reuses its previous diagram without
+//! recomputing its inputs. Deltas that touch shared structure — the
+//! failure budget `k`, the topology — fall back to a full rebuild (the
+//! per-switch cache is dropped); see [`Delta::is_structural`].
 //!
 //! Queries ([`Engine::query_batch`]) answer concurrently over the shared
 //! manager (its tables are lock-protected), each under its own
@@ -157,9 +159,9 @@ impl std::fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// A model delta: an edit to a loaded model's configuration. Applied with
-/// [`Engine::apply`], which recompiles only the switches the delta
-/// touches (computed by comparing per-switch [`HopInputs`] before and
-/// after) unless the delta [`Delta::is_structural`].
+/// [`Engine::apply`], which re-keys only the switches the delta touches
+/// ([`Delta::touched`]) and recompiles those whose [`HopInputs`] changed,
+/// unless the delta [`Delta::is_structural`].
 #[derive(Clone, Debug)]
 pub enum Delta {
     /// Replace the model-wide default routing scheme.
@@ -195,7 +197,8 @@ pub enum Delta {
     SetDst(NodeId),
 }
 
-/// The upper bound on which switches a [`Delta`] may invalidate.
+/// The switches a [`Delta`] may invalidate — the only ones
+/// [`Engine::apply`] re-keys.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Touched {
     /// Potentially every switch.
@@ -231,11 +234,15 @@ impl Delta {
         matches!(self, Delta::SetBudget(_) | Delta::SetTopology(_))
     }
 
-    /// The switches this delta may invalidate, as an upper bound computed
-    /// *before* application — the incremental engine's accounting
-    /// invariant is that every switch whose [`HopInputs`] actually change
-    /// lies inside this set ([`DeltaReport::switches_changed`] never
-    /// exceeds its size).
+    /// The switches this delta may invalidate, computed *before*
+    /// application. This is a correctness contract, not just accounting:
+    /// [`Engine::apply`] recomputes [`HopInputs`] only for these switches
+    /// and reuses every other switch's previous inputs and diagram, so a
+    /// switch whose inputs change must lie inside this set. An edit to
+    /// a model-wide property that `hop_inputs` reads (whether the failure
+    /// spec is failure-free, the budget `k`, the destination, the hop
+    /// cap, the topology) must therefore widen the set to every switch
+    /// that reads it.
     pub fn touched(&self, model: &NetworkModel) -> Touched {
         let prone_switches = || {
             Touched::Set(
@@ -255,6 +262,10 @@ impl Delta {
                 .collect()
         };
         match self {
+            Delta::SetHopCap(_)
+            | Delta::SetBudget(_)
+            | Delta::SetTopology(_)
+            | Delta::SetDst(_) => Touched::All,
             Delta::SetScheme(_) => Touched::Set(
                 model
                     .topo
@@ -267,7 +278,11 @@ impl Delta {
             Delta::SetSwitchScheme(s, _) | Delta::ClearSwitchScheme(s) => {
                 Touched::Set([*s].into_iter().collect())
             }
+            // Every prone switch reads `is_failure_free`: the budget-coupled
+            // draw collapses to `up_i <- 1` when it holds, and each link
+            // step tests its `up_i` flag only when it does not.
             Delta::SetUniformPr(_) => prone_switches(),
+            _ if self.flips_failure_free(&model.failure) => prone_switches(),
             Delta::SetLinkPr(port, _) | Delta::ClearLinkPr(port) => Touched::Set(
                 model
                     .topo
@@ -305,11 +320,56 @@ impl Delta {
                 }
                 Touched::Set(touched)
             }
-            Delta::SetHopCap(_)
-            | Delta::SetBudget(_)
-            | Delta::SetTopology(_)
-            | Delta::SetDst(_) => Touched::All,
         }
+    }
+
+    /// Whether applying this delta to `failure` flips
+    /// [`FailureSpec::is_failure_free`].
+    fn flips_failure_free(&self, failure: &FailureSpec) -> bool {
+        let mut next = failure.clone();
+        self.edit_failure(&mut next).is_ok() && next.is_failure_free() != failure.is_failure_free()
+    }
+
+    /// Applies this delta's failure-spec edit to `failure`; a delta that
+    /// edits something else leaves it as it is.
+    fn edit_failure(&self, failure: &mut FailureSpec) -> Result<(), EngineError> {
+        let find_group = |failure: &FailureSpec, name: &str| -> Result<usize, EngineError> {
+            failure
+                .groups
+                .iter()
+                .position(|g| g.name == name)
+                .ok_or_else(|| EngineError::InvalidDelta(format!("no group named {name:?}")))
+        };
+        match self {
+            Delta::SetUniformPr(pr) => failure.pr = pr.clone(),
+            Delta::SetLinkPr(port, pr) => {
+                failure.link_pr.insert(*port, pr.clone());
+            }
+            Delta::ClearLinkPr(port) => {
+                failure.link_pr.remove(port);
+            }
+            Delta::SetBudget(k) => failure.k = *k,
+            Delta::AddGroup(g) => failure.groups.push(g.clone()),
+            Delta::RemoveGroup(name) => {
+                let i = find_group(failure, name)?;
+                failure.groups.remove(i);
+            }
+            Delta::SetGroupPr(name, pr) => {
+                let i = find_group(failure, name)?;
+                failure.groups[i].pr = pr.clone();
+            }
+            Delta::SetGroupMembers(name, members) => {
+                let i = find_group(failure, name)?;
+                failure.groups[i].members = members.clone();
+            }
+            Delta::SetScheme(_)
+            | Delta::SetSwitchScheme(..)
+            | Delta::ClearSwitchScheme(_)
+            | Delta::SetHopCap(_)
+            | Delta::SetTopology(_)
+            | Delta::SetDst(_) => {}
+        }
+        Ok(())
     }
 
     /// Builds the updated model this delta describes, without compiling
@@ -329,14 +389,7 @@ impl Delta {
         let mut overrides = model.scheme_overrides.clone();
         let mut failure = model.failure.clone();
         let mut hop_cap = model.hop_cap;
-
-        let find_group = |failure: &FailureSpec, name: &str| -> Result<usize, EngineError> {
-            failure
-                .groups
-                .iter()
-                .position(|g| g.name == name)
-                .ok_or_else(|| EngineError::InvalidDelta(format!("no group named {name:?}")))
-        };
+        self.edit_failure(&mut failure)?;
         match self {
             Delta::SetScheme(s) => scheme = *s,
             Delta::SetSwitchScheme(node, s) => {
@@ -349,27 +402,6 @@ impl Delta {
             }
             Delta::ClearSwitchScheme(node) => {
                 overrides.remove(node);
-            }
-            Delta::SetUniformPr(pr) => failure.pr = pr.clone(),
-            Delta::SetLinkPr(port, pr) => {
-                failure.link_pr.insert(*port, pr.clone());
-            }
-            Delta::ClearLinkPr(port) => {
-                failure.link_pr.remove(port);
-            }
-            Delta::SetBudget(k) => failure.k = *k,
-            Delta::AddGroup(g) => failure.groups.push(g.clone()),
-            Delta::RemoveGroup(name) => {
-                let i = find_group(&failure, name)?;
-                failure.groups.remove(i);
-            }
-            Delta::SetGroupPr(name, pr) => {
-                let i = find_group(&failure, name)?;
-                failure.groups[i].pr = pr.clone();
-            }
-            Delta::SetGroupMembers(name, members) => {
-                let i = find_group(&failure, name)?;
-                failure.groups[i].members = members.clone();
             }
             Delta::SetHopCap(cap) => hop_cap = *cap,
             Delta::SetTopology(t) => {
@@ -408,11 +440,17 @@ impl Delta {
                 }
                 dst = *node;
             }
+            Delta::SetUniformPr(_)
+            | Delta::SetLinkPr(..)
+            | Delta::ClearLinkPr(_)
+            | Delta::SetBudget(_)
+            | Delta::AddGroup(_)
+            | Delta::RemoveGroup(_)
+            | Delta::SetGroupPr(..)
+            | Delta::SetGroupMembers(..) => {} // edited by `edit_failure`
         }
-        // Validate before constructing: `NetworkModel::new` panics on a
-        // bad spec, and a rejected delta must leave the engine untouched.
-        failure.validate(&topo).map_err(EngineError::InvalidDelta)?;
-        let mut next = NetworkModel::new(topo, dst, scheme, failure);
+        let mut next =
+            NetworkModel::try_new(topo, dst, scheme, failure).map_err(EngineError::InvalidDelta)?;
         next.scheme_overrides = overrides;
         next.hop_cap = hop_cap;
         Ok(next)
@@ -425,8 +463,14 @@ pub struct DeltaReport {
     /// Size of the delta's declared invalidation upper bound
     /// ([`Delta::touched`]; the switch count when `All`).
     pub touched_upper_bound: usize,
-    /// Switches whose [`HopInputs`] actually changed. Invariant:
-    /// `switches_changed <= touched_upper_bound`.
+    /// Switches whose [`HopInputs`] were recomputed and looked up in the
+    /// hop cache; every other switch reused its previous inputs and
+    /// diagram. [`DeltaReport::rekey`] states why this many.
+    pub switches_rekeyed: usize,
+    /// Why [`DeltaReport::switches_rekeyed`] is what it is.
+    pub rekey: Rekey,
+    /// Re-keyed switches whose [`HopInputs`] actually changed. Invariant:
+    /// `switches_changed <= switches_rekeyed`.
     pub switches_changed: usize,
     /// Switches recompiled (per-switch cache misses). At most
     /// `switches_changed` on a patch; up to the full switch count on a
@@ -439,6 +483,23 @@ pub struct DeltaReport {
     pub loop_cache_hit: bool,
     /// Wall-clock time of the whole patch.
     pub elapsed: Duration,
+}
+
+/// Why an [`Engine::apply`] re-keyed the switches it did
+/// ([`DeltaReport::rekey`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rekey {
+    /// Only the switches the delta's [`Touched::Set`] names: one for a
+    /// switch program edit, every switch owning the port for a port
+    /// probability edit, every prone switch when the edit flips
+    /// [`FailureSpec::is_failure_free`].
+    Touched,
+    /// Every switch: the delta edits a model-wide property
+    /// ([`Touched::All`]: the hop cap or the destination).
+    All,
+    /// Every switch against a fresh hop cache: the delta is
+    /// [`Delta::is_structural`].
+    Structural,
 }
 
 /// A single query against loaded models.
@@ -555,7 +616,9 @@ pub struct EngineStats {
     pub models: usize,
     /// Per-switch diagrams currently cached.
     pub hop_cache_entries: usize,
-    /// Per-switch compiles answered from the cache (cumulative).
+    /// Per-switch diagrams reused instead of compiled (cumulative): hop
+    /// cache hits, plus switches outside a delta's touched set, which
+    /// reuse their previous diagram without a lookup.
     pub hop_cache_hits: u64,
     /// Per-switch compiles that ran (cumulative).
     pub hop_cache_misses: u64,
@@ -563,6 +626,9 @@ pub struct EngineStats {
     pub deltas_applied: u64,
     /// Deltas that dropped the cache for a structural rebuild.
     pub full_rebuilds: u64,
+    /// Switches re-keyed, summed over all deltas
+    /// ([`DeltaReport::switches_rekeyed`]).
+    pub switches_rekeyed: u64,
     /// Switches whose inputs changed, summed over all deltas.
     pub switches_changed: u64,
     /// Switches recompiled, summed over all deltas.
@@ -606,10 +672,39 @@ pub struct EngineStats {
     pub hop_cache_evictions: u64,
 }
 
+/// Each switch's compile inputs and the hop diagram they keyed.
+type SwitchHops = BTreeMap<NodeId, (HopInputs, Fdd)>;
+
 struct ModelEntry {
     model: NetworkModel,
     fdd: Fdd,
-    inputs: BTreeMap<NodeId, HopInputs>,
+    hops: SwitchHops,
+}
+
+/// What [`Engine::compile_incremental`] built.
+struct Patch {
+    /// The assembled model diagram.
+    fdd: Fdd,
+    /// The re-keyed switches' inputs and diagrams.
+    rekeyed: SwitchHops,
+    /// Re-keyed switches that missed the hop cache and compiled.
+    recompiled: usize,
+}
+
+impl ModelEntry {
+    /// The entry for a model compiled with every switch re-keyed.
+    fn new(model: NetworkModel, patch: Patch) -> ModelEntry {
+        ModelEntry {
+            model,
+            fdd: patch.fdd,
+            hops: patch.rekeyed,
+        }
+    }
+
+    /// Every switch's current compile inputs.
+    fn inputs(&self) -> impl Iterator<Item = &HopInputs> {
+        self.hops.values().map(|(inp, _)| inp)
+    }
 }
 
 /// Configuration for a fresh [`Engine`].
@@ -696,6 +791,7 @@ pub struct Engine {
     hop_misses: u64,
     deltas_applied: u64,
     full_rebuilds: u64,
+    switches_rekeyed: u64,
     switches_changed: u64,
     switches_recompiled: u64,
     hop_cache_evictions: u64,
@@ -751,6 +847,7 @@ impl Engine {
             hop_misses: 0,
             deltas_applied: 0,
             full_rebuilds: 0,
+            switches_rekeyed: 0,
             switches_changed: 0,
             switches_recompiled: 0,
             hop_cache_evictions: 0,
@@ -1034,10 +1131,10 @@ impl Engine {
             id: id.0,
             desc: ModelDescription::of(&model),
         })?;
-        let (fdd, inputs, _) = self.compile_incremental(&model)?;
+        let patch = self.compile_incremental(&model, &Touched::All, &SwitchHops::new())?;
         self.journal_commit(mark)?;
         self.next_id += 1;
-        self.models.insert(id, ModelEntry { model, fdd, inputs });
+        self.models.insert(id, ModelEntry::new(model, patch));
         self.enforce_hop_cache_limit();
         Ok(id)
     }
@@ -1050,8 +1147,8 @@ impl Engine {
                 "duplicate model id {id} in recovery stream"
             )));
         }
-        let (fdd, inputs, _) = self.compile_incremental(&model)?;
-        self.models.insert(id, ModelEntry { model, fdd, inputs });
+        let patch = self.compile_incremental(&model, &Touched::All, &SwitchHops::new())?;
+        self.models.insert(id, ModelEntry::new(model, patch));
         self.enforce_hop_cache_limit();
         Ok(())
     }
@@ -1079,13 +1176,9 @@ impl Engine {
     /// diagram it referenced that no remaining model does.
     fn unload_internal(&mut self, id: ModelId) {
         let entry = self.models.remove(&id).expect("caller checked presence");
-        let live: HashSet<&HopInputs> = self
-            .models
-            .values()
-            .flat_map(|e| e.inputs.values())
-            .collect();
+        let live: HashSet<&HopInputs> = self.models.values().flat_map(ModelEntry::inputs).collect();
         let mut evicted = 0u64;
-        for inp in entry.inputs.values() {
+        for inp in entry.inputs() {
             if !live.contains(inp) && self.hops.remove(inp).is_some() {
                 evicted += 1;
             }
@@ -1121,11 +1214,14 @@ impl Engine {
     }
 
     /// Applies a delta to a loaded model: computes the updated model,
-    /// recompiles only the switches whose [`HopInputs`] changed (all of
-    /// them after a structural delta dropped the cache), re-folds the
-    /// `sw`-case chain, and finishes through the batch pipeline's
+    /// re-keys only the switches [`Delta::touched`] names (all of them
+    /// for a [`Touched::All`] or structural delta), recompiles those
+    /// whose [`HopInputs`] miss the hop cache, re-folds the `sw`-case
+    /// chain, and finishes through the batch pipeline's
     /// [`assemble_model`] tail — where an already-seen chain body hits
-    /// the `while`-solution cache and skips the loop solve.
+    /// the `while`-solution cache and skips the loop solve. Every other
+    /// switch reuses its previous inputs and diagram, so a one-switch
+    /// delta costs one switch's keying, not the network's.
     ///
     /// On error the engine keeps the pre-delta model and diagram.
     ///
@@ -1154,81 +1250,87 @@ impl Engine {
         let saved_hops = full_rebuild.then(|| std::mem::take(&mut self.hops));
 
         let while_stats_before = self.mgr.while_cache_stats();
-        let old_inputs = std::mem::take(
+        let mut hops = std::mem::take(
             &mut self
                 .models
                 .get_mut(&id)
                 .expect("entry looked up above")
-                .inputs,
+                .hops,
         );
-        let compiled = self.compile_incremental(&next);
-        let restore = |engine: &mut Engine, old_inputs, saved_hops: Option<_>| {
-            engine
-                .models
-                .get_mut(&id)
-                .expect("entry looked up above")
-                .inputs = old_inputs;
-            if let Some(old) = saved_hops {
-                engine.hops = old;
-            }
-        };
-        let (fdd, inputs, recompiled) = match compiled {
-            Ok(v) => v,
+        // Commit marker before the (infallible) in-memory mutation: a
+        // crash on either side of it leaves journal and state agreeing.
+        let compiled = self
+            .compile_incremental(&next, &touched, &hops)
+            .and_then(|patch| self.journal_commit(mark).map(|()| patch));
+        let entry = self.models.get_mut(&id).expect("entry looked up above");
+        let patch = match compiled {
+            Ok(patch) => patch,
             Err(e) => {
-                restore(self, old_inputs, saved_hops); // pre-delta state intact
+                // Pre-delta state intact.
+                entry.hops = hops;
+                if let Some(old) = saved_hops {
+                    self.hops = old;
+                }
                 return Err(e);
             }
         };
-        // Commit marker before the (infallible) in-memory mutation: a
-        // crash on either side of it leaves journal and state agreeing.
-        if let Err(e) = self.journal_commit(mark) {
-            restore(self, old_inputs, saved_hops);
-            return Err(e);
+        let changed = patch
+            .rekeyed
+            .iter()
+            .filter(|(s, (inp, _))| hops.get(s).map(|(old, _)| old) != Some(inp))
+            .count();
+        let rekeyed = patch.rekeyed.len();
+        if touched == Touched::All {
+            // The topology may have changed: drop switches that are gone.
+            hops = patch.rekeyed;
+        } else {
+            hops.extend(patch.rekeyed);
         }
+        entry.model = next;
+        entry.fdd = patch.fdd;
+        entry.hops = hops;
+
         if full_rebuild {
             self.full_rebuilds += 1;
         }
-        let changed = inputs
-            .iter()
-            .filter(|(s, inp)| old_inputs.get(s) != Some(inp))
-            .count();
-        debug_assert!(
-            inputs
-                .iter()
-                .filter(|(s, inp)| old_inputs.get(s) != Some(inp))
-                .all(|(s, _)| touched.contains(*s)),
-            "a switch outside the delta's declared touched set changed inputs"
-        );
-        let entry = self.models.get_mut(&id).expect("entry looked up above");
-        entry.model = next;
-        entry.fdd = fdd;
-        entry.inputs = inputs;
-
         self.deltas_applied += 1;
+        self.switches_rekeyed += rekeyed as u64;
         self.switches_changed += changed as u64;
-        self.switches_recompiled += recompiled as u64;
+        self.switches_recompiled += patch.recompiled as u64;
         self.enforce_hop_cache_limit();
         let while_stats_after = self.mgr.while_cache_stats();
         let switches = self.models[&id].model.topo.switches().len();
         Ok(DeltaReport {
             touched_upper_bound: touched.len(switches),
+            switches_rekeyed: rekeyed,
+            rekey: match touched {
+                _ if full_rebuild => Rekey::Structural,
+                Touched::All => Rekey::All,
+                Touched::Set(_) => Rekey::Touched,
+            },
             switches_changed: changed,
-            switches_recompiled: recompiled,
+            switches_recompiled: patch.recompiled,
             full_rebuild,
             loop_cache_hit: while_stats_after.hits > while_stats_before.hits,
             elapsed: start.elapsed(),
         })
     }
 
-    /// Compiles `model` against the per-switch cache: cache hits reuse
-    /// diagrams, misses compile-and-insert. Returns the assembled
-    /// diagram, the per-switch inputs, and the miss count.
+    /// Compiles `model` against the per-switch cache. Switches inside
+    /// `touched` are re-keyed: their [`HopInputs`] are recomputed, cache
+    /// hits reuse diagrams, misses compile-and-insert. Every other switch
+    /// reuses its inputs and diagram from `prev` as they are, which is
+    /// sound only because [`Delta::touched`] names every switch whose
+    /// inputs can change; debug builds recompute the untouched switches'
+    /// inputs to check that contract.
     fn compile_incremental(
         &mut self,
         model: &NetworkModel,
-    ) -> Result<(Fdd, BTreeMap<NodeId, HopInputs>, usize), EngineError> {
+        touched: &Touched,
+        prev: &SwitchHops,
+    ) -> Result<Patch, EngineError> {
         let sp = ShortestPaths::towards(&model.topo, model.dst);
-        let mut inputs = BTreeMap::new();
+        let mut rekeyed = SwitchHops::new();
         let mut recompiled = 0usize;
         let mut stats = FusedStats::default();
         // Borrow pieces individually so the closure can mutate the cache
@@ -1239,6 +1341,17 @@ impl Engine {
         let hop_hits = &mut self.hop_hits;
         let hop_misses = &mut self.hop_misses;
         let body = assemble_chain(mgr, model, |s| {
+            if !touched.contains(s) {
+                let (inp, fdd) = prev
+                    .get(&s)
+                    .expect("an untouched switch keeps its previous inputs");
+                debug_assert!(
+                    hop_inputs(model, s, &sp) == *inp,
+                    "switch {s:?} lies outside the delta's touched set but its inputs changed"
+                );
+                *hop_hits += 1;
+                return Ok(*fdd);
+            }
             // Per-switch budget checkpoint, mirroring the batch pipeline.
             serve_failpoint("serve::apply::patch")?;
             opts.budget.check_external()?;
@@ -1256,14 +1369,18 @@ impl Engine {
                     f
                 }
             };
-            inputs.insert(s, inp);
+            rekeyed.insert(s, (inp, fdd));
             Ok(fdd)
         })?;
         serve_failpoint("serve::apply::assemble")?;
         let fdd = assemble_model(&self.mgr, model, body, &self.opts)?;
         #[cfg(feature = "audit")]
         self.audit_patched(model, fdd);
-        Ok((fdd, inputs, recompiled))
+        Ok(Patch {
+            fdd,
+            rekeyed,
+            recompiled,
+        })
     }
 
     /// The `audit` feature's post-patch verification, mirroring the batch
@@ -1474,6 +1591,7 @@ impl Engine {
             hop_cache_misses: self.hop_misses,
             deltas_applied: self.deltas_applied,
             full_rebuilds: self.full_rebuilds,
+            switches_rekeyed: self.switches_rekeyed,
             switches_changed: self.switches_changed,
             switches_recompiled: self.switches_recompiled,
             queries: self.queries.load(Ordering::Relaxed),
@@ -1510,11 +1628,7 @@ impl Engine {
     /// diagrams (and the manager nodes they pin) after an unload or a
     /// burst of one-off deltas.
     pub fn trim_hop_cache(&mut self) -> usize {
-        let live: HashSet<&HopInputs> = self
-            .models
-            .values()
-            .flat_map(|e| e.inputs.values())
-            .collect();
+        let live: HashSet<&HopInputs> = self.models.values().flat_map(ModelEntry::inputs).collect();
         let before = self.hops.len();
         self.hops.retain(|inp, _| live.contains(inp));
         let evicted = before - self.hops.len();
@@ -1616,9 +1730,50 @@ mod tests {
         let report = engine
             .apply(id, Delta::SetSwitchScheme(agg, RoutingScheme::F10_3))
             .unwrap();
+        assert_eq!(report.switches_rekeyed, 1);
+        assert_eq!(report.rekey, Rekey::Touched);
         assert_eq!(report.switches_changed, 1);
         assert_eq!(report.switches_recompiled, 1);
         assert!(!report.full_rebuild);
+        assert!(engine.verify_against_cold(id).unwrap());
+
+        // A destination change is read by every switch: all re-key.
+        let switches = engine.model(id).unwrap().topo.switches().len();
+        let dst = engine.model(id).unwrap().topo.find("edge1_0").unwrap();
+        let report = engine.apply(id, Delta::SetDst(dst)).unwrap();
+        assert_eq!(report.switches_rekeyed, switches);
+        assert_eq!(report.rekey, Rekey::All);
+        assert_eq!(engine.stats().switches_rekeyed, 1 + switches as u64);
+        assert!(engine.verify_against_cold(id).unwrap());
+    }
+
+    #[test]
+    fn failure_free_flip_touches_every_prone_switch() {
+        // Regression: under a budget, `hop_program` draws `up_i <- 1` for
+        // a failure-free spec, so an edit that ends failure-freedom
+        // changes every prone switch's inputs — not only those owning the
+        // edited port, which is all `touched` used to name.
+        let topo = mcnetkat_topo::fattree(4);
+        let dst = topo.find("edge0_0").unwrap();
+        let model = NetworkModel::new(
+            topo,
+            dst,
+            RoutingScheme::Ecmp,
+            FailureModel::bounded(Ratio::zero(), 1),
+        );
+        let prone = model
+            .topo
+            .switches()
+            .iter()
+            .filter(|&&s| !model.prone_ports(s).is_empty())
+            .count();
+        let mut engine = Engine::default();
+        let id = engine.load(model).unwrap();
+        let report = engine
+            .apply(id, Delta::SetLinkPr(4, Ratio::new(1, 10)))
+            .unwrap();
+        assert_eq!(report.touched_upper_bound, prone);
+        assert_eq!(report.switches_rekeyed, prone);
         assert!(engine.verify_against_cold(id).unwrap());
     }
 
@@ -1649,6 +1804,7 @@ mod tests {
         let id = engine.load(fattree_model(Ratio::new(1, 100))).unwrap();
         let report = engine.apply(id, Delta::SetBudget(Some(1))).unwrap();
         assert!(report.full_rebuild);
+        assert_eq!(report.rekey, Rekey::Structural);
         assert!(engine.stats().full_rebuilds == 1);
         assert!(engine.verify_against_cold(id).unwrap());
     }

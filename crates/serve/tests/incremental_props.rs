@@ -3,7 +3,10 @@
 //! SRLG membership churn, budget/hop-cap/destination flips — the engine's
 //! patched diagram must equal a cold compile of the current model after
 //! *every* prefix, and the patch accounting must respect the delta's
-//! declared invalidation bound.
+//! declared invalidation bound. Debug builds also cross-check, on every
+//! apply, that the switches outside the touched set kept their inputs;
+//! run under `--release`, the suite checks the code the benchmark
+//! measures.
 
 use mcnetkat_net::{down_ports, FailureModel, NetworkModel, RoutingScheme, Srlg};
 use mcnetkat_num::Ratio;
@@ -123,61 +126,80 @@ fn concretize(d: &Desc, model: &NetworkModel) -> Delta {
     }
 }
 
+/// The factored base: independent draws, no budget.
 fn base_model() -> NetworkModel {
+    base_with(FailureModel::independent(Ratio::new(1, 100)))
+}
+
+/// The budget-coupled, failure-free base: any nonzero probability edit
+/// flips `FailureSpec::is_failure_free`, which every prone switch's hop
+/// program reads.
+fn failure_free_budget_model() -> NetworkModel {
+    base_with(FailureModel::bounded(Ratio::zero(), 1))
+}
+
+fn base_with(failure: FailureModel) -> NetworkModel {
     let topo = ab_fattree(4);
     let dst = topo.find("edge0_0").unwrap();
-    NetworkModel::new(
-        topo,
-        dst,
-        RoutingScheme::Ecmp,
-        FailureModel::independent(Ratio::new(1, 100)),
-    )
+    NetworkModel::new(topo, dst, RoutingScheme::Ecmp, failure)
+}
+
+/// The differential invariant: after every delta-sequence prefix the
+/// engine's patched diagram is `equiv` to a from-scratch compile of the
+/// current model, and on every successful patch the accounting respects
+/// the bound `switches_recompiled ≤ switches_changed ≤ switches_rekeyed
+/// ≤ |touched(delta)|` (recompile count may only exceed the changed set
+/// when a structural delta dropped the whole cache).
+fn check_sequence(base: NetworkModel, descs: &[Desc]) -> Result<(), TestCaseError> {
+    let mut engine = Engine::default();
+    let id = engine.load(base).unwrap();
+    prop_assert!(engine.verify_against_cold(id).unwrap());
+    for d in descs {
+        let delta = concretize(d, engine.model(id).unwrap());
+        match engine.apply(id, delta) {
+            Ok(report) => {
+                prop_assert!(
+                    report.switches_changed <= report.switches_rekeyed
+                        && report.switches_rekeyed <= report.touched_upper_bound,
+                    "{d:?}: changed {} / rekeyed {} / touched bound {}",
+                    report.switches_changed,
+                    report.switches_rekeyed,
+                    report.touched_upper_bound
+                );
+                if !report.full_rebuild {
+                    prop_assert!(
+                        report.switches_recompiled <= report.switches_changed,
+                        "{d:?}: recompiled {} > changed {}",
+                        report.switches_recompiled,
+                        report.switches_changed
+                    );
+                }
+            }
+            // Deliberately-invalid combinations must reject cleanly …
+            Err(EngineError::InvalidDelta(_)) => {}
+            Err(e) => return Err(TestCaseError::Fail(format!("unexpected error: {e}"))),
+        }
+        // … and either way the live diagram matches a cold compile.
+        prop_assert!(engine.verify_against_cold(id).unwrap());
+    }
+    // The model stays queryable after the whole sequence.
+    let min = engine
+        .query(&Query::MinDelivery { model: id }.into())
+        .unwrap();
+    prop_assert!(min.prob().is_some());
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The differential invariant: after every delta-sequence prefix the
-    /// engine's patched diagram is `equiv` to a from-scratch compile of
-    /// the current model, and on every successful patch the accounting
-    /// respects the bound `switches_recompiled ≤ switches_changed ≤
-    /// |touched(delta)|` (recompile count may only exceed the changed set
-    /// when a structural delta dropped the whole cache).
     #[test]
     fn patched_equals_cold_after_every_prefix(descs in vec(arb_desc(), 1..7)) {
-        let mut engine = Engine::default();
-        let id = engine.load(base_model()).unwrap();
-        prop_assert!(engine.verify_against_cold(id).unwrap());
-        for d in &descs {
-            let delta = concretize(d, engine.model(id).unwrap());
-            match engine.apply(id, delta) {
-                Ok(report) => {
-                    prop_assert!(
-                        report.switches_changed <= report.touched_upper_bound,
-                        "{d:?}: changed {} > touched bound {}",
-                        report.switches_changed,
-                        report.touched_upper_bound
-                    );
-                    if !report.full_rebuild {
-                        prop_assert!(
-                            report.switches_recompiled <= report.switches_changed,
-                            "{d:?}: recompiled {} > changed {}",
-                            report.switches_recompiled,
-                            report.switches_changed
-                        );
-                    }
-                }
-                // Deliberately-invalid combinations must reject cleanly …
-                Err(EngineError::InvalidDelta(_)) => {}
-                Err(e) => return Err(TestCaseError::Fail(format!("unexpected error: {e}"))),
-            }
-            // … and either way the live diagram matches a cold compile.
-            prop_assert!(engine.verify_against_cold(id).unwrap());
-        }
-        // The model stays queryable after the whole sequence.
-        let min = engine
-            .query(&Query::MinDelivery { model: id }.into())
-            .unwrap();
-        prop_assert!(min.prob().is_some());
+        check_sequence(base_model(), &descs)?;
+    }
+
+    #[test]
+    fn patched_equals_cold_from_a_failure_free_budget(descs in vec(arb_desc(), 1..7)) {
+        check_sequence(failure_free_budget_model(), &descs)?;
     }
 }
