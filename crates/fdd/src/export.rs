@@ -6,9 +6,9 @@
 //! back as [`FddExport`] values and are re-interned into the main manager.
 //!
 //! An export can carry *several* roots over one shared node table
-//! ([`Manager::export_all`]): the tree-reduce merge phase ships a worker's
-//! guard and policy diagrams together, and any structure they share is
-//! serialised (and later re-interned) exactly once.
+//! ([`Manager::export_all`]): a pool worker ships every hop diagram it
+//! compiled in one export, and any structure the hops share is serialised
+//! (and later re-interned) exactly once.
 
 use crate::{ActionDist, Fdd, Manager, Node};
 use mcnetkat_core::{Field, Value};

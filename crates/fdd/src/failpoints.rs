@@ -3,8 +3,8 @@
 //! Only compiled under the `failpoints` feature (asserted off in release
 //! benches, mirroring [`crate::AUDIT_ENABLED`]). The compiler registers
 //! *named sites* at the seams where real-world failures strike — loop-state
-//! interning, the lumping partition, the structured solver, parallel
-//! workers and merge rounds — and a test arms a site with a
+//! interning, the lumping partition, the structured solver, parallel hop
+//! workers — and a test arms a site with a
 //! [`FaultAction`] that fires deterministically on the Nth hit:
 //!
 //! ```text
@@ -12,10 +12,9 @@
 //! fdd::intern              loop-state interning              Panic, Delay, Cancel
 //! fdd::loops::solve        any sparse solver rung            Singular, Panic, Delay, Cancel
 //! linalg::lump             the lumping partition rung        Singular, Panic, Delay, Cancel
-//! net::parallel::worker    per-switch worker closure         Panic, Delay, Cancel
-//! net::parallel::merge     tree-reduce merge rounds          Panic, Delay, Cancel
+//! net::parallel::worker    per-hop compile on a pool worker  Panic, Delay, Cancel
 //! serve::journal::append   write-ahead journal append        Singular (= torn write), Cancel, Panic, Delay
-//! serve::apply::patch      per-switch patch closure          Singular, Panic, Delay, Cancel
+//! serve::apply::patch      each re-keyed switch of a patch   Singular, Panic, Delay, Cancel
 //! serve::apply::assemble   post-patch model assembly         Singular, Panic, Delay, Cancel
 //! ```
 //!
@@ -32,6 +31,7 @@
 //! serialize (the harness uses a static mutex) and clear the registry
 //! between cases with [`clear_all`].
 
+use crate::{CompileError, LinalgError};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
@@ -148,16 +148,32 @@ pub fn check(site: &str) -> Option<InjectedFault> {
     }
 }
 
+/// [`check`] at a seam with no solver fallback behind it: `Cancel`
+/// surfaces as [`CompileError::Cancelled`], and `Singular` as the generic
+/// injected failure, a singular-system solver error.
+///
+/// # Errors
+///
+/// The injected fault, mapped as above.
+pub fn check_compile(site: &str) -> Result<(), CompileError> {
+    match check(site) {
+        None => Ok(()),
+        Some(InjectedFault::Cancelled) => Err(CompileError::Cancelled),
+        Some(InjectedFault::Singular) => Err(CompileError::Solver(LinalgError::Singular(0))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // The registry is process-global and other tests in this binary may
-    // also use it, so each test here owns uniquely named sites.
+    // also use it, so each test here owns uniquely named sites and never
+    // calls `clear_all` (it would disarm a concurrently running test's
+    // site); `configure` already resets a site's counters.
 
     #[test]
     fn fires_on_nth_hit_for_times_hits() {
-        clear_all();
         configure("test::nth", FaultAction::Singular, 2, 2);
         assert_eq!(check("test::nth"), None);
         assert_eq!(check("test::nth"), Some(InjectedFault::Singular));
@@ -175,7 +191,6 @@ mod tests {
 
     #[test]
     fn delay_fires_in_place_and_reports_no_fault() {
-        clear_all();
         configure(
             "test::delay",
             FaultAction::Delay(Duration::from_millis(1)),

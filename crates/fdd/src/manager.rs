@@ -953,7 +953,7 @@ impl Manager {
 
     /// One-off check of `budget` against this manager's current gauges,
     /// without installing a governor — the checkpoint for call sites
-    /// outside a governed region (e.g. between parallel merge rounds).
+    /// outside a governed region (e.g. between the steps of a query).
     ///
     /// # Errors
     ///

@@ -14,14 +14,23 @@
 //! then assembles the global model):
 //!
 //! ```text
-//!   per switch s (scratch manager):
+//!   per switch s:
+//!     hop_inputs(s)                                 — key
+//!   per missing hop (scratch manager; compile_hops):
 //!     draw_s ; scheme_s ; topo-step_s ; bump?      — compile
 //!     eliminate up_i / grp_j                        — Manager::eliminate
 //!     export → import                               — scratch-free, tiny
 //!   main manager:
-//!     case sw=s₁ … sw=sₙ chain of imported hops     — assemble
-//!     while-solve ; ingress ; pt<-0 ; local wrappers
+//!     case sw=s₁ … sw=sₙ chain of imported hops     — assemble_chain
+//!     while-solve ; ingress ; pt<-0 ; local wrappers — assemble_model
 //! ```
+//!
+//! Every compile takes that shape. A cold compile keys every switch and
+//! compiles them all, inline ([`NetworkModel::compile_with`]) or on a
+//! worker pool ([`crate::compile_model_parallel`]); the incremental
+//! engine in `mcnetkat-serve` keys only the switches a delta touches and
+//! compiles only its hop-cache misses. [`compile_hops`] is the one place
+//! hop diagrams are made.
 //!
 //! Peak live nodes now scale with the *largest single switch*, not the
 //! topology. Two elimination modes:
@@ -43,10 +52,13 @@ use crate::model::bump_hop_counter;
 use crate::scheme::switch_program;
 use crate::NetworkModel;
 use mcnetkat_core::{Pred, Prog};
-use mcnetkat_fdd::{CompileError, CompileOptions, Fdd, Manager, ScratchField};
+use mcnetkat_fdd::{
+    CancelToken, CompileError, CompileOptions, Fdd, FddExport, Manager, ScratchField,
+};
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::{NodeId, ShortestPaths};
-use std::collections::BTreeSet;
+use std::any::Any;
+use std::collections::{BTreeSet, HashMap};
 
 /// Size gauges from one fused compile: how big the per-switch scratch
 /// compilations got before elimination. Together with the main manager's
@@ -72,7 +84,7 @@ impl FusedStats {
     }
 
     /// Folds another gauge set in (sums switch counts, maxes the peaks) —
-    /// used to merge per-worker gauges in the parallel backend.
+    /// used to merge per-worker gauges in [`compile_hops`].
     pub fn merge(&mut self, other: &FusedStats) {
         self.switches += other.switches;
         self.max_scratch_nodes = self.max_scratch_nodes.max(other.max_scratch_nodes);
@@ -214,26 +226,6 @@ pub fn compile_hop_import(
     Ok(target.import(&scratch.export(fdd)))
 }
 
-/// Compiles switch `s`'s fused hop — `failure draw ; scheme ; topology
-/// step ; hop bump` with every scratch field eliminated — in a fresh
-/// scratch manager, and imports the (tiny, scratch-free) result into
-/// `target`. Returns the imported diagram; `stats` records the scratch
-/// manager's peak size.
-///
-/// # Errors
-///
-/// Propagates [`CompileError`] from the scratch compile.
-pub fn compile_switch_hop(
-    target: &Manager,
-    model: &NetworkModel,
-    s: NodeId,
-    sp: &ShortestPaths,
-    opts: &CompileOptions,
-    stats: &mut FusedStats,
-) -> Result<Fdd, CompileError> {
-    compile_hop_import(target, &hop_inputs(model, s, sp), opts, stats)
-}
-
 /// Folds per-switch hop diagrams into the global `sw`-case chain, in
 /// reverse switch order so the chain tests switches in declaration order
 /// (mirroring the legacy `Prog::case`). `hop` supplies each switch's
@@ -262,38 +254,192 @@ pub fn assemble_chain(
     Ok(body)
 }
 
-/// Compiles the whole model through the fused pipeline, returning the
-/// diagram in `mgr` together with the scratch-size gauges.
+/// Compiles every input's scratch-free hop ([`compile_hop_import`]) and
+/// imports it into `mgr`, returning the diagrams in input order. `stats`
+/// gains one switch per input.
+///
+/// With `workers <= 1` the hops compile inline, one scratch manager at a
+/// time. Otherwise the inputs split into contiguous chunks on
+/// `std::thread::scope` workers, each importing its hops into a private
+/// manager and shipping them back as one multi-root [`FddExport`]; `mgr`
+/// imports the chunks in order. A worker panic becomes
+/// [`CompileError::WorkerPanicked`], and any worker failure cancels its
+/// siblings through a child of the caller's [`CancelToken`] (the
+/// caller's own token never fires). Every worker is joined before this
+/// returns.
+///
+/// # Errors
+///
+/// The first real [`CompileError`] any hop raises (a sibling's
+/// consequent `Cancelled` never masks it), or a budget trip.
+pub fn compile_hops(
+    mgr: &Manager,
+    inputs: &[HopInputs],
+    workers: usize,
+    opts: &CompileOptions,
+    stats: &mut FusedStats,
+) -> Result<Vec<Fdd>, CompileError> {
+    if workers <= 1 || inputs.is_empty() {
+        return inputs
+            .iter()
+            .map(|inp| {
+                // Per-hop budget checkpoint: deadline/cancellation aborts
+                // land at switch granularity even before the per-op
+                // governor notices.
+                opts.budget.check_external()?;
+                compile_hop_import(mgr, inp, opts, stats)
+            })
+            .collect();
+    }
+
+    let abort = opts
+        .budget
+        .cancel
+        .as_ref()
+        .map_or_else(CancelToken::new, CancelToken::child);
+    let worker_opts = CompileOptions {
+        budget: opts.budget.clone().with_cancel(abort.clone()),
+        ..opts.clone()
+    };
+    let chunk = inputs.len().div_ceil(workers);
+    let mut parts: Vec<(FddExport, FusedStats)> = Vec::with_capacity(workers);
+    let mut first_err: Option<CompileError> = None;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = inputs
+            .chunks(chunk)
+            .map(|work| {
+                let (abort, opts) = (&abort, &worker_opts);
+                scope.spawn(move || {
+                    let result = contain_panics(|| compile_chunk(work, opts));
+                    if result.is_err() {
+                        // Fail fast: siblings see the cancellation at their
+                        // next checkpoint, not after finishing their chunk.
+                        abort.cancel();
+                    }
+                    result
+                })
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(Ok(part)) => parts.push(part),
+                Ok(Err(e)) => note_error(&mut first_err, e),
+                // Unreachable in practice (`contain_panics` already caught
+                // inside the worker), kept so a join failure can never
+                // poison the scope.
+                Err(payload) => note_error(
+                    &mut first_err,
+                    CompileError::WorkerPanicked {
+                        payload: payload_string(payload.as_ref()),
+                    },
+                ),
+            }
+        }
+    });
+    if let Some(e) = first_err {
+        return Err(e);
+    }
+    opts.budget.check_external()?;
+    let mut hops = Vec::with_capacity(inputs.len());
+    for (part, worker_stats) in &parts {
+        hops.extend(mgr.import_all(part));
+        stats.merge(worker_stats);
+    }
+    Ok(hops)
+}
+
+/// One pool worker's share of [`compile_hops`]: its chunk's hops, compiled
+/// into a private manager and exported together.
+fn compile_chunk(
+    work: &[HopInputs],
+    opts: &CompileOptions,
+) -> Result<(FddExport, FusedStats), CompileError> {
+    let local = Manager::new();
+    let mut stats = FusedStats::default();
+    let mut hops = Vec::with_capacity(work.len());
+    for inp in work {
+        #[cfg(feature = "failpoints")]
+        mcnetkat_fdd::failpoints::check_compile("net::parallel::worker")?;
+        opts.budget.check_external()?;
+        hops.push(compile_hop_import(&local, inp, opts, &mut stats)?);
+    }
+    Ok((local.export_all(&hops), stats))
+}
+
+/// Renders a caught panic payload for [`CompileError::WorkerPanicked`].
+fn payload_string(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Error-precedence accumulator for fan-in joins: the first *real* error
+/// wins; [`CompileError::Cancelled`] only sticks when nothing better
+/// arrives, because sibling workers are cancelled *as a consequence* of
+/// the first failure and their cancellation must not mask its cause.
+fn note_error(slot: &mut Option<CompileError>, e: CompileError) {
+    match slot {
+        None => *slot = Some(e),
+        Some(CompileError::Cancelled) if !matches!(e, CompileError::Cancelled) => *slot = Some(e),
+        Some(_) => {}
+    }
+}
+
+/// Runs `f`, converting any panic into [`CompileError::WorkerPanicked`]
+/// so a fan-out phase degrades into a typed error instead of tearing the
+/// process down. The default panic hook still reports the panic site to
+/// stderr, which is exactly what a postmortem wants.
+fn contain_panics<T>(f: impl FnOnce() -> Result<T, CompileError>) -> Result<T, CompileError> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+        Ok(result) => result,
+        Err(payload) => Err(CompileError::WorkerPanicked {
+            payload: payload_string(payload.as_ref()),
+        }),
+    }
+}
+
+/// A cold compile of the whole model: key every switch, compile every hop
+/// with [`compile_hops`] on `workers` threads, fold the `sw`-case chain,
+/// and finish with [`assemble_model`]. Returns the diagram in `mgr`
+/// together with the scratch-size gauges.
 pub(crate) fn compile_model_fused(
     mgr: &Manager,
     model: &NetworkModel,
+    workers: usize,
     opts: &CompileOptions,
 ) -> Result<(Fdd, FusedStats), CompileError> {
     let sp = ShortestPaths::towards(&model.topo, model.dst);
+    let switches = model.topo.switches();
+    let inputs: Vec<HopInputs> = switches
+        .iter()
+        .map(|&s| hop_inputs(model, s, &sp))
+        .collect();
     let mut stats = FusedStats::default();
-    let body = assemble_chain(mgr, model, |s| {
-        // Per-switch budget checkpoint: deadline/cancellation aborts land
-        // at switch granularity even before the per-op governor notices.
-        opts.budget.check_external()?;
-        compile_switch_hop(mgr, model, s, &sp, opts, &mut stats)
-    })?;
+    let hops = compile_hops(mgr, &inputs, workers, opts, &mut stats)?;
+    drop(inputs); // the hop ASTs are dead weight during the loop solve
+    let by_switch: HashMap<NodeId, Fdd> = switches.iter().copied().zip(hops).collect();
+    let body = assemble_chain(mgr, model, |s| Ok(by_switch[&s]))?;
     let fdd = assemble_model(mgr, model, body, opts)?;
     #[cfg(feature = "audit")]
     audit_compiled_model(mgr, model, fdd);
     Ok((fdd, stats))
 }
 
-/// The `audit` feature's post-compile verification, run on every diagram
-/// the fused and parallel backends return: the manager's node and
-/// interning tables pass [`Manager::audit`], and the compiled model
-/// mentions no scratch field — `up_i`/`grp_j` must not survive
+/// The `audit` feature's post-compile verification, run on every model
+/// diagram a cold compile or an incremental patch returns: the manager's
+/// node and interning tables pass [`Manager::audit`], and the compiled
+/// model mentions no scratch field — `up_i`/`grp_j` must not survive
 /// elimination, whatever the failure spec.
 ///
 /// # Panics
 ///
 /// Panics on any audit violation or surviving scratch-field test.
 #[cfg(feature = "audit")]
-pub(crate) fn audit_compiled_model(mgr: &Manager, model: &NetworkModel, fdd: Fdd) {
+pub fn audit_compiled_model(mgr: &Manager, model: &NetworkModel, fdd: Fdd) {
     mgr.audit().assert_clean();
     let dom = mgr.domain(fdd);
     for &f in model.fields.ups().iter().chain(model.fields.grps()) {
@@ -304,13 +450,13 @@ pub(crate) fn audit_compiled_model(mgr: &Manager, model: &NetworkModel, fdd: Fdd
     }
 }
 
-/// The shared sequential tail of both backends: loop solve, ingress
-/// filter, arrival-port normalisation and the local-variable wrappers,
-/// given an already-assembled loop-body diagram.
+/// The sequential tail every compile shares: loop solve, ingress filter,
+/// arrival-port normalisation and the local-variable wrappers, given an
+/// already-assembled loop-body diagram.
 ///
-/// This is the patch seam of the incremental engine: after a model delta
-/// recompiles only the invalidated switches and re-folds the `sw`-case
-/// chain ([`assemble_chain`]), this tail finishes the model. An unchanged
+/// In the incremental engine, after a model delta recompiles only the
+/// invalidated switches and re-folds the `sw`-case chain
+/// ([`assemble_chain`]), this tail finishes the model. An unchanged
 /// chain body hits the manager's `while`-loop solution cache, so the loop
 /// solve itself is also incremental.
 ///
@@ -414,6 +560,41 @@ mod tests {
         let legacy = m.compile_legacy(&mgr).unwrap();
         let fused = m.compile(&mgr).unwrap();
         assert!(mgr.equiv(fused, legacy));
+    }
+
+    #[test]
+    fn compile_hops_returns_input_order_for_any_worker_count() {
+        let m = mk(
+            RoutingScheme::F10_3,
+            FailureModel::independent(Ratio::new(1, 10)),
+        );
+        let sp = ShortestPaths::towards(&m.topo, m.dst);
+        let mut every: Vec<HopInputs> = m
+            .topo
+            .switches()
+            .iter()
+            .map(|&s| hop_inputs(&m, s, &sp))
+            .collect();
+        every.push(every[3].clone());
+        let cases: [&[HopInputs]; 3] = [&[], &every[..1], &every];
+        let opts = CompileOptions::default();
+        let mgr = Manager::new();
+        for inputs in cases {
+            let reference: Vec<Fdd> = inputs
+                .iter()
+                .map(|inp| compile_hop_import(&mgr, inp, &opts, &mut FusedStats::default()))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            for workers in [1, 2, 3, 7] {
+                let mut stats = FusedStats::default();
+                let hops = compile_hops(&mgr, inputs, workers, &opts, &mut stats).unwrap();
+                assert_eq!(hops.len(), inputs.len(), "workers = {workers}");
+                assert_eq!(stats.switches, inputs.len(), "workers = {workers}");
+                for (i, (&hop, &want)) in hops.iter().zip(&reference).enumerate() {
+                    assert!(mgr.equiv(hop, want), "workers = {workers}, input {i}");
+                }
+            }
+        }
     }
 
     #[test]

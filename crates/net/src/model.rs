@@ -362,7 +362,7 @@ impl NetworkModel {
     ///
     /// Propagates [`CompileError`] from the FDD backend.
     pub fn compile_with(&self, mgr: &Manager, opts: &CompileOptions) -> Result<Fdd, CompileError> {
-        Ok(compile_model_fused(mgr, self, opts)?.0)
+        Ok(compile_model_fused(mgr, self, 1, opts)?.0)
     }
 
     /// Compiles with explicit options and returns the fused pipeline's
@@ -376,7 +376,7 @@ impl NetworkModel {
         mgr: &Manager,
         opts: &CompileOptions,
     ) -> Result<(Fdd, FusedStats), CompileError> {
-        compile_model_fused(mgr, self, opts)
+        compile_model_fused(mgr, self, 1, opts)
     }
 
     /// The legacy whole-body compile: builds the complete program AST

@@ -1,99 +1,26 @@
 //! The parallelising backend of §6 ("Parallel speedup"): per-switch
 //! *fused hops* are compiled on worker threads — each with a private FDD
-//! manager, mirroring the paper's per-process workers — and merged
-//! map/tree-reduce style into the main manager.
+//! manager, mirroring the paper's per-process workers — and imported into
+//! the main manager.
 //!
-//! # Pipeline
-//!
-//! 1. **Map.** The switch set is split into contiguous chunks, one per
-//!    worker. Each worker compiles its switches' fused hop diagrams
-//!    (`draw ; scheme ; topology step ; bump`, scratch fields eliminated
-//!    per switch — see `net::fused`) and folds them into a partial `case`
-//!    chain locally: `if sw=s₁ then h₁ else if sw=s₂ then h₂ … else
-//!    drop`, together with the matching guard `sw∈{s₁,…}`. Guard and
-//!    chain leave the worker as one multi-root [`FddExport`] with a
-//!    shared node table. Because the hops are already scratch-free, the
-//!    exports carry no `up_i`/`grp_j` state.
-//! 2. **Tree-reduce.** Partial chains are merged pairwise in parallel
-//!    rounds, each merge in a fresh scratch manager:
-//!    `merge(A, B) = if guard_A then chain_A else chain_B` (sound because
-//!    chunk switch sets are disjoint). After ⌈log₂ workers⌉ rounds a
-//!    single export remains.
-//! 3. **Import + sequential tail.** The main manager performs *one*
-//!    import of the fully merged loop body (the topology step now rides
-//!    inside each hop), then runs the same tail as the sequential fused
-//!    pipeline (`fused::assemble_model`): loop solve, ingress,
-//!    normalisation, local wrappers. The `while` solve goes through
-//!    [`Manager::while_loop`], so repeated loops across models sharing a
-//!    manager hit the loop-solution cache.
+//! This is the cold compile of [`crate::NetworkModel::compile_with`] with
+//! a worker pool under it: key every switch, compile the hops with
+//! [`crate::fused::compile_hops`] on `workers` threads (chunks of
+//! switches, one multi-root export per chunk, worker panics contained,
+//! the first failure cancelling its siblings), import them in switch
+//! order, then fold the `sw`-case chain ([`crate::fused::assemble_chain`])
+//! and finish with [`crate::fused::assemble_model`] in the main manager.
+//! The `while` solve goes through [`Manager::while_loop`], so repeated
+//! loops across models sharing a manager hit the loop-solution cache.
 
-use crate::fused::{assemble_model, compile_switch_hop, FusedStats};
+use crate::fused::{compile_model_fused, FusedStats};
 use crate::NetworkModel;
-use mcnetkat_fdd::{CancelToken, CompileError, CompileOptions, Fdd, FddExport, Manager};
-use mcnetkat_topo::{NodeId, ShortestPaths};
-use std::any::Any;
+use mcnetkat_fdd::{CompileError, CompileOptions, Fdd, Manager};
 
-/// Renders a caught panic payload for [`CompileError::WorkerPanicked`].
-fn payload_string(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Error-precedence accumulator for fan-in joins: the first *real* error
-/// wins; [`CompileError::Cancelled`] only sticks when nothing better
-/// arrives, because sibling workers are cancelled *as a consequence* of
-/// the first failure and their cancellation must not mask its cause.
-fn note_error(slot: &mut Option<CompileError>, e: CompileError) {
-    match slot {
-        None => *slot = Some(e),
-        Some(CompileError::Cancelled) if !matches!(e, CompileError::Cancelled) => *slot = Some(e),
-        Some(_) => {}
-    }
-}
-
-/// Runs `f`, converting any panic into [`CompileError::WorkerPanicked`]
-/// so a fan-out phase degrades into a typed error instead of tearing the
-/// process down. The default panic hook still reports the panic site to
-/// stderr, which is exactly what a postmortem wants.
-fn contain_panics<T>(f: impl FnOnce() -> Result<T, CompileError>) -> Result<T, CompileError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(result) => result,
-        Err(payload) => Err(CompileError::WorkerPanicked {
-            payload: payload_string(payload.as_ref()),
-        }),
-    }
-}
-
-/// Polls the named failpoint at a parallel seam. Compiles away without
-/// the `failpoints` feature.
-fn parallel_failpoint(site: &str) -> Result<(), CompileError> {
-    #[cfg(feature = "failpoints")]
-    {
-        use mcnetkat_fdd::failpoints::{check, InjectedFault};
-        match check(site) {
-            None => Ok(()),
-            Some(InjectedFault::Cancelled) => Err(CompileError::Cancelled),
-            Some(InjectedFault::Singular) => {
-                Err(CompileError::Solver(mcnetkat_fdd::LinalgError::Singular(0)))
-            }
-        }
-    }
-    #[cfg(not(feature = "failpoints"))]
-    {
-        let _ = site;
-        Ok(())
-    }
-}
-
-/// Compiles `model` using `workers` threads for the per-switch policies.
+/// Compiles `model` using `workers` threads for the per-switch hops.
 ///
-/// Returns the diagram in `mgr`. With `workers == 1` this degenerates to a
-/// sequential compile through the same code path (useful as the baseline
+/// Returns the diagram in `mgr`. With `workers == 1` the hops compile
+/// inline, exactly as [`NetworkModel::compile_with`] does (the baseline
 /// for speedup measurements). `opts` governs every compile performed by
 /// this function, on worker threads and in `mgr` alike.
 ///
@@ -121,205 +48,7 @@ pub fn compile_model_parallel_with_stats(
     workers: usize,
     opts: &CompileOptions,
 ) -> Result<(Fdd, FusedStats), CompileError> {
-    let workers = workers.max(1);
-    let sp = ShortestPaths::towards(&model.topo, model.dst);
-    let switches: Vec<NodeId> = model.topo.switches().to_vec();
-
-    // Fan-out cancellation: workers run under a *child* of the caller's
-    // token (or a fresh one), so the first failure can cancel its
-    // siblings promptly without firing the caller's own token.
-    let abort = opts
-        .budget
-        .cancel
-        .as_ref()
-        .map_or_else(CancelToken::new, CancelToken::child);
-    let worker_opts = CompileOptions {
-        budget: opts.budget.clone().with_cancel(abort.clone()),
-        ..opts.clone()
-    };
-    let worker_opts = &worker_opts;
-
-    // Map: each worker compiles its chunk's fused hops and builds the
-    // partial `case` chain (and its guard) inside a private manager.
-    // Every join is collected — a worker panic is converted into
-    // `WorkerPanicked` and cancels the remaining workers; it never
-    // propagates as a panic and never leaks a running thread.
-    let chunk = switches.len().div_ceil(workers).max(1);
-    let mut parts: Vec<FddExport> = Vec::with_capacity(workers);
-    let mut stats = FusedStats::default();
-    let mut first_err: Option<CompileError> = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for work in switches.chunks(chunk) {
-            let sp = &sp;
-            let abort = &abort;
-            handles.push(scope.spawn(move || {
-                let result = contain_panics(|| compile_chunk(model, work, sp, worker_opts));
-                if result.is_err() {
-                    // Fail fast: siblings see the cancellation at their
-                    // next checkpoint, not after finishing their chunk.
-                    abort.cancel();
-                }
-                result
-            }));
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok(Ok((part, worker_stats))) => {
-                    parts.push(part);
-                    stats.merge(&worker_stats);
-                }
-                Ok(Err(e)) => note_error(&mut first_err, e),
-                // Unreachable in practice (`contain_panics` already caught
-                // inside the worker), kept so a join failure can never
-                // poison the scope.
-                Err(payload) => note_error(
-                    &mut first_err,
-                    CompileError::WorkerPanicked {
-                        payload: payload_string(payload.as_ref()),
-                    },
-                ),
-            }
-        }
-    });
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    opts.budget.check_external()?;
-
-    // Tree-reduce: merge the partial chains pairwise in parallel rounds
-    // until at most two remain; the last merge runs in the main manager
-    // directly, saving a scratch-manager round trip of the full body.
-    let parts = tree_reduce(parts, &abort)?;
-    opts.budget.check_external()?;
-    let body = match parts.as_slice() {
-        [] => mgr.fail(), // no switches: the body drops everything
-        [only] => mgr.import_all(only)[1],
-        [a, b] => {
-            let ra = mgr.import_all(a);
-            let rb = mgr.import_all(b);
-            mgr.ite(ra[0], ra[1], rb[1])
-        }
-        _ => unreachable!("tree_reduce leaves at most two parts"),
-    };
-
-    // Sequential tail, shared with the fused sequential pipeline: loop
-    // solve, ingress, normalisation, local wrappers. The hops already
-    // carry the topology step and hop bump, and their scratch fields were
-    // eliminated inside the workers — no erasure or projection remains.
-    let fdd = assemble_model(mgr, model, body, opts)?;
-    #[cfg(feature = "audit")]
-    crate::fused::audit_compiled_model(mgr, model, fdd);
-    Ok((fdd, stats))
-}
-
-/// Compiles one worker's chunk of fused per-switch hops and folds them
-/// into a partial `case` chain in a private manager. Returns a two-root
-/// export — `[guard, chain]` where `guard` tests `sw ∈ chunk` and `chain`
-/// behaves like the fused hop on matching packets and drops everything
-/// else — together with the worker's scratch-size gauges.
-fn compile_chunk(
-    model: &NetworkModel,
-    work: &[NodeId],
-    sp: &ShortestPaths,
-    opts: &CompileOptions,
-) -> Result<(FddExport, FusedStats), CompileError> {
-    let local = Manager::new();
-    let mut stats = FusedStats::default();
-    let mut chain = local.fail();
-    let mut guard = local.fail();
-    for &s in work.iter().rev() {
-        // Per-switch checkpoint: a cancelled sibling token or expired
-        // deadline stops this worker at the next switch boundary.
-        parallel_failpoint("net::parallel::worker")?;
-        opts.budget.check_external()?;
-        let branch = compile_switch_hop(&local, model, s, sp, opts, &mut stats)?;
-        let test = local.branch(
-            model.fields.sw,
-            model.topo.sw_value(s),
-            local.pass(),
-            local.fail(),
-        );
-        chain = local.ite(test, branch, chain);
-        guard = local.ite(test, local.pass(), guard);
-    }
-    Ok((local.export_all(&[guard, chain]), stats))
-}
-
-/// Merges partial `[guard, chain]` exports pairwise in parallel rounds
-/// until at most two remain (the caller finishes in the main manager).
-/// Sound because the chunks cover disjoint `sw` values:
-/// `if guard_A then chain_A else chain_B` never shadows a `B` branch.
-///
-/// Merge-round panics and errors get the same containment as the map
-/// phase: every handle is joined, a panic becomes
-/// [`CompileError::WorkerPanicked`], and `abort` cancels the round's
-/// siblings.
-fn tree_reduce(
-    mut parts: Vec<FddExport>,
-    abort: &CancelToken,
-) -> Result<Vec<FddExport>, CompileError> {
-    while parts.len() > 2 {
-        let mut round: Vec<FddExport> = Vec::with_capacity(parts.len().div_ceil(2));
-        let mut first_err: Option<CompileError> = None;
-        let mut iter = parts.into_iter();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            while let Some(a) = iter.next() {
-                match iter.next() {
-                    Some(b) => handles.push(Some(scope.spawn(move || {
-                        let result = contain_panics(|| merge_pair(&a, &b, abort));
-                        if result.is_err() {
-                            abort.cancel();
-                        }
-                        result
-                    }))),
-                    None => {
-                        // Odd part out: carried into the next round as is.
-                        round.push(a);
-                        handles.push(None);
-                    }
-                }
-            }
-            for handle in handles.into_iter().flatten() {
-                match handle.join() {
-                    Ok(Ok(merged)) => round.push(merged),
-                    Ok(Err(e)) => note_error(&mut first_err, e),
-                    Err(payload) => note_error(
-                        &mut first_err,
-                        CompileError::WorkerPanicked {
-                            payload: payload_string(payload.as_ref()),
-                        },
-                    ),
-                }
-            }
-        });
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        parts = round;
-    }
-    Ok(parts)
-}
-
-/// Merges two partial chains in a scratch manager and re-exports.
-fn merge_pair(
-    a: &FddExport,
-    b: &FddExport,
-    abort: &CancelToken,
-) -> Result<FddExport, CompileError> {
-    parallel_failpoint("net::parallel::merge")?;
-    if abort.is_cancelled() {
-        return Err(CompileError::Cancelled);
-    }
-    let scratch = Manager::new();
-    let ra = scratch.import_all(a);
-    let rb = scratch.import_all(b);
-    let (guard_a, chain_a) = (ra[0], ra[1]);
-    let (guard_b, chain_b) = (rb[0], rb[1]);
-    let guard = scratch.ite(guard_a, scratch.pass(), guard_b);
-    let chain = scratch.ite(guard_a, chain_a, chain_b);
-    Ok(scratch.export_all(&[guard, chain]))
+    compile_model_fused(mgr, model, workers, opts)
 }
 
 #[cfg(test)]

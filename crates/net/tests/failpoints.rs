@@ -29,8 +29,8 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Eight merge-friendly workers: 8 parts tree-reduce through two parallel
-/// merge rounds (8 → 4 → 2) before the main-manager finish.
+/// Eight workers: fattree(4)'s 20 switches split into seven chunks of at
+/// most three hops, so a fault strikes while sibling workers are running.
 const WORKERS: usize = 8;
 
 fn model() -> NetworkModel {
@@ -95,27 +95,6 @@ fn worker_panic_is_contained_and_typed() {
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }
     assert!(failpoints::fired("net::parallel::worker") >= 1);
-    assert_recovers(&mgr, &m);
-}
-
-#[test]
-fn merge_round_panic_is_contained_and_typed() {
-    let _guard = serial();
-    failpoints::clear_all();
-    let m = model();
-    let mgr = Manager::new();
-    failpoints::configure(
-        "net::parallel::merge",
-        FaultAction::Panic("injected merge crash".into()),
-        1,
-        1,
-    );
-    match compile_model_parallel(&mgr, &m, WORKERS, &Default::default()) {
-        Err(CompileError::WorkerPanicked { payload }) => {
-            assert!(payload.contains("injected merge crash"));
-        }
-        other => panic!("expected WorkerPanicked, got {other:?}"),
-    }
     assert_recovers(&mgr, &m);
 }
 
@@ -234,23 +213,22 @@ struct Schedule {
     times: u64,
 }
 
-/// Sites where a panic is caught by the containment layer. Panicking at a
-/// sequential-path site would (correctly) abort the test process, so the
-/// storm only arms `Panic` here.
-const PARALLEL_SITES: [&str; 2] = ["net::parallel::worker", "net::parallel::merge"];
+/// The site where a panic is caught by the containment layer. Panicking
+/// at a sequential-path site would (correctly) abort the test process, so
+/// the storm only arms `Panic` here.
+const PANIC_SITE: &str = "net::parallel::worker";
 /// All sites reachable from the parallel fattree(4) compile.
-const ALL_SITES: [&str; 5] = [
+const ALL_SITES: [&str; 4] = [
     "fdd::intern",
     "fdd::loops::solve",
     "linalg::lump",
     "net::parallel::worker",
-    "net::parallel::merge",
 ];
 
 fn arb_schedule() -> impl Strategy<Value = Schedule> {
     (0..4u8, 0..8u8, 1..=6u64, 1..=3u64).prop_map(|(kind, site_sel, nth, times)| match kind {
         0 => Schedule {
-            site: PARALLEL_SITES[site_sel as usize % PARALLEL_SITES.len()],
+            site: PANIC_SITE,
             action: FaultAction::Panic("storm panic".into()),
             nth,
             times,

@@ -84,7 +84,7 @@ pub mod journal;
 use journal::{JournalError, Record, RecoveryError};
 use mcnetkat_fdd::{Budget, CompileError, CompileOptions, Fdd, Manager, WhileCacheStats};
 use mcnetkat_net::fused::{
-    assemble_chain, assemble_model, compile_hop_import, hop_inputs, FusedStats, HopInputs,
+    assemble_chain, assemble_model, compile_hops, hop_inputs, FusedStats, HopInputs,
 };
 use mcnetkat_net::{FailureSpec, ModelDescription, NetworkModel, Queries, RoutingScheme, Srlg};
 use mcnetkat_num::Ratio;
@@ -1317,12 +1317,13 @@ impl Engine {
     }
 
     /// Compiles `model` against the per-switch cache. Switches inside
-    /// `touched` are re-keyed: their [`HopInputs`] are recomputed, cache
-    /// hits reuse diagrams, misses compile-and-insert. Every other switch
-    /// reuses its inputs and diagram from `prev` as they are, which is
-    /// sound only because [`Delta::touched`] names every switch whose
-    /// inputs can change; debug builds recompute the untouched switches'
-    /// inputs to check that contract.
+    /// `touched` are re-keyed: their [`HopInputs`] are recomputed and
+    /// looked up in the hop cache, and the deduplicated misses compile
+    /// through [`compile_hops`] into the cache. Every other switch reuses
+    /// its inputs and diagram from `prev` as they are, which is sound only
+    /// because [`Delta::touched`] names every switch whose inputs can
+    /// change; debug builds recompute the untouched switches' inputs to
+    /// check that contract.
     fn compile_incremental(
         &mut self,
         model: &NetworkModel,
@@ -1330,72 +1331,67 @@ impl Engine {
         prev: &SwitchHops,
     ) -> Result<Patch, EngineError> {
         let sp = ShortestPaths::towards(&model.topo, model.dst);
-        let mut rekeyed = SwitchHops::new();
-        let mut recompiled = 0usize;
-        let mut stats = FusedStats::default();
-        // Borrow pieces individually so the closure can mutate the cache
-        // and counters while the manager is borrowed immutably.
-        let mgr = &self.mgr;
-        let opts = &self.opts;
-        let hops = &mut self.hops;
-        let hop_hits = &mut self.hop_hits;
-        let hop_misses = &mut self.hop_misses;
-        let body = assemble_chain(mgr, model, |s| {
-            if !touched.contains(s) {
-                let (inp, fdd) = prev
-                    .get(&s)
-                    .expect("an untouched switch keeps its previous inputs");
+        let mut keyed: Vec<(NodeId, HopInputs)> = Vec::new();
+        for &s in model.topo.switches() {
+            if touched.contains(s) {
+                // Per-switch budget checkpoint, mirroring the cold compile.
+                #[cfg(feature = "failpoints")]
+                mcnetkat_fdd::failpoints::check_compile("serve::apply::patch")?;
+                self.opts.budget.check_external()?;
+                keyed.push((s, hop_inputs(model, s, &sp)));
+            } else {
                 debug_assert!(
-                    hop_inputs(model, s, &sp) == *inp,
+                    prev.get(&s).map(|(inp, _)| inp) == Some(&hop_inputs(model, s, &sp)),
                     "switch {s:?} lies outside the delta's touched set but its inputs changed"
                 );
-                *hop_hits += 1;
-                return Ok(*fdd);
+                self.hop_hits += 1;
             }
-            // Per-switch budget checkpoint, mirroring the batch pipeline.
-            serve_failpoint("serve::apply::patch")?;
-            opts.budget.check_external()?;
-            let inp = hop_inputs(model, s, &sp);
-            let fdd = match hops.get(&inp) {
-                Some(&f) => {
-                    *hop_hits += 1;
-                    f
-                }
-                None => {
-                    *hop_misses += 1;
-                    recompiled += 1;
-                    let f = compile_hop_import(mgr, &inp, opts, &mut stats)?;
-                    hops.insert(inp.clone(), f);
-                    f
-                }
-            };
-            rekeyed.insert(s, (inp, fdd));
-            Ok(fdd)
+        }
+        // A miss is an input neither the cache nor an earlier switch of
+        // this compile holds; repeats of it count as hits.
+        let mut misses: Vec<HopInputs> = Vec::new();
+        let mut missed: HashSet<&HopInputs> = HashSet::new();
+        for (_, inp) in &keyed {
+            if self.hops.contains_key(inp) || !missed.insert(inp) {
+                self.hop_hits += 1;
+            } else {
+                self.hop_misses += 1;
+                misses.push(inp.clone());
+            }
+        }
+        let fresh = compile_hops(
+            &self.mgr,
+            &misses,
+            1,
+            &self.opts,
+            &mut FusedStats::default(),
+        )?;
+        let recompiled = misses.len();
+        self.hops.extend(misses.into_iter().zip(fresh));
+        let rekeyed: SwitchHops = keyed
+            .into_iter()
+            .map(|(s, inp)| {
+                let fdd = self.hops[&inp];
+                (s, (inp, fdd))
+            })
+            .collect();
+        let body = assemble_chain(&self.mgr, model, |s| {
+            let (_, fdd) = rekeyed
+                .get(&s)
+                .or_else(|| prev.get(&s))
+                .expect("an untouched switch keeps its previous inputs");
+            Ok(*fdd)
         })?;
-        serve_failpoint("serve::apply::assemble")?;
+        #[cfg(feature = "failpoints")]
+        mcnetkat_fdd::failpoints::check_compile("serve::apply::assemble")?;
         let fdd = assemble_model(&self.mgr, model, body, &self.opts)?;
         #[cfg(feature = "audit")]
-        self.audit_patched(model, fdd);
+        mcnetkat_net::fused::audit_compiled_model(&self.mgr, model, fdd);
         Ok(Patch {
             fdd,
             rekeyed,
             recompiled,
         })
-    }
-
-    /// The `audit` feature's post-patch verification, mirroring the batch
-    /// pipelines' self-audit: the shared manager's tables are clean and
-    /// the patched diagram mentions no scratch field.
-    #[cfg(feature = "audit")]
-    fn audit_patched(&self, model: &NetworkModel, fdd: Fdd) {
-        self.mgr.audit().assert_clean();
-        let dom = self.mgr.domain(fdd);
-        for &f in model.fields.ups().iter().chain(model.fields.grps()) {
-            assert!(
-                !dom.tested.contains_key(&f),
-                "patched model diagram tests scratch field {f}"
-            );
-        }
     }
 
     /// Recompiles the model cold — fresh manager, empty caches, the batch
@@ -1655,30 +1651,6 @@ struct QueryPermit<'a>(&'a AtomicUsize);
 impl Drop for QueryPermit<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::Release);
-    }
-}
-
-/// Polls a serve-engine failpoint through the shared registry
-/// ([`mcnetkat_fdd::failpoints`]). Compiles away without the
-/// `failpoints` feature. `Singular` is mapped to a solver error (the
-/// generic injected failure at non-solver sites), `Cancel` to
-/// [`CompileError::Cancelled`].
-fn serve_failpoint(site: &str) -> Result<(), CompileError> {
-    #[cfg(feature = "failpoints")]
-    {
-        use mcnetkat_fdd::failpoints::{check, InjectedFault};
-        match check(site) {
-            None => Ok(()),
-            Some(InjectedFault::Cancelled) => Err(CompileError::Cancelled),
-            Some(InjectedFault::Singular) => {
-                Err(CompileError::Solver(mcnetkat_fdd::LinalgError::Singular(0)))
-            }
-        }
-    }
-    #[cfg(not(feature = "failpoints"))]
-    {
-        let _ = site;
-        Ok(())
     }
 }
 
