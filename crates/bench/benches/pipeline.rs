@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks (E10): the compilation pipeline stage by
-//! stage, plus ablations for the design choices called out in DESIGN.md —
-//! solver backend choice and exact-vs-float loop solving.
+//! stage, the compiler's loop solve, and the float solver backends that
+//! remain beside it (DESIGN.md § "Loop solve").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcnetkat_fdd::{CompileOptions, Manager};
@@ -177,11 +177,7 @@ fn bench_solver_backends(c: &mut Criterion) {
     // entries grow into huge rationals). Its regime — many small SCCs
     // and lumped symmetric blocks — is what `loop_solving/sparse_scc` and
     // the `fattree_compile` benchmarks measure.
-    for backend in [
-        SolverBackend::SparseLu,
-        SolverBackend::GaussSeidel,
-        SolverBackend::DenseLu,
-    ] {
+    for backend in [SolverBackend::SparseLu, SolverBackend::GaussSeidel] {
         group.bench_function(format!("{backend:?}"), |b| {
             b.iter(|| chain.solve(backend).unwrap())
         });
@@ -189,30 +185,12 @@ fn bench_solver_backends(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: exact rational vs float loop solving inside the compiler,
-/// plus the structured sparse solve that replaced both as the default.
-/// The float/exact arms pin `SparseLu` explicitly — the default backend
-/// is now `SparseScc`, which is exact at every size and ignores
-/// `exact_threshold`, so without the pin both arms would measure the
-/// same thing.
-fn bench_exact_vs_float_loops(c: &mut Criterion) {
+/// The compiler's loop solve (sparse SCC, lumping on) on a 3-hop chain.
+fn bench_loop_solving(c: &mut Criterion) {
     assert_audit_off();
     let mut group = c.benchmark_group("loop_solving");
     group.sample_size(10);
     let bench = chain_benchmark(3, Ratio::new(1, 100));
-    for (label, exact_threshold) in [("float", 0usize), ("exact", 10_000)] {
-        let opts = CompileOptions {
-            backend: SolverBackend::SparseLu,
-            exact_threshold,
-            ..CompileOptions::default()
-        };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mgr = Manager::new();
-                mgr.compile_with(&bench.program, &opts).unwrap()
-            })
-        });
-    }
     group.bench_function("sparse_scc", |b| {
         b.iter(|| {
             let mgr = Manager::new();
@@ -229,6 +207,6 @@ criterion_group!(
     bench_fattree_srlg,
     bench_chain_engines,
     bench_solver_backends,
-    bench_exact_vs_float_loops
+    bench_loop_solving
 );
 criterion_main!(benches);

@@ -5,14 +5,18 @@
 //! benchmark label → median nanoseconds) after every `cargo bench` run.
 //! This binary compares such a dump against `crates/bench/BENCH_baseline.json`
 //! and reports every shared benchmark that regressed by more than the
-//! threshold (default 15%). Benchmarks present on only one side are
-//! reported but never count as regressions, so adding or retiring
-//! benchmarks doesn't require a baseline refresh in the same change.
+//! threshold (default 15%). A benchmark only in the results is reported
+//! as `new` and never fails the gate, so adding one needs no baseline
+//! refresh. A baseline row missing from the results is reported as
+//! `missing` and counts like a regression: retiring a benchmark means
+//! deleting its baseline row in the same change, so a benchmark that
+//! silently stops running cannot pass the gate.
 //!
 //! By default the gate is **advisory**: regressions are printed but the
 //! exit code stays zero (baselines are machine-specific, so foreign
 //! hardware will drift). Pass `--fail-on-regress` to exit non-zero on any
-//! regression — that is what the CI job and local pre-merge checks use.
+//! regression or missing row — that is what the CI job and local
+//! pre-merge checks use.
 //! Pass `--stable-only` to restrict the comparison to the benchmarks
 //! whose medians are robust across machines (`solver_backends/*`,
 //! `chain_engines/native_fdd`, and the two large fat-tree compiles that
@@ -181,8 +185,10 @@ fn main() -> ExitCode {
     println!("comparing {current_path} against {baseline_path} (threshold {threshold_pct}%)\n");
     let mut table = Table::new(&["benchmark", "baseline", "current", "delta", "verdict"]);
     let mut regressions = 0usize;
+    let mut missing = 0usize;
     for (name, &base_ns) in &baseline {
         let Some(&cur_ns) = current.get(name) else {
+            missing += 1;
             table.row(vec![
                 name.clone(),
                 fmt_ns(base_ns),
@@ -222,8 +228,13 @@ fn main() -> ExitCode {
     report_opcache_rates();
     report_serve_diff(threshold_pct);
 
+    if missing > 0 {
+        eprintln!("\nwarning: {missing} baseline benchmark(s) missing from {current_path}");
+    }
     if regressions > 0 {
         eprintln!("\nwarning: {regressions} benchmark(s) regressed by more than {threshold_pct}%");
+    }
+    if regressions + missing > 0 {
         if fail_on_regress {
             ExitCode::FAILURE
         } else {

@@ -34,7 +34,7 @@ fn main() {
             let model = NetworkModel::new(topo.clone(), dst, scheme, failure);
             let mgr = Manager::new();
             let q = Queries::new(&mgr, &model).expect("compile");
-            let resilient = q.equiv_teleport_within(1e-9).expect("teleport");
+            let resilient = q.equiv_teleport().expect("teleport");
             row.push(if resilient { "✓" } else { "✗" }.into());
         }
         table.row(row);
@@ -63,18 +63,18 @@ fn main() {
             .map(|m| Queries::new(&mgr, m).expect("compile"))
             .collect();
         let rel = |a: &Queries, b: &Queries| {
-            if a.refines_within(b, 1e-9) && b.refines_within(a, 1e-9) {
+            if a.refines(b) && b.refines(a) {
                 "≡"
-            } else if a.refines_within(b, 1e-9) {
+            } else if a.refines(b) {
                 "<"
             } else {
                 "?"
             }
         };
         let tele_fdd = mgr.compile(&models[2].teleport()).expect("teleport");
-        let t35 = if mgr.equiv_within(queries[2].fdd(), tele_fdd, 1e-9) {
+        let t35 = if mgr.equiv(queries[2].fdd(), tele_fdd) {
             "≡"
-        } else if mgr.less_eq_within(queries[2].fdd(), tele_fdd, 1e-9) {
+        } else if mgr.less_eq(queries[2].fdd(), tele_fdd) {
             "<"
         } else {
             "?"

@@ -90,7 +90,7 @@ fn main() {
             let q_unbounded = Queries::new(&mgr, &m_unbounded).expect("compile");
             let m_bounded = NetworkModel::new(topo.clone(), dst, scheme, bounded1);
             let q_bounded = Queries::new(&mgr, &m_bounded).expect("compile");
-            let resilient = q_bounded.equiv_teleport_within(1e-9).expect("teleport");
+            let resilient = q_bounded.equiv_teleport().expect("teleport");
             table.row(vec![
                 scheme.name().into(),
                 if correlated {

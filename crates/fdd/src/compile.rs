@@ -3,32 +3,25 @@
 
 use crate::{loops, Action, ActionDist, Budget, Fdd, Manager};
 use mcnetkat_core::{Pred, Prog};
-use mcnetkat_linalg::{LinalgError, SolverBackend};
+use mcnetkat_linalg::LinalgError;
 use std::fmt;
 
 /// Options controlling compilation.
+///
+/// Every `while` loop is solved exactly, by the sparse SCC solve with
+/// the [`FallbackPolicy`] rungs behind it; these options bound and steer
+/// that solve but never trade exactness for speed.
 #[derive(Clone, Debug)]
 pub struct CompileOptions {
-    /// Linear-solver backend used for `while` loops. The default,
-    /// [`SolverBackend::SparseScc`], solves exactly over the transient
-    /// SCC DAG; the float backends exist for cross-validation and for
-    /// chains whose structure defeats the sparse path.
-    pub backend: SolverBackend,
     /// Upper bound on the symbolic state space explored per loop.
     pub state_limit: usize,
-    /// For *float* backends only: loops whose transient state count is at
-    /// most this bound are solved with exact rational elimination instead,
-    /// so that downstream equivalence checks are exact. Set to 0 to always
-    /// use the float backend. [`SolverBackend::SparseScc`] is exact at
-    /// every size and ignores this bound.
-    pub exact_threshold: usize,
-    /// For [`SolverBackend::SparseScc`]: quotient the chain by its
-    /// coarsest exact ordinary lumping before solving, collapsing
-    /// symmetric states (isomorphic fat-tree pods) to one representative.
-    /// Exact — never changes the result, only the work.
+    /// Quotient each loop's chain by its coarsest exact ordinary lumping
+    /// before solving, collapsing symmetric states (isomorphic fat-tree
+    /// pods) to one representative. Exact — never changes the result,
+    /// only the work.
     pub lumping: bool,
-    /// What to do when the configured loop solver fails (see
-    /// [`FallbackPolicy`]). Part of the `while`-cache key.
+    /// What to do when the loop solver fails (see [`FallbackPolicy`]).
+    /// Part of the `while`-cache key.
     pub fallback: FallbackPolicy,
     /// Resource limits for this compile (deadline, cancellation,
     /// table-size ceilings). Unlimited by default; deliberately *not*
@@ -40,9 +33,7 @@ pub struct CompileOptions {
 impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
-            backend: SolverBackend::SparseScc,
             state_limit: 4_000_000,
-            exact_threshold: 512,
             lumping: true,
             fallback: FallbackPolicy::default(),
             budget: Budget::default(),
@@ -52,13 +43,12 @@ impl Default for CompileOptions {
 
 /// Declarative solver-degradation policy for `while`-loop solves.
 ///
-/// The rung order for [`SolverBackend::SparseScc`] is: (1) the sparse
-/// SCC solve with the configured lumping, (2) the same solve with
-/// lumping disabled (a lumping edge case cannot then mask a solvable
-/// chain), (3) the dense exact reference solver. Float backends skip
-/// rung 2 (lumping is a sparse-path concept) and fall straight to the
-/// dense reference. Each rung that fires is counted in the manager's
-/// [`crate::SolveReport`], so degradation is visible, never silent.
+/// The rung order is: (1) the sparse SCC solve with the configured
+/// lumping, (2) the same solve with lumping disabled (a lumping edge case
+/// cannot then mask a solvable chain), (3) the dense exact reference
+/// solver. All three rungs are exact. Each rung that fires is counted in
+/// the manager's [`crate::SolveReport`], so degradation is visible, never
+/// silent.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct FallbackPolicy {
     /// Rung 2: retry the sparse SCC solve without lumping when the lumped
@@ -95,25 +85,21 @@ impl FallbackPolicy {
 /// compiled diagram — the key of the manager's loop-solution cache.
 ///
 /// Every solver-configuration field must appear here: `state_limit`
-/// decides whether a loop compiles at all, `backend`/`exact_threshold`
-/// select the solver arithmetic (which changes float-path leaf
-/// probabilities), and `lumping` selects the quotienting strategy.
-/// Lumping is semantically invisible, but keying on it anyway keeps the
-/// rule auditable — *any* field that steers the solve is part of the key —
-/// so a future inexact quotient can't silently share cache entries with
-/// the unquotiented path. Leaving a field out would let a solution
-/// computed under one configuration answer a query made under another.
-/// `fallback` steers which solver ultimately produces the rows (a policy
-/// that reaches the dense reference can succeed where `strict()` errors,
-/// and the float ladder's dense rung changes leaf probabilities), so it
-/// is part of the key too. The [`Budget`] is the one options field *not*
-/// in the key: it decides whether a compile finishes, never what a
-/// finished compile produces, and aborted compiles are never cached.
+/// decides whether a loop compiles at all, and `lumping` selects the
+/// quotienting strategy. Lumping is semantically invisible, but keying on
+/// it anyway keeps the rule auditable — *any* field that steers the solve
+/// is part of the key — so a future inexact quotient can't silently share
+/// cache entries with the unquotiented path. Leaving a field out would
+/// let a solution computed under one configuration answer a query made
+/// under another. `fallback` steers which solver ultimately produces the
+/// rows (a policy that reaches the dense reference can succeed where
+/// `strict()` errors), so it is part of the key too. The [`Budget`] is
+/// the one options field *not* in the key: it decides whether a compile
+/// finishes, never what a finished compile produces, and aborted compiles
+/// are never cached.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct OptsKey {
-    backend: SolverBackend,
     state_limit: usize,
-    exact_threshold: usize,
     lumping: bool,
     fallback: FallbackPolicy,
 }
@@ -121,9 +107,7 @@ pub(crate) struct OptsKey {
 impl From<&CompileOptions> for OptsKey {
     fn from(opts: &CompileOptions) -> OptsKey {
         OptsKey {
-            backend: opts.backend,
             state_limit: opts.state_limit,
-            exact_threshold: opts.exact_threshold,
             lumping: opts.lumping,
             fallback: opts.fallback,
         }
@@ -439,10 +423,10 @@ mod tests {
         assert_eq!(a, b);
         let s2 = mgr.while_cache_stats();
         assert_eq!((s2.hits, s2.misses), (1, 1));
-        // Different options form a different key: the float path must not
-        // be answered by the exact-path solution.
+        // Different options form a different key: the unlumped solve must
+        // not be answered by the lumped solution.
         let opts = CompileOptions {
-            exact_threshold: 0,
+            lumping: false,
             ..CompileOptions::default()
         };
         mgr.compile_with(&prog, &opts).unwrap();
@@ -454,25 +438,21 @@ mod tests {
     #[test]
     fn while_cache_keys_on_solver_configuration() {
         // Regression: the cache key must cover every solver-configuration
-        // field. A solution computed under one backend / lumping setting
-        // must never answer a query made under another — each distinct
-        // configuration is its own miss and its own entry.
+        // field. A solution computed under one lumping / state-limit /
+        // fallback setting must never answer a query made under another —
+        // each distinct configuration is its own miss and its own entry.
         let mgr = Manager::new();
         let f = Field::named("cmp_wk");
         let body = Prog::choice2(Prog::assign(f, 1), Ratio::new(1, 3), Prog::skip());
         let prog = Prog::while_(Pred::test(f, 0), body);
         let configs = [
-            CompileOptions::default(), // SparseScc, lumping on
+            CompileOptions::default(), // lumping on
             CompileOptions {
                 lumping: false,
                 ..CompileOptions::default()
             },
             CompileOptions {
-                backend: SolverBackend::SparseLu,
-                ..CompileOptions::default()
-            },
-            CompileOptions {
-                backend: SolverBackend::GaussSeidel,
+                state_limit: 1_000,
                 ..CompileOptions::default()
             },
             // The fallback policy steers which solver can produce the
@@ -492,10 +472,10 @@ mod tests {
                 "config {i} must miss and add an entry, not hit a stale one"
             );
         }
-        // The exact paths agree on the diagram (hash-consing makes that
-        // pointer equality); the point above is that they got there via
-        // separate solves, not a cross-configuration cache hit.
-        assert_eq!(results[0], results[1]);
+        // Every configuration agrees on the diagram (hash-consing makes
+        // that pointer equality); the point above is that they got there
+        // via separate solves, not a cross-configuration cache hit.
+        assert!(results.iter().all(|r| *r == results[0]));
         // Re-compiling each configuration now hits its own entry.
         for (i, opts) in configs.iter().enumerate() {
             let again = mgr.compile_with(&prog, opts).unwrap();

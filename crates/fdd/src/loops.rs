@@ -16,7 +16,7 @@
 
 use crate::{Action, ActionDist, Budget, CompileError, CompileOptions, Fdd, Manager, SymPkt};
 use mcnetkat_core::{Field, Value};
-use mcnetkat_linalg::{AbsorbingChain, LinalgError, SolverBackend};
+use mcnetkat_linalg::{AbsorbingChain, LinalgError};
 use mcnetkat_num::Ratio;
 use std::collections::HashMap;
 
@@ -105,13 +105,12 @@ fn sparse_rung(
     }
 }
 
-/// Runs the declarative solver fallback chain for the `SparseScc`
-/// backend: (1) sparse SCC with the configured lumping, (2) the same
-/// solve without lumping, (3) the dense exact reference. Which rungs are
-/// permitted comes from [`crate::FallbackPolicy`]; every transition is
-/// recorded on the manager's [`crate::SolveReport`]. All three rungs are
-/// exact, so a fallback changes how the answer is computed, never the
-/// answer.
+/// Runs the declarative solver fallback chain: (1) sparse SCC with the
+/// configured lumping, (2) the same solve without lumping, (3) the dense
+/// exact reference. Which rungs are permitted comes from
+/// [`crate::FallbackPolicy`]; every transition is recorded on the
+/// manager's [`crate::SolveReport`]. All three rungs are exact, so a
+/// fallback changes how the answer is computed, never the answer.
 fn solve_with_fallback(
     mgr: &Manager,
     chain: &AbsorbingChain,
@@ -322,119 +321,22 @@ pub fn compile_while(
     // Compact index maps (same ordering as the chain's internal partition:
     // states scanned in id order).
     let mut transient_rank = vec![usize::MAX; n];
-    let mut absorbing_rank = vec![usize::MAX; n];
     let mut absorbing_ids = Vec::new();
-    {
-        let (mut t, mut a) = (0, 0);
-        for s in 0..n {
-            if chain.is_absorbing(s) {
-                absorbing_rank[s] = a;
-                absorbing_ids.push(s);
-                a += 1;
-            } else {
-                transient_rank[s] = t;
-                t += 1;
-            }
+    for (s, rank) in transient_rank.iter_mut().enumerate() {
+        if chain.is_absorbing(s) {
+            absorbing_ids.push(s);
+        } else {
+            *rank = s - absorbing_ids.len();
         }
     }
     let nt = n - absorbing_ids.len();
 
     // Absorption probabilities as *sparse* exact rows, `(absorbing rank,
-    // probability)` with zero entries never materialised. The SparseScc
-    // backend is exact at every size (SCC-decomposed back-substitution
-    // over rationals), so it neither consults `exact_threshold` nor snaps
-    // — and it degrades through the `FallbackPolicy` rungs instead of
-    // failing outright. The float backends keep the old ladder: small
-    // chains re-solved exactly, larger ones solved in floats and snapped
-    // (the paper likewise trusts the 64-bit-float solver), with the dense
-    // exact reference as their policy-gated fallback.
-    let absorption: Vec<Vec<(usize, Ratio)>> = if opts.backend == SolverBackend::SparseScc {
-        let out = solve_with_fallback(mgr, &chain, nt, opts)?;
-        mgr.record_loop_solve(nt, out.blocks, out.sccs);
-        out.rows
-    } else if nt <= opts.exact_threshold {
-        // Dense exact *is* the primary rung here; there is nothing left
-        // to fall back to.
-        match chain.solve_exact() {
-            Ok(rows) => {
-                mgr.record_loop_solve(nt, nt, 0);
-                mgr.record_solve_rungs(false, false, false, Vec::new());
-                sparsify(rows)
-            }
-            Err(e) => {
-                mgr.record_solve_rungs(
-                    false,
-                    false,
-                    true,
-                    vec![format!("dense exact solve failed: {e}")],
-                );
-                return Err(e.into());
-            }
-        }
-    } else {
-        match chain.solve(opts.backend) {
-            Ok(solution) => {
-                mgr.record_loop_solve(nt, nt, 0);
-                mgr.record_solve_rungs(false, false, false, Vec::new());
-                (0..n)
-                    .filter(|&s| !chain.is_absorbing(s))
-                    .map(|s| {
-                        absorbing_ids
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(a_rank, &a)| {
-                                let p = snap_probability(solution.prob(s, a));
-                                (!p.is_zero()).then_some((a_rank, p))
-                            })
-                            .collect()
-                    })
-                    .collect()
-            }
-            Err(e) if opts.fallback.dense_exact => {
-                // A float backend failed (no convergence, numerically
-                // singular pivot, …): the dense exact reference is the
-                // last rung for these backends too.
-                opts.budget.check_external()?;
-                match chain.solve_exact() {
-                    Ok(rows) => {
-                        mgr.record_solve_rungs(
-                            false,
-                            true,
-                            false,
-                            vec![
-                                format!("float backend {:?} failed: {e}", opts.backend),
-                                "dense exact reference succeeded".to_string(),
-                            ],
-                        );
-                        mgr.record_loop_solve(nt, nt, 0);
-                        sparsify(rows)
-                    }
-                    Err(e2) => {
-                        mgr.record_solve_rungs(
-                            false,
-                            true,
-                            true,
-                            vec![
-                                format!("float backend {:?} failed: {e}", opts.backend),
-                                format!("dense exact reference failed: {e2}"),
-                                "fallback chain exhausted".to_string(),
-                            ],
-                        );
-                        return Err(e2.into());
-                    }
-                }
-            }
-            Err(e) => {
-                mgr.record_solve_rungs(
-                    false,
-                    false,
-                    true,
-                    vec![format!("float backend {:?} failed: {e}", opts.backend)],
-                );
-                return Err(e.into());
-            }
-        }
-    };
+    // probability)` with zero entries never materialised: SCC-decomposed
+    // back-substitution over rationals, degrading through the
+    // `FallbackPolicy` rungs instead of failing outright.
+    let out = solve_with_fallback(mgr, &chain, nt, opts)?;
+    mgr.record_loop_solve(nt, out.blocks, out.sccs);
 
     // 5. Build the leaf distribution for each input class.
     let mut class_dists: HashMap<SymPkt, ActionDist> = HashMap::new();
@@ -450,7 +352,7 @@ pub fn compile_while(
         } else {
             let mut d = ActionDist::zero();
             let mut total = Ratio::zero();
-            let row = &absorption[transient_rank[ix]];
+            let row = &out.rows[transient_rank[ix]];
             for (a_rank, pr) in row {
                 if pr.is_zero() || pr.is_negative() {
                     continue;
@@ -464,31 +366,11 @@ pub fn compile_while(
                 total += pr;
                 d.add(action, pr.clone());
             }
-            // Residual mass: genuine non-termination goes to drop, but a
-            // deficit within float tolerance is solver rounding from the
-            // float path — renormalise it into the heaviest entry instead
-            // of fabricating a spurious drop.
+            // Residual mass is genuine non-termination, which the
+            // semantics equates with drop.
             let deficit = Ratio::one() - total;
-            if !deficit.is_zero() {
-                if deficit.to_f64().abs() < 1e-9 {
-                    // Rebuild with the heaviest entry adjusted so the mass
-                    // is exactly 1 (deficit may have either sign).
-                    if let Some(heaviest) = d
-                        .iter()
-                        .max_by(|(_, a), (_, b)| a.cmp(b))
-                        .map(|(a, _)| a.clone())
-                    {
-                        d = ActionDist::from_pairs(d.iter().map(|(a, r)| {
-                            if *a == heaviest {
-                                (a.clone(), r + &deficit)
-                            } else {
-                                (a.clone(), r.clone())
-                            }
-                        }));
-                    }
-                } else if deficit > Ratio::zero() {
-                    d.add(Action::Drop, deficit);
-                }
+            if deficit > Ratio::zero() {
+                d.add(Action::Drop, deficit);
             }
             d
         };
@@ -499,18 +381,6 @@ pub fn compile_while(
     let fields: Vec<(Field, Vec<Value>)> =
         dom.tested.iter().map(|(f, vs)| (*f, vs.clone())).collect();
     Ok(build_tree(mgr, &fields, 0, SymPkt::star(), &class_dists))
-}
-
-/// Converts a solver float to an exact probability, snapping values within
-/// 1e-9 of an integer (the solver returns exactly-0/1 rows up to rounding).
-fn snap_probability(p: f64) -> Ratio {
-    let clamped = p.clamp(0.0, 1.0);
-    let rounded = clamped.round();
-    if (clamped - rounded).abs() < 1e-9 {
-        Ratio::from_integer(rounded as i64)
-    } else {
-        Ratio::from_f64(clamped)
-    }
 }
 
 /// Builds the decision tree for the loop result: fields in FDD order, each

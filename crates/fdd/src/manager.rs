@@ -157,9 +157,9 @@ struct Inner {
     dist_then_cache: Cache<(ActId, DistId), DistId>,
     // Memoised `while`-loop solutions (see `Manager::while_loop`). The key
     // must include every solver-configuration option: `state_limit` bounds
-    // which loops solve at all, `backend`/`exact_threshold` select the
-    // arithmetic, and `lumping` selects the quotienting strategy, so the
-    // same (guard, body) can legitimately yield different diagrams under
+    // which loops solve at all, `lumping` selects the quotienting strategy
+    // and `fallback` which solver can produce the rows, so the same
+    // (guard, body) can legitimately yield different outcomes under
     // different options. See `OptsKey` for the full rule.
     while_cache: Cache<(Fdd, Fdd, OptsKey), Fdd>,
     /// Cumulative absorbing-chain solve gauges (see `LoopSolveStats`).

@@ -178,9 +178,8 @@ mod tests {
     #[test]
     fn loop_solutions_are_exact_through_the_matrix_view() {
         // while f=0 do (f←1 ⊕⅓ f←2 ⊕⅙ skip): absorption probabilities
-        // are 2/3 and 1/3 — not representable in binary floats. The
-        // default (SparseScc) solve must surface them *exactly*; a float
-        // backend snapped through `Ratio::from_f64` cannot.
+        // are 2/3 and 1/3 — not representable in binary floats. The loop
+        // solve must surface them *exactly*.
         let f = field("mx_lp");
         let mgr = Manager::new();
         let body = Prog::choice(vec![

@@ -106,45 +106,6 @@ impl Manager {
     pub fn less(&self, p: Fdd, q: Fdd) -> bool {
         self.less_eq(p, q) && !self.less_eq(q, p)
     }
-
-    /// Equivalence up to a per-outcome tolerance `eps`.
-    ///
-    /// The native pipeline solves large loops with the 64-bit-float
-    /// backend (as the paper does with UMFPACK); this comparison absorbs
-    /// the resulting rounding noise. Genuine behavioural differences in
-    /// network models are many orders of magnitude above any sensible
-    /// `eps`.
-    pub fn equiv_within(&self, p: Fdd, q: Fdd, eps: f64) -> bool {
-        if p == q {
-            return true;
-        }
-        self.joint_classes(p, q).iter().all(|class| {
-            let dp = self.sym_output_dist(p, class);
-            let dq = self.sym_output_dist(q, class);
-            let keys: std::collections::BTreeSet<_> = dp.keys().chain(dq.keys()).cloned().collect();
-            keys.into_iter().all(|o| {
-                let a = dp.get(&o).map_or(0.0, Ratio::to_f64);
-                let b = dq.get(&o).map_or(0.0, Ratio::to_f64);
-                (a - b).abs() <= eps
-            })
-        })
-    }
-
-    /// Refinement up to a per-outcome tolerance `eps` (see
-    /// [`Manager::equiv_within`]).
-    pub fn less_eq_within(&self, p: Fdd, q: Fdd, eps: f64) -> bool {
-        self.joint_classes(p, q).iter().all(|class| {
-            let dp = self.sym_output_dist(p, class);
-            let dq = self.sym_output_dist(q, class);
-            dp.iter().all(|(o, rp)| match o {
-                None => true,
-                Some(_) => {
-                    let q_prob = dq.get(o).map_or(0.0, Ratio::to_f64);
-                    rp.to_f64() <= q_prob + eps
-                }
-            })
-        })
-    }
 }
 
 #[cfg(test)]

@@ -9,14 +9,16 @@
 //! ```
 //!
 //! Then the absorption probabilities are `A = (I − Q)^{-1} R`
-//! (equation 2 / Theorem 4.7). This module computes `A` with a pluggable
-//! backend: the sparse LU (production), iterative Gauss–Seidel/Jacobi
-//! (large, very sparse chains), a dense float LU, or *exact* rational
-//! elimination (validation).
+//! (equation 2 / Theorem 4.7). This module computes `A` three ways: the
+//! sparse SCC-decomposed *exact* solve (every compiled `while` loop), the
+//! dense *exact* rational elimination of [`AbsorbingChain::solve_exact`]
+//! (the reference it is differential-tested against), and the float
+//! [`AbsorbingChain::solve`] backends — sparse LU (the paper's UMFPACK
+//! analogue) and Gauss–Seidel (the PRISM model checker's iteration).
 
 use crate::lump::{refine, Partition};
 use crate::scc::condense;
-use crate::{gauss_seidel, jacobi, DenseMatrix, IterativeOptions, LinalgError, SparseLu, Triplets};
+use crate::{gauss_seidel, DenseMatrix, IterativeOptions, LinalgError, SparseLu, Triplets};
 use mcnetkat_num::Ratio;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -34,10 +36,6 @@ pub enum SolverBackend {
     SparseLu,
     /// Gauss–Seidel sweeps; good for huge, very sparse chains.
     GaussSeidel,
-    /// Jacobi fixed-point iteration.
-    Jacobi,
-    /// Dense float LU; only sensible for small chains.
-    DenseLu,
 }
 
 /// An absorbing Markov chain under construction.
@@ -143,8 +141,10 @@ impl AbsorbingChain {
         Ok(())
     }
 
-    /// Computes the absorption probabilities `A = (I − Q)^{-1} R` with the
-    /// chosen float backend.
+    /// Computes the absorption probabilities `A = (I − Q)^{-1} R` as
+    /// floats with the chosen backend. `SparseScc` solves exactly and
+    /// rounds only the result; `SparseLu` is the paper's UMFPACK analogue;
+    /// `GaussSeidel` is what the PRISM model checker iterates with.
     ///
     /// # Errors
     ///
@@ -193,31 +193,14 @@ impl AbsorbingChain {
                 }
                 transpose(cols, nt)
             }
-            SolverBackend::GaussSeidel | SolverBackend::Jacobi => {
+            SolverBackend::GaussSeidel => {
                 let opts = IterativeOptions::default();
                 let mut cols = Vec::with_capacity(na);
                 for a in 0..na {
                     let rhs: Vec<f64> = r.iter().take(nt).map(|row| row[a]).collect();
-                    let x = match backend {
-                        SolverBackend::GaussSeidel => gauss_seidel(&qm, &rhs, opts)?,
-                        _ => jacobi(&qm, &rhs, opts)?,
-                    };
-                    cols.push(x);
+                    cols.push(gauss_seidel(&qm, &rhs, opts)?);
                 }
                 transpose(cols, nt)
-            }
-            SolverBackend::DenseLu => {
-                let mut iq = DenseMatrix::<f64>::identity(nt);
-                for i in 0..nt {
-                    for (j, v) in qm.row(i) {
-                        iq.set(i, j, iq.get(i, j) - v);
-                    }
-                }
-                let rhs = DenseMatrix::from_rows(r.clone());
-                let x = iq.solve_multi(&rhs)?;
-                (0..nt)
-                    .map(|i| (0..na).map(|j| *x.get(i, j)).collect())
-                    .collect()
             }
         };
         Ok(AbsorptionResult {
@@ -230,8 +213,9 @@ impl AbsorbingChain {
     }
 
     /// Computes the absorption probabilities exactly, over rationals, with
-    /// dense Gaussian elimination. Exponentially slower than [`solve`] but
-    /// bit-for-bit exact; used to validate the float pipeline.
+    /// dense Gaussian elimination. Far slower than [`solve`] but
+    /// bit-for-bit exact: the reference the sparse SCC solve is
+    /// differential-tested against, and the loop compiler's last rung.
     ///
     /// [`solve`]: AbsorbingChain::solve
     ///
@@ -701,13 +685,11 @@ impl AbsorptionResult {
 mod tests {
     use super::*;
 
-    fn backends() -> [SolverBackend; 5] {
+    fn backends() -> [SolverBackend; 3] {
         [
             SolverBackend::SparseScc,
             SolverBackend::SparseLu,
             SolverBackend::GaussSeidel,
-            SolverBackend::Jacobi,
-            SolverBackend::DenseLu,
         ]
     }
 
@@ -862,7 +844,7 @@ mod tests {
         let mut chain = AbsorbingChain::new(2);
         chain.set_absorbing(0);
         chain.set_absorbing(1);
-        let sol = chain.solve(SolverBackend::DenseLu).unwrap();
+        let sol = chain.solve(SolverBackend::SparseLu).unwrap();
         assert_eq!(sol.prob(0, 0), 1.0);
         assert_eq!(sol.prob(0, 1), 0.0);
     }

@@ -2,9 +2,9 @@
 //!
 //! For absorbing chains the spectral radius of `Q` is strictly below one
 //! (Lemma B.3 of the paper), so the fixed-point iteration `x ← Q x + b`
-//! converges geometrically. Jacobi is exactly that iteration; Gauss–Seidel
-//! reuses fresh values within a sweep and typically converges about twice
-//! as fast.
+//! converges geometrically. Gauss–Seidel runs that iteration but reuses
+//! fresh values within a sweep, which typically converges about twice as
+//! fast as the plain iteration.
 
 use crate::{CsrMatrix, LinalgError};
 
@@ -26,43 +26,12 @@ impl Default for IterativeOptions {
     }
 }
 
-/// Solves `(I − Q) x = b` by Jacobi iteration `x ← Q x + b`.
+/// Solves `(I − Q) x = b` by Gauss–Seidel sweeps.
 ///
 /// # Errors
 ///
 /// Returns [`LinalgError::DimensionMismatch`] if shapes disagree and
 /// [`LinalgError::NoConvergence`] when the budget runs out.
-pub fn jacobi(q: &CsrMatrix, b: &[f64], opts: IterativeOptions) -> Result<Vec<f64>, LinalgError> {
-    if q.nrows() != q.ncols() || q.nrows() != b.len() {
-        return Err(LinalgError::DimensionMismatch);
-    }
-    let mut x = b.to_vec();
-    for it in 0..opts.max_iters {
-        let qx = q.matvec(&x);
-        let mut delta = 0.0f64;
-        for i in 0..x.len() {
-            let next = qx[i] + b[i];
-            delta = delta.max((next - x[i]).abs());
-            x[i] = next;
-        }
-        if delta <= opts.tolerance {
-            return Ok(x);
-        }
-        if it + 1 == opts.max_iters {
-            return Err(LinalgError::NoConvergence {
-                iterations: opts.max_iters,
-                residual: delta,
-            });
-        }
-    }
-    Ok(x)
-}
-
-/// Solves `(I − Q) x = b` by Gauss–Seidel sweeps.
-///
-/// # Errors
-///
-/// Same conditions as [`jacobi`].
 pub fn gauss_seidel(
     q: &CsrMatrix,
     b: &[f64],
@@ -124,26 +93,57 @@ mod tests {
         t.to_csr()
     }
 
+    /// Known answer for `chain_q(n, p)`: `x_i = b_i + p x_{i+1}` and
+    /// `x_{n-1} = b_{n-1}`, back-substituted from the last state down.
+    fn chain_answer(p: f64, b: &[f64]) -> Vec<f64> {
+        let n = b.len();
+        let mut want = vec![0.0; n];
+        want[n - 1] = b[n - 1];
+        for i in (0..n - 1).rev() {
+            want[i] = b[i] + p * want[i + 1];
+        }
+        want
+    }
+
     #[test]
     fn jacobi_solves_chain() {
         let q = chain_q(4, 0.5);
         // (I-Q)x = b with b = reach-probability into absorbing state.
         let b = vec![0.5, 0.5, 0.5, 1.0];
-        let x = jacobi(&q, &b, IterativeOptions::default()).unwrap();
+        let x = gauss_seidel(&q, &b, IterativeOptions::default()).unwrap();
         // x_i = b_i + 0.5 x_{i+1}
         assert!((x[3] - 1.0).abs() < 1e-10);
         assert!((x[2] - 1.0).abs() < 1e-10);
         assert!((x[0] - (0.5 + 0.5 * x[1])).abs() < 1e-10);
+        for (got, want) in x.iter().zip(&chain_answer(0.5, &b)) {
+            assert!((got - want).abs() < 1e-10, "{got} vs {want}");
+        }
     }
 
     #[test]
     fn gauss_seidel_matches_jacobi() {
+        // Reference: the plain fixed-point iteration x <- Q x + b, run until
+        // it stops moving; Gauss-Seidel must reach the same fixed point.
         let q = chain_q(10, 0.9);
         let b: Vec<f64> = (0..10).map(|i| 0.1 * (i as f64 + 1.0)).collect();
-        let xj = jacobi(&q, &b, IterativeOptions::default()).unwrap();
+        let mut xj = b.clone();
+        loop {
+            let next: Vec<f64> = q
+                .matvec(&xj)
+                .iter()
+                .zip(&b)
+                .map(|(qx, bi)| qx + bi)
+                .collect();
+            let moved = next.iter().zip(&xj).any(|(a, b)| a != b);
+            xj = next;
+            if !moved {
+                break;
+            }
+        }
         let xg = gauss_seidel(&q, &b, IterativeOptions::default()).unwrap();
-        for (a, b) in xj.iter().zip(&xg) {
-            assert!((a - b).abs() < 1e-9);
+        for ((a, g), want) in xj.iter().zip(&xg).zip(&chain_answer(0.9, &b)) {
+            assert!((a - g).abs() < 1e-9);
+            assert!((g - want).abs() < 1e-10, "{g} vs {want}");
         }
     }
 
@@ -165,7 +165,7 @@ mod tests {
     fn reports_no_convergence_for_tiny_budget() {
         let q = chain_q(50, 0.999);
         let b = vec![0.001; 50];
-        let err = jacobi(
+        let err = gauss_seidel(
             &q,
             &b,
             IterativeOptions {
@@ -180,7 +180,7 @@ mod tests {
     fn dimension_mismatch_is_reported() {
         let q = chain_q(3, 0.5);
         assert!(matches!(
-            jacobi(&q, &[1.0, 2.0], IterativeOptions::default()),
+            gauss_seidel(&q, &[1.0, 2.0], IterativeOptions::default()),
             Err(LinalgError::DimensionMismatch)
         ));
     }

@@ -10,8 +10,8 @@
 //! * CSR sparse matrices built from triplets,
 //! * a sparse left-looking LU factorisation with partial pivoting
 //!   (Gilbert–Peierls), and
-//! * iterative solvers (Jacobi, Gauss–Seidel) that exploit the
-//!   substochasticity of `Q`.
+//! * an iterative Gauss–Seidel solver that exploits the substochasticity
+//!   of `Q`.
 //!
 //! The [`absorbing`] module puts these together into the absorbing-chain
 //! solver used by the FDD backend for `while` loops.
@@ -29,7 +29,7 @@ mod sparse;
 
 pub use absorbing::{AbsorbingChain, AbsorptionResult, SolverBackend, SparseAbsorption};
 pub use dense::DenseMatrix;
-pub use iterative::{gauss_seidel, jacobi, IterativeOptions};
+pub use iterative::{gauss_seidel, IterativeOptions};
 pub use lu::SparseLu;
 pub use lump::{is_lumpable, refine, Partition};
 pub use scalar::Scalar;

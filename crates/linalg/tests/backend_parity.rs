@@ -9,12 +9,10 @@
 use mcnetkat_linalg::{AbsorbingChain, SolverBackend};
 use mcnetkat_num::Ratio;
 
-const BACKENDS: [SolverBackend; 5] = [
+const BACKENDS: [SolverBackend; 3] = [
     SolverBackend::SparseScc,
     SolverBackend::SparseLu,
     SolverBackend::GaussSeidel,
-    SolverBackend::Jacobi,
-    SolverBackend::DenseLu,
 ];
 
 /// A lazy gambler's ruin: every transient state self-loops with ½ and

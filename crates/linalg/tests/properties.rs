@@ -3,8 +3,7 @@
 //! LU correctness on random systems.
 
 use mcnetkat_linalg::{
-    gauss_seidel, jacobi, AbsorbingChain, DenseMatrix, IterativeOptions, SolverBackend, SparseLu,
-    Triplets,
+    gauss_seidel, AbsorbingChain, DenseMatrix, IterativeOptions, SolverBackend, SparseLu, Triplets,
 };
 use mcnetkat_num::Ratio;
 use proptest::prelude::*;
@@ -39,12 +38,7 @@ proptest! {
     fn backends_agree_with_exact(chain in arb_chain()) {
         chain.validate().unwrap();
         let exact = chain.solve_exact().unwrap();
-        for backend in [
-            SolverBackend::SparseLu,
-            SolverBackend::GaussSeidel,
-            SolverBackend::Jacobi,
-            SolverBackend::DenseLu,
-        ] {
+        for backend in [SolverBackend::SparseLu, SolverBackend::GaussSeidel] {
             let float = chain.solve(backend).unwrap();
             let n = chain.len();
             // Transient states are 0..n-2, so state id and transient rank
@@ -102,26 +96,32 @@ proptest! {
         }
     }
 
-    /// Jacobi and Gauss–Seidel agree on substochastic systems.
+    /// Gauss–Seidel agrees with back-substitution on substochastic
+    /// forward chains.
     #[test]
     fn iterative_methods_agree(
         n in 2..10usize,
         probs in proptest::collection::vec(0..9u32, 10),
     ) {
         let mut t = Triplets::new(n, n);
+        let mut forward = vec![0.0f64; n];
         for (i, p) in probs.iter().take(n).enumerate() {
             // Row i: move forward with probability p/10 (leaky).
             if *p > 0 && i + 1 < n {
-                t.push(i, i + 1, *p as f64 / 10.0);
+                forward[i] = *p as f64 / 10.0;
+                t.push(i, i + 1, forward[i]);
             }
         }
         let q = t.to_csr();
         let b = vec![1.0; n];
-        let opts = IterativeOptions::default();
-        let xj = jacobi(&q, &b, opts).unwrap();
-        let xg = gauss_seidel(&q, &b, opts).unwrap();
-        for (a, b) in xj.iter().zip(&xg) {
-            prop_assert!((a - b).abs() < 1e-8);
+        // x_i = b_i + q_i x_{i+1}, solved from the last state down.
+        let mut want = vec![0.0f64; n];
+        for i in (0..n).rev() {
+            want[i] = b[i] + forward[i] * want.get(i + 1).unwrap_or(&0.0);
+        }
+        let xg = gauss_seidel(&q, &b, IterativeOptions::default()).unwrap();
+        for (got, want) in xg.iter().zip(&want) {
+            prop_assert!((got - want).abs() < 1e-8);
         }
     }
 

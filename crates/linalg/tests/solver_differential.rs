@@ -164,17 +164,12 @@ proptest! {
         prop_assert_eq!(sparse.to_dense(), exact);
     }
 
-    /// SparseScc agrees with every float backend within float tolerance
+    /// SparseScc agrees with both float backends within float tolerance
     /// (the exact ↔ float direction of the differential matrix).
     #[test]
     fn sparse_scc_within_tolerance_of_float_backends(chain in arb_structured_chain()) {
         let sparse = chain.solve(SolverBackend::SparseScc).unwrap();
-        for backend in [
-            SolverBackend::SparseLu,
-            SolverBackend::GaussSeidel,
-            SolverBackend::Jacobi,
-            SolverBackend::DenseLu,
-        ] {
+        for backend in [SolverBackend::SparseLu, SolverBackend::GaussSeidel] {
             let float = chain.solve(backend).unwrap();
             prop_assert_eq!(float.absorbing_states(), sparse.absorbing_states());
             for s in 0..chain.len() {

@@ -123,23 +123,6 @@ impl<'a> Queries<'a> {
         self.refines(other) && !other.refines(self)
     }
 
-    /// Resilience check with a float tolerance, for models whose loops
-    /// were solved by the 64-bit-float backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`] from compiling the specification.
-    pub fn equiv_teleport_within(&self, eps: f64) -> Result<bool, CompileError> {
-        let tele = self.mgr.compile(&self.model.teleport())?;
-        Ok(self.mgr.equiv_within(self.fdd, tele, eps))
-    }
-
-    /// Refinement with a float tolerance (see
-    /// [`Queries::equiv_teleport_within`]).
-    pub fn refines_within(&self, other: &Queries<'_>, eps: f64) -> bool {
-        self.mgr.less_eq_within(self.fdd, other.fdd, eps)
-    }
-
     /// Mean delivery probability over all ingresses (packets enter the
     /// fabric uniformly at random, as in the paper's aggregate plots).
     pub fn delivery_avg(&self) -> f64 {

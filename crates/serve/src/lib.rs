@@ -710,8 +710,9 @@ impl ModelEntry {
 /// Configuration for a fresh [`Engine`].
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
-    /// Compile options for every compile the engine runs (loop solver
-    /// backend, lumping, default budget for loads/patches).
+    /// Compile options for every compile the engine runs (loop state
+    /// limit, lumping, fallback policy, default budget for
+    /// loads/patches).
     pub opts: CompileOptions,
     /// When set, bound each of the manager's op caches to this many
     /// entries (clear-on-overflow; see [`Manager::set_cache_capacity`]).

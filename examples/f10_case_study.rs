@@ -36,11 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
             let mgr = Manager::new();
             let q = Queries::new(&mgr, &model)?;
-            ks.push(if q.equiv_teleport_within(1e-9)? {
-                '✓'
-            } else {
-                '✗'
-            });
+            ks.push(if q.equiv_teleport()? { '✓' } else { '✗' });
         }
         println!("  {:8} k=0..4: {:?}", scheme.name(), ks);
     }

@@ -62,7 +62,7 @@ fn f10_resilience_table_diagonal() {
         );
         let q = Queries::new(&mgr, &m).unwrap();
         assert!(
-            q.equiv_teleport_within(1e-9).unwrap(),
+            q.equiv_teleport().unwrap(),
             "{} should be {}-resilient",
             scheme.name(),
             resilience
@@ -76,11 +76,48 @@ fn f10_resilience_table_diagonal() {
         );
         let q = Queries::new(&mgr, &m).unwrap();
         assert!(
-            !q.equiv_teleport_within(1e-9).unwrap(),
+            !q.equiv_teleport().unwrap(),
             "{} should not be {}-resilient",
             scheme.name(),
             resilience + 1
         );
+    }
+}
+
+/// Figure 11(c): the exact refinement order between the F10 schemes.
+/// Refinement turns strict exactly when the weaker scheme stops being
+/// fully resilient: at k = 1 only F10₀ has, at k = 3 F10₃ has too.
+#[test]
+fn f10_refinement_order() {
+    let topo = ab_fattree(4);
+    let dst = topo.find("edge0_0").unwrap();
+    let pr = Ratio::new(1, 100);
+    for k in [1, 3] {
+        let mgr = Manager::new();
+        let models: Vec<NetworkModel> = [
+            RoutingScheme::Ecmp,
+            RoutingScheme::F10_3,
+            RoutingScheme::F10_3_5,
+        ]
+        .into_iter()
+        .map(|s| NetworkModel::new(topo.clone(), dst, s, FailureModel::bounded(pr.clone(), k)))
+        .collect();
+        let q: Vec<Queries> = models
+            .iter()
+            .map(|m| Queries::new(&mgr, m).unwrap())
+            .collect();
+        assert!(q[0].strictly_refines(&q[1]), "k={k}: F10_0 < F10_3");
+        if k == 1 {
+            assert!(
+                q[1].refines(&q[2]) && q[2].refines(&q[1]),
+                "k=1: F10_3 ≡ F10_3,5"
+            );
+        } else {
+            assert!(q[1].strictly_refines(&q[2]), "k={k}: F10_3 < F10_3,5");
+        }
+        let tele = mgr.compile(&models[2].teleport()).unwrap();
+        assert!(mgr.less_eq(q[2].fdd(), tele), "k={k}: F10_3,5 ≤ teleport");
+        assert!(mgr.equiv(q[2].fdd(), tele), "k={k}: F10_3,5 ≡ teleport");
     }
 }
 
