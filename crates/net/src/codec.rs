@@ -674,6 +674,21 @@ mod tests {
     }
 
     #[test]
+    fn multi_limb_ratio_roundtrip() {
+        // A 200-digit numerator over a 90-digit denominator, spelled as
+        // text (the codec's wire form) and parsed back.
+        let text = format!("-{}1/{}7", "9".repeat(199), "3".repeat(89));
+        let r: Ratio = text.parse().unwrap();
+        assert!(r.is_canonical());
+        assert!(r.numer().bits() > 600 && r.denom().bits() > 290);
+        assert_eq!(r.to_string().parse::<Ratio>().unwrap(), r);
+        let bytes = r.to_bytes();
+        let decoded = Ratio::from_bytes(&bytes).unwrap();
+        assert_eq!(decoded, r);
+        assert_eq!(decoded.to_bytes(), bytes);
+    }
+
+    #[test]
     fn model_description_roundtrip() {
         let topo = ab_fattree(4);
         let dst = topo.find("edge0_0").unwrap();

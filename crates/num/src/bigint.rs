@@ -89,7 +89,8 @@ impl BigInt {
         }
     }
 
-    fn cmp_abs(a: &[u32], b: &[u32]) -> Ordering {
+    /// Compares magnitudes given as little-endian limbs of any width.
+    fn cmp_abs<T: Ord>(a: &[T], b: &[T]) -> Ordering {
         if a.len() != b.len() {
             return a.len().cmp(&b.len());
         }
@@ -280,15 +281,135 @@ impl BigInt {
     }
 
     /// The greatest common divisor of the magnitudes (always non-negative).
+    ///
+    /// Binary gcd (TAOCP vol. 2 §4.5.2, Algorithm B) on two `u64`-limb
+    /// working buffers that are reused across steps: each step is an
+    /// in-place subtract and shift, with no allocation. Once both operands
+    /// fit a `u128` the loop finishes in word arithmetic; once one operand
+    /// fits a `u64`, a single remainder pass reduces the other to a word.
     pub fn gcd(&self, other: &BigInt) -> BigInt {
-        let mut a = self.abs();
-        let mut b = other.abs();
-        while !b.is_zero() {
-            let (_, r) = a.divmod(&b);
-            a = b;
-            b = r.abs();
+        Self::trim(Self::gcd_abs(&self.limbs, &other.limbs), false)
+    }
+
+    fn gcd_abs(a: &[u32], b: &[u32]) -> Vec<u32> {
+        if a.is_empty() || b.is_empty() {
+            return if a.is_empty() { b.to_vec() } else { a.to_vec() };
         }
-        a
+        // Operands more than two limbs apart would cost the subtract loop
+        // one step per bit of the gap; a single remainder closes it.
+        let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
+        let reduced;
+        let long = if long.len() > short.len() + 2 {
+            reduced = Self::divmod_abs(long, short).1;
+            if reduced.is_empty() {
+                return short.to_vec();
+            }
+            &reduced[..]
+        } else {
+            long
+        };
+        let mut x = to_wide(long);
+        let mut y = to_wide(short);
+        let zx = trailing_zero_bits(&x);
+        let zy = trailing_zero_bits(&y);
+        shr_wide(&mut x, zx);
+        shr_wide(&mut y, zy);
+        // Both odd from here on: their difference is even and non-zero
+        // unless they are equal, so every step strips at least one bit.
+        loop {
+            if x.len() <= 2 && y.len() <= 2 {
+                x = u128_to_wide(gcd_u128(wide_to_u128(&x), wide_to_u128(&y)));
+                break;
+            }
+            if x.len() == 1 {
+                std::mem::swap(&mut x, &mut y);
+            }
+            if let [word] = y[..] {
+                x = u128_to_wide(gcd_u128(rem_wide(&x, word) as u128, word as u128));
+                break;
+            }
+            match Self::cmp_abs(&x, &y) {
+                Ordering::Equal => break,
+                Ordering::Less => std::mem::swap(&mut x, &mut y),
+                Ordering::Greater => {}
+            }
+            sub_wide(&mut x, &y);
+            let z = trailing_zero_bits(&x);
+            shr_wide(&mut x, z);
+        }
+        shl_any(&from_wide(&x), zx.min(zy))
+    }
+
+    /// `self / d` for a divisor known to divide `self` exactly — the
+    /// gcd-cancelling steps of [`crate::Ratio`]'s arithmetic.
+    ///
+    /// Jebelean's right-to-left exact division: each quotient limb is
+    /// the low limb of the running remainder times the inverse of the
+    /// divisor's odd low limb mod 2³², so no quotient estimate, no
+    /// normalisation shift and no correction step are needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is zero. The result is meaningless when `d` does not
+    /// divide `self` (debug builds assert it does).
+    pub(crate) fn divexact(&self, d: &BigInt) -> BigInt {
+        Self::trim(
+            Self::divexact_abs(&self.limbs, &d.limbs),
+            self.negative != d.negative,
+        )
+    }
+
+    fn divexact_abs(a: &[u32], d: &[u32]) -> Vec<u32> {
+        assert!(!d.is_empty(), "division by zero");
+        // Strip the divisor's factors of two from both sides so its low
+        // limb is odd, hence invertible mod 2^32.
+        let tz = d
+            .iter()
+            .position(|&w| w != 0)
+            .expect("a trimmed non-zero divisor has a non-zero limb");
+        let shift = d[tz].trailing_zeros();
+        let d = shr_bits(&d[tz..], shift);
+        let mut r = shr_bits(a.get(tz..).unwrap_or(&[]), shift);
+        if r.len() < d.len() {
+            debug_assert!(r.is_empty(), "divexact: divisor does not divide");
+            return Vec::new();
+        }
+        // Newton iteration doubles the correct low bits: 3 → 6 → … → 48.
+        let d0 = d[0];
+        let mut inv = d0;
+        for _ in 0..4 {
+            inv = inv.wrapping_mul(2u32.wrapping_sub(d0.wrapping_mul(inv)));
+        }
+        let n = r.len() - d.len() + 1;
+        let mut q = Vec::with_capacity(n);
+        for i in 0..n {
+            let qi = r[i].wrapping_mul(inv);
+            q.push(qi);
+            // r[i..] -= qi * d; this zeroes r[i].
+            let mut borrow = 0u64;
+            for (j, &dj) in d.iter().enumerate() {
+                let prod = qi as u64 * dj as u64 + borrow;
+                let (diff, under) = r[i + j].overflowing_sub(prod as u32);
+                r[i + j] = diff;
+                borrow = (prod >> BASE_BITS) + under as u64;
+            }
+            for limb in &mut r[i + d.len()..] {
+                if borrow == 0 {
+                    break;
+                }
+                let (diff, under) = limb.overflowing_sub(borrow as u32);
+                *limb = diff;
+                borrow = under as u64;
+            }
+        }
+        debug_assert!(
+            r.iter().all(|&w| w == 0),
+            "divexact: divisor does not divide"
+        );
+        while q.last() == Some(&0) {
+            q.pop();
+        }
+        q
     }
 
     /// Lossy conversion to `f64` (round-to-nearest for in-range values,
@@ -317,19 +438,28 @@ impl BigInt {
 
     /// Conversion to `u128` if the value fits.
     pub fn to_u128(&self) -> Option<u128> {
-        if self.negative || self.limbs.len() > 4 {
+        if self.negative {
             return None;
         }
-        let mut out = 0u128;
-        for (i, &limb) in self.limbs.iter().enumerate() {
-            out |= (limb as u128) << (BASE_BITS as usize * i);
+        self.magnitude_u128()
+    }
+
+    /// The magnitude as a `u128`, if it fits.
+    fn magnitude_u128(&self) -> Option<u128> {
+        if self.limbs.len() > 4 {
+            return None;
         }
-        Some(out)
+        Some(
+            self.limbs
+                .iter()
+                .rev()
+                .fold(0, |acc, &limb| acc << BASE_BITS | limb as u128),
+        )
     }
 
     /// Conversion to `i128` if the value fits.
     pub fn to_i128(&self) -> Option<i128> {
-        let mag = self.abs().to_u128()?;
+        let mag = self.magnitude_u128()?;
         if self.negative {
             if mag <= 1u128 << 127 {
                 Some((mag as i128).wrapping_neg())
@@ -343,7 +473,7 @@ impl BigInt {
 
     /// Conversion to `i64` if the value fits.
     pub fn to_i64(&self) -> Option<i64> {
-        let mag = self.abs().to_u64()?;
+        let mag = u64::try_from(self.magnitude_u128()?).ok()?;
         if self.negative {
             if mag <= 1u64 << 63 {
                 Some((mag as i64).wrapping_neg())
@@ -355,16 +485,11 @@ impl BigInt {
         }
     }
 
-    /// `self * 10^k`, used by the decimal printer/parser.
-    fn mul_pow10(&self, k: u32) -> BigInt {
-        let mut out = self.clone();
-        for _ in 0..k {
-            out = &out * &BigInt::from(10u64);
-        }
-        out
-    }
-
     /// Parses a decimal string with optional leading `-`.
+    ///
+    /// Runs on untrusted bytes (the journal and `net::codec` decode
+    /// paths), so each 9-digit chunk costs one in-place
+    /// multiply-by-`10^k`-and-add pass over the limbs accumulated so far.
     pub fn parse(s: &str) -> Option<BigInt> {
         let (neg, digits) = match s.strip_prefix('-') {
             Some(rest) => (true, rest),
@@ -373,13 +498,14 @@ impl BigInt {
         if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
             return None;
         }
-        let mut acc = BigInt::zero();
+        let mut limbs = Vec::with_capacity(digits.len() / 9 + 1);
         for chunk in digits.as_bytes().chunks(9) {
-            let part: u64 = std::str::from_utf8(chunk).ok()?.parse().ok()?;
-            acc = acc.mul_pow10(chunk.len() as u32) + BigInt::from(part);
+            let part = chunk
+                .iter()
+                .fold(0u32, |acc, &b| acc * 10 + (b - b'0') as u32);
+            mul_small_add(&mut limbs, 10u32.pow(chunk.len() as u32), part);
         }
-        acc.negative = neg && !acc.is_zero();
-        Some(acc)
+        Some(Self::trim(limbs, neg))
     }
 
     /// Raises `self` to a small power.
@@ -425,6 +551,141 @@ fn shr_bits(v: &[u32], shift: u32) -> Vec<u32> {
         out.pop();
     }
     out
+}
+
+/// `v = v * m + add` in place.
+fn mul_small_add(v: &mut Vec<u32>, m: u32, add: u32) {
+    let mut carry = add as u64;
+    for limb in v.iter_mut() {
+        let cur = *limb as u64 * m as u64 + carry;
+        *limb = cur as u32;
+        carry = cur >> BASE_BITS;
+    }
+    if carry != 0 {
+        v.push(carry as u32);
+    }
+}
+
+/// `v << bits` for any shift, whole limbs included.
+fn shl_any(v: &[u32], bits: u64) -> Vec<u32> {
+    let mut out = vec![0u32; (bits / BASE_BITS as u64) as usize];
+    out.extend(shl_bits(v, (bits % BASE_BITS as u64) as u32));
+    out
+}
+
+/// Greatest common divisor of two machine words: Euclid on hardware
+/// `u64` division while both operands fit, binary gcd (TAOCP vol. 2
+/// §4.5.2, Algorithm B) above that, where `u128` division is a software
+/// routine and shifts are far cheaper.
+pub(crate) fn gcd_u128(a: u128, b: u128) -> u128 {
+    if (a | b) >> 64 == 0 {
+        return gcd_u64(a as u64, b as u64) as u128;
+    }
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    // `a` stays odd, so stripping factors of two from `b` keeps the gcd.
+    let (mut a, mut b) = (a >> a.trailing_zeros(), b);
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+        if (a | b) >> 64 == 0 {
+            return (gcd_u64(a as u64, b as u64) as u128) << shift;
+        }
+    }
+}
+
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        let t = a % b;
+        a = b;
+        b = t;
+    }
+    a
+}
+
+/// The binary gcd's working form: `u64` limbs, so each subtract and
+/// shift makes half the loop trips it would over `u32` limbs.
+fn to_wide(v: &[u32]) -> Vec<u64> {
+    v.chunks(2)
+        .map(|c| c[0] as u64 | (c.get(1).copied().unwrap_or(0) as u64) << 32)
+        .collect()
+}
+
+fn from_wide(v: &[u64]) -> Vec<u32> {
+    let mut out: Vec<u32> = v
+        .iter()
+        .flat_map(|&w| [w as u32, (w >> 32) as u32])
+        .collect();
+    while out.last() == Some(&0) {
+        out.pop();
+    }
+    out
+}
+
+fn u128_to_wide(v: u128) -> Vec<u64> {
+    let mut out = vec![v as u64, (v >> 64) as u64];
+    while out.last() == Some(&0) {
+        out.pop();
+    }
+    out
+}
+
+fn wide_to_u128(v: &[u64]) -> u128 {
+    v.iter().rev().fold(0, |acc, &w| acc << 64 | w as u128)
+}
+
+fn trailing_zero_bits(v: &[u64]) -> u64 {
+    let i = v.iter().position(|&w| w != 0).expect("non-zero operand");
+    i as u64 * 64 + v[i].trailing_zeros() as u64
+}
+
+/// `v >>= bits` in place, trimming high zero limbs.
+fn shr_wide(v: &mut Vec<u64>, bits: u64) {
+    v.drain(..(bits / 64) as usize);
+    let s = (bits % 64) as u32;
+    if s != 0 {
+        for i in 0..v.len() {
+            let hi = v.get(i + 1).copied().unwrap_or(0);
+            v[i] = (v[i] >> s) | (hi << (64 - s));
+        }
+    }
+    while v.last() == Some(&0) {
+        v.pop();
+    }
+}
+
+/// `x -= y` in place for `x >= y`, trimming high zero limbs.
+fn sub_wide(x: &mut Vec<u64>, y: &[u64]) {
+    let mut borrow = false;
+    for (i, limb) in x.iter_mut().enumerate() {
+        let sub = y.get(i).copied();
+        if sub.is_none() && !borrow {
+            break;
+        }
+        let (d1, b1) = limb.overflowing_sub(sub.unwrap_or(0));
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        *limb = d2;
+        borrow = b1 || b2;
+    }
+    debug_assert!(!borrow, "sub_wide: |x| < |y|");
+    while x.last() == Some(&0) {
+        x.pop();
+    }
+}
+
+/// `v mod d` for a one-limb divisor.
+fn rem_wide(v: &[u64], d: u64) -> u64 {
+    v.iter()
+        .rev()
+        .fold(0u128, |r, &w| ((r << 64) | w as u128) % d as u128) as u64
 }
 
 impl From<u64> for BigInt {
@@ -503,10 +764,11 @@ impl Ord for BigInt {
     }
 }
 
-impl Add for &BigInt {
-    type Output = BigInt;
-    fn add(self, rhs: &BigInt) -> BigInt {
-        if self.negative == rhs.negative {
+impl BigInt {
+    /// `self + (-1)^rhs_negative · |rhs|`: the shared body of `+` and `-`,
+    /// so subtraction never clones its operand just to flip a sign.
+    fn add_signed(&self, rhs: &BigInt, rhs_negative: bool) -> BigInt {
+        if self.negative == rhs_negative {
             BigInt::trim(BigInt::add_abs(&self.limbs, &rhs.limbs), self.negative)
         } else {
             match BigInt::cmp_abs(&self.limbs, &rhs.limbs) {
@@ -515,17 +777,24 @@ impl Add for &BigInt {
                     BigInt::trim(BigInt::sub_abs(&self.limbs, &rhs.limbs), self.negative)
                 }
                 Ordering::Less => {
-                    BigInt::trim(BigInt::sub_abs(&rhs.limbs, &self.limbs), rhs.negative)
+                    BigInt::trim(BigInt::sub_abs(&rhs.limbs, &self.limbs), rhs_negative)
                 }
             }
         }
     }
 }
 
+impl Add for &BigInt {
+    type Output = BigInt;
+    fn add(self, rhs: &BigInt) -> BigInt {
+        self.add_signed(rhs, rhs.negative)
+    }
+}
+
 impl Sub for &BigInt {
     type Output = BigInt;
     fn sub(self, rhs: &BigInt) -> BigInt {
-        self + &(-rhs.clone())
+        self.add_signed(rhs, !rhs.negative)
     }
 }
 
@@ -698,6 +967,63 @@ mod tests {
         assert_eq!(big(-12).gcd(&big(18)), big(6));
         assert_eq!(big(0).gcd(&big(5)), big(5));
         assert_eq!(big(7).gcd(&big(13)), big(1));
+    }
+
+    #[test]
+    fn gcd_multi_limb_values() {
+        let k = BigInt::from(1000u64).pow(9) * BigInt::from(7u64).pow(20);
+        let a = &k * &BigInt::from(3u64).pow(41);
+        let b = &k * &(BigInt::from(2u64).pow(90) + BigInt::one());
+        assert_eq!(a.gcd(&b), k);
+        assert_eq!(a.gcd(&a), a);
+        assert_eq!((-a.clone()).gcd(&BigInt::zero()), a);
+        // Far-apart sizes take the one-off remainder first.
+        assert_eq!(
+            BigInt::from(3u64).pow(300).gcd(&BigInt::from(3u64).pow(5)),
+            big(243)
+        );
+    }
+
+    #[test]
+    fn gcd_u128_matches_euclid() {
+        let euclid = |mut a: u128, mut b: u128| {
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            a
+        };
+        let samples = [
+            0u128,
+            1,
+            6,
+            1 << 64,
+            (1 << 64) + 2,
+            u64::MAX as u128 * 12,
+            u128::MAX,
+            u128::MAX - 1,
+            3u128.pow(80),
+            1000u128.pow(12),
+        ];
+        for &a in &samples {
+            for &b in &samples {
+                assert_eq!(gcd_u128(a, b), euclid(a, b), "gcd_u128({a}, {b})");
+            }
+        }
+    }
+
+    #[test]
+    fn divexact_values() {
+        let d = BigInt::from(1000u64).pow(7) * big(-21);
+        let q = BigInt::from(3u64).pow(77) + big(5);
+        assert_eq!((&q * &d).divexact(&d), q);
+        assert_eq!((-(&q * &d)).divexact(&d), -q.clone());
+        assert_eq!(BigInt::zero().divexact(&d), BigInt::zero());
+        assert_eq!(d.divexact(&d), BigInt::one());
+        assert_eq!(big(-84).divexact(&big(4)), big(-21));
+        assert_eq!(
+            BigInt::from(1u64 << 40).divexact(&BigInt::from(1u64 << 33)),
+            big(128)
+        );
     }
 
     #[test]

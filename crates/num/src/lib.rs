@@ -20,6 +20,8 @@
 
 mod bigint;
 mod ratio;
+mod stats;
 
 pub use bigint::BigInt;
 pub use ratio::{ParseRatioError, Ratio};
+pub use stats::{arith_stats, reset_arith_stats, ArithStats};

@@ -8,7 +8,10 @@
 //! whenever they fit, so representation is canonical: a value is `Small`
 //! iff it is representable as `Small`. Equality and hashing rely on this.
 
+use crate::bigint::gcd_u128;
+use crate::stats::{note_big_op, note_promotion};
 use crate::BigInt;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -62,29 +65,6 @@ impl fmt::Display for ParseRatioError {
 
 impl std::error::Error for ParseRatioError {}
 
-/// Euclidean gcd over `u128`, dropping to `u64` arithmetic when both
-/// operands fit (the overwhelmingly common case — `u128` division is a
-/// software routine on most targets).
-fn gcd_u128(a: u128, b: u128) -> u128 {
-    if a <= u64::MAX as u128 && b <= u64::MAX as u128 {
-        let (mut a, mut b) = (a as u64, b as u64);
-        while b != 0 {
-            let t = a % b;
-            a = b;
-            b = t;
-        }
-        a as u128
-    } else {
-        let (mut a, mut b) = (a, b);
-        while b != 0 {
-            let t = a % b;
-            a = b;
-            b = t;
-        }
-        a
-    }
-}
-
 impl Ratio {
     /// Builds `n / d` from `i128` intermediates, normalising and demoting.
     ///
@@ -106,6 +86,7 @@ impl Ratio {
                 repr: Repr::Small(n as i64, d as i64),
             }
         } else {
+            note_promotion();
             Ratio {
                 repr: Repr::Big(Box::new((BigInt::from(n), BigInt::from(d)))),
             }
@@ -146,8 +127,7 @@ impl Ratio {
     /// Both parts as [`BigInt`]s, borrowing them when the value is
     /// already `Big` — the mixed/overflow operator arms use this so they
     /// never clone the heap pair just to read it.
-    fn big_parts(&self) -> (std::borrow::Cow<'_, BigInt>, std::borrow::Cow<'_, BigInt>) {
-        use std::borrow::Cow;
+    fn big_parts(&self) -> (Cow<'_, BigInt>, Cow<'_, BigInt>) {
         match &self.repr {
             Repr::Small(n, d) => (Cow::Owned(BigInt::from(*n)), Cow::Owned(BigInt::from(*d))),
             Repr::Big(b) => (Cow::Borrowed(&b.0), Cow::Borrowed(&b.1)),
@@ -191,7 +171,7 @@ impl Ratio {
         if g.is_one() {
             return Ratio::from_normalised_bigints(num, den);
         }
-        Ratio::from_normalised_bigints(num.divmod(&g).0, den.divmod(&g).0)
+        Ratio::from_normalised_bigints(num.divexact(&g), den.divexact(&g))
     }
 
     /// The rational zero.
@@ -294,7 +274,19 @@ impl Ratio {
                     Repr::Small(d, n)
                 },
             },
-            Repr::Big(b) => Ratio::from_bigints(b.1.clone(), b.0.clone()),
+            // Swapping keeps lowest terms and both magnitudes, so the
+            // value stays non-`Small`; only the sign moves.
+            Repr::Big(b) => {
+                let (n, d) = (&b.0, &b.1);
+                let flipped = if n.is_negative() {
+                    (-d.clone(), n.abs())
+                } else {
+                    (d.clone(), n.clone())
+                };
+                Ratio {
+                    repr: Repr::Big(Box::new(flipped)),
+                }
+            }
         }
     }
 
@@ -364,7 +356,8 @@ impl Ratio {
                 return Ratio::from_i128(np, dp);
             }
         }
-        Ratio::from_bigints(self.num_big().pow(exp), self.den_big().pow(exp))
+        // Powers of coprime parts stay coprime: no gcd needed.
+        Ratio::from_normalised_bigints(self.num_big().pow(exp), self.den_big().pow(exp))
     }
 
     /// Absolute value.
@@ -396,11 +389,7 @@ impl Add for &Ratio {
                 let (n1, d1, n2, d2) = (n1 as i128, d1 as i128, n2 as i128, d2 as i128);
                 Ratio::from_i128(n1 * d2 + n2 * d1, d1 * d2)
             }
-            _ => {
-                let (an, ad) = self.big_parts();
-                let (bn, bd) = rhs.big_parts();
-                Ratio::from_bigints(&(&*an * &*bd) + &(&*bn * &*ad), &*ad * &*bd)
-            }
+            _ => big_add(self, rhs, false),
         }
     }
 }
@@ -413,11 +402,7 @@ impl Sub for &Ratio {
                 let (n1, d1, n2, d2) = (n1 as i128, d1 as i128, n2 as i128, d2 as i128);
                 Ratio::from_i128(n1 * d2 - n2 * d1, d1 * d2)
             }
-            _ => {
-                let (an, ad) = self.big_parts();
-                let (bn, bd) = rhs.big_parts();
-                Ratio::from_bigints(&(&*an * &*bd) - &(&*bn * &*ad), &*ad * &*bd)
-            }
+            _ => big_add(self, rhs, true),
         }
     }
 }
@@ -432,7 +417,7 @@ impl Mul for &Ratio {
             _ => {
                 let (an, ad) = self.big_parts();
                 let (bn, bd) = rhs.big_parts();
-                Ratio::from_bigints(&*an * &*bn, &*ad * &*bd)
+                big_mul(&an, &ad, &bn, &bd)
             }
         }
     }
@@ -446,12 +431,72 @@ impl Div for &Ratio {
             (&Repr::Small(n1, d1), &Repr::Small(n2, d2)) => {
                 Ratio::from_i128(n1 as i128 * d2 as i128, d1 as i128 * n2 as i128)
             }
+            // a / b = (an/ad)·(bd/bn); `big_mul` moves bn's sign up.
             _ => {
                 let (an, ad) = self.big_parts();
                 let (bn, bd) = rhs.big_parts();
-                Ratio::from_bigints(&*an * &*bd, &*ad * &*bn)
+                big_mul(&an, &ad, &bd, &bn)
             }
         }
+    }
+}
+
+/// `x / g` for a gcd `g` of `x`, borrowing `x` when `g` is one.
+fn cancel<'a>(x: &'a BigInt, g: &BigInt) -> Cow<'a, BigInt> {
+    if g.is_one() {
+        Cow::Borrowed(x)
+    } else {
+        Cow::Owned(x.divexact(g))
+    }
+}
+
+/// `a + b`, or `a − b` when `subtract`, with at least one `Big` operand.
+///
+/// Knuth's gcd-splitting (TAOCP vol. 2 §4.5.1): with `d1 = gcd(ad, bd)`
+/// and `t = an·(bd/d1) ± bn·(ad/d1)`, every common factor of `t` and the
+/// full denominator `(ad/d1)·bd` divides `d1`, because the operands are
+/// in lowest terms. So `d2 = gcd(t, d1)` is the only cancellation left,
+/// and it is taken over `d1` rather than over the cross products. When
+/// `d1 = 1` the plain cross-multiplied sum is already in lowest terms.
+fn big_add(a: &Ratio, b: &Ratio, subtract: bool) -> Ratio {
+    note_big_op();
+    let (an, ad) = a.big_parts();
+    let (bn, bd) = b.big_parts();
+    let d1 = ad.gcd(&bd);
+    let (ad1, bd1) = (cancel(&ad, &d1), cancel(&bd, &d1));
+    let (left, right) = (&*an * &*bd1, &*bn * &*ad1);
+    let t = if subtract {
+        &left - &right
+    } else {
+        &left + &right
+    };
+    if t.is_zero() {
+        return Ratio::zero();
+    }
+    let d2 = if d1.is_one() { d1 } else { t.gcd(&d1) };
+    let den = &*ad1 * &*cancel(&bd, &d2);
+    Ratio::from_normalised_bigints(cancel(&t, &d2).into_owned(), den)
+}
+
+/// `(an/ad)·(bn/bd)` for two lowest-terms fractions with at least one
+/// `Big` operand, where `bd` may carry the sign (division passes the
+/// divisor's parts swapped).
+///
+/// Cross-cancels `gcd(an, bd)` and `gcd(bn, ad)` before multiplying, so
+/// the product is born in lowest terms and no gcd of the full products
+/// is ever taken.
+fn big_mul(an: &BigInt, ad: &BigInt, bn: &BigInt, bd: &BigInt) -> Ratio {
+    note_big_op();
+    if an.is_zero() || bn.is_zero() {
+        return Ratio::zero();
+    }
+    let (g1, g2) = (an.gcd(bd), bn.gcd(ad));
+    let num = &*cancel(an, &g1) * &*cancel(bn, &g2);
+    let den = &*cancel(ad, &g2) * &*cancel(bd, &g1);
+    if den.is_negative() {
+        Ratio::from_normalised_bigints(-num, -den)
+    } else {
+        Ratio::from_normalised_bigints(num, den)
     }
 }
 
@@ -527,6 +572,12 @@ impl Ord for Ratio {
                 (n1 as i128 * d2 as i128).cmp(&(n2 as i128 * d1 as i128))
             }
             _ => {
+                note_big_op();
+                match (self.is_negative(), other.is_negative()) {
+                    (true, false) => return Ordering::Less,
+                    (false, true) => return Ordering::Greater,
+                    _ => {}
+                }
                 let (an, ad) = self.big_parts();
                 let (bn, bd) = other.big_parts();
                 (&*an * &*bd).cmp(&(&*bn * &*ad))
