@@ -89,8 +89,7 @@ impl BigInt {
         }
     }
 
-    /// Compares magnitudes given as little-endian limbs of any width.
-    fn cmp_abs<T: Ord>(a: &[T], b: &[T]) -> Ordering {
+    fn cmp_abs(a: &[u32], b: &[u32]) -> Ordering {
         if a.len() != b.len() {
             return a.len().cmp(&b.len());
         }
@@ -127,27 +126,38 @@ impl BigInt {
 
     /// Computes `a - b` assuming `|a| >= |b|`.
     fn sub_abs(a: &[u32], b: &[u32]) -> Vec<u32> {
+        let mut out = a.to_vec();
+        Self::sub_in_place(&mut out, b);
+        out
+    }
+
+    /// `a -= b` in place assuming `|a| >= |b|`, trimming high zero limbs.
+    fn sub_in_place(a: &mut Vec<u32>, b: &[u32]) {
         debug_assert!(
             Self::sub_abs_ordered(a, b),
             "sub_abs: |a| < |b| — callers must pass the larger magnitude first"
         );
-        let mut out = Vec::with_capacity(a.len());
         let mut borrow = 0i64;
-        for (i, &limb) in a.iter().enumerate() {
-            let mut diff = limb as i64 - *b.get(i).unwrap_or(&0) as i64 - borrow;
+        for (i, limb) in a.iter_mut().enumerate() {
+            if i >= b.len() && borrow == 0 {
+                break;
+            }
+            let mut diff = *limb as i64 - *b.get(i).unwrap_or(&0) as i64 - borrow;
             if diff < 0 {
                 diff += 1 << BASE_BITS;
                 borrow = 1;
             } else {
                 borrow = 0;
             }
-            out.push(diff as u32);
+            *limb = diff as u32;
         }
         debug_assert_eq!(
             borrow, 0,
             "sub_abs: borrow escaped the top limb — the |a| >= |b| precondition was violated"
         );
-        out
+        while a.last() == Some(&0) {
+            a.pop();
+        }
     }
 
     fn mul_abs(a: &[u32], b: &[u32]) -> Vec<u32> {
@@ -282,62 +292,58 @@ impl BigInt {
 
     /// The greatest common divisor of the magnitudes (always non-negative).
     ///
-    /// Binary gcd (TAOCP vol. 2 §4.5.2, Algorithm B) on two `u64`-limb
-    /// working buffers that are reused across steps: each step is an
-    /// in-place subtract and shift, with no allocation. Once both operands
-    /// fit a `u128` the loop finishes in word arithmetic; once one operand
-    /// fits a `u64`, a single remainder pass reduces the other to a word.
+    /// Binary gcd (TAOCP vol. 2 §4.5.2, Algorithm B) on two working
+    /// copies of the limbs: each step is an in-place subtract and shift,
+    /// with no allocation. Operands more than two limbs apart are brought
+    /// together by one remainder instead, and once both fit a `u128` the
+    /// loop finishes in word arithmetic.
     pub fn gcd(&self, other: &BigInt) -> BigInt {
-        Self::trim(Self::gcd_abs(&self.limbs, &other.limbs), false)
-    }
-
-    fn gcd_abs(a: &[u32], b: &[u32]) -> Vec<u32> {
-        if a.is_empty() || b.is_empty() {
-            return if a.is_empty() { b.to_vec() } else { a.to_vec() };
+        if self.is_zero() || other.is_zero() {
+            return if self.is_zero() {
+                other.abs()
+            } else {
+                self.abs()
+            };
         }
-        // Operands more than two limbs apart would cost the subtract loop
-        // one step per bit of the gap; a single remainder closes it.
-        let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-        let reduced;
-        let long = if long.len() > short.len() + 2 {
-            reduced = Self::divmod_abs(long, short).1;
-            if reduced.is_empty() {
-                return short.to_vec();
-            }
-            &reduced[..]
-        } else {
-            long
-        };
-        let mut x = to_wide(long);
-        let mut y = to_wide(short);
+        let mut x = self.limbs.clone();
+        let mut y = other.limbs.clone();
         let zx = trailing_zero_bits(&x);
         let zy = trailing_zero_bits(&y);
-        shr_wide(&mut x, zx);
-        shr_wide(&mut y, zy);
-        // Both odd from here on: their difference is even and non-zero
-        // unless they are equal, so every step strips at least one bit.
+        shr_in_place(&mut x, zx);
+        shr_in_place(&mut y, zy);
+        // Both odd from here on, with `x > y` after the swap: `x - y` is
+        // even, so every step strips at least one bit.
         loop {
-            if x.len() <= 2 && y.len() <= 2 {
-                x = u128_to_wide(gcd_u128(wide_to_u128(&x), wide_to_u128(&y)));
-                break;
-            }
-            if x.len() == 1 {
-                std::mem::swap(&mut x, &mut y);
-            }
-            if let [word] = y[..] {
-                x = u128_to_wide(gcd_u128(rem_wide(&x, word) as u128, word as u128));
-                break;
-            }
             match Self::cmp_abs(&x, &y) {
                 Ordering::Equal => break,
                 Ordering::Less => std::mem::swap(&mut x, &mut y),
                 Ordering::Greater => {}
             }
-            sub_wide(&mut x, &y);
+            if x.len() <= 4 {
+                let word = |v: &[u32]| {
+                    v.iter()
+                        .rev()
+                        .fold(0, |acc, &l| acc << BASE_BITS | l as u128)
+                };
+                x = BigInt::from(gcd_u128(word(&x), word(&y))).limbs;
+                break;
+            }
+            if x.len() > y.len() + 2 {
+                // Subtracting would take a step per few bits of the gap.
+                x = Self::divmod_abs(&x, &y).1;
+                if x.is_empty() {
+                    x = y;
+                    break;
+                }
+            } else {
+                Self::sub_in_place(&mut x, &y);
+            }
             let z = trailing_zero_bits(&x);
-            shr_wide(&mut x, z);
+            shr_in_place(&mut x, z);
         }
-        shl_any(&from_wide(&x), zx.min(zy))
+        let mut out = vec![0; (zx.min(zy) / BASE_BITS as u64) as usize];
+        out.extend(shl_bits(&x, (zx.min(zy) % BASE_BITS as u64) as u32));
+        Self::trim(out, false)
     }
 
     /// `self / d` for a divisor known to divide `self` exactly — the
@@ -363,13 +369,10 @@ impl BigInt {
         assert!(!d.is_empty(), "division by zero");
         // Strip the divisor's factors of two from both sides so its low
         // limb is odd, hence invertible mod 2^32.
-        let tz = d
-            .iter()
-            .position(|&w| w != 0)
-            .expect("a trimmed non-zero divisor has a non-zero limb");
-        let shift = d[tz].trailing_zeros();
-        let d = shr_bits(&d[tz..], shift);
-        let mut r = shr_bits(a.get(tz..).unwrap_or(&[]), shift);
+        let shift = trailing_zero_bits(d);
+        let (mut d, mut r) = (d.to_vec(), a.to_vec());
+        shr_in_place(&mut d, shift);
+        shr_in_place(&mut r, shift);
         if r.len() < d.len() {
             debug_assert!(r.is_empty(), "divexact: divisor does not divide");
             return Vec::new();
@@ -438,28 +441,19 @@ impl BigInt {
 
     /// Conversion to `u128` if the value fits.
     pub fn to_u128(&self) -> Option<u128> {
-        if self.negative {
+        if self.negative || self.limbs.len() > 4 {
             return None;
         }
-        self.magnitude_u128()
-    }
-
-    /// The magnitude as a `u128`, if it fits.
-    fn magnitude_u128(&self) -> Option<u128> {
-        if self.limbs.len() > 4 {
-            return None;
+        let mut out = 0u128;
+        for (i, &limb) in self.limbs.iter().enumerate() {
+            out |= (limb as u128) << (BASE_BITS as usize * i);
         }
-        Some(
-            self.limbs
-                .iter()
-                .rev()
-                .fold(0, |acc, &limb| acc << BASE_BITS | limb as u128),
-        )
+        Some(out)
     }
 
     /// Conversion to `i128` if the value fits.
     pub fn to_i128(&self) -> Option<i128> {
-        let mag = self.magnitude_u128()?;
+        let mag = self.abs().to_u128()?;
         if self.negative {
             if mag <= 1u128 << 127 {
                 Some((mag as i128).wrapping_neg())
@@ -473,7 +467,7 @@ impl BigInt {
 
     /// Conversion to `i64` if the value fits.
     pub fn to_i64(&self) -> Option<i64> {
-        let mag = u64::try_from(self.magnitude_u128()?).ok()?;
+        let mag = self.abs().to_u64()?;
         if self.negative {
             if mag <= 1u64 << 63 {
                 Some((mag as i64).wrapping_neg())
@@ -541,16 +535,29 @@ fn shl_bits(v: &[u32], shift: u32) -> Vec<u32> {
 
 fn shr_bits(v: &[u32], shift: u32) -> Vec<u32> {
     let mut out = v.to_vec();
+    shr_in_place(&mut out, shift as u64);
+    out
+}
+
+/// `v >>= bits` in place, trimming high zero limbs.
+fn shr_in_place(v: &mut Vec<u32>, bits: u64) {
+    v.drain(..((bits / BASE_BITS as u64) as usize).min(v.len()));
+    let shift = (bits % BASE_BITS as u64) as u32;
     if shift != 0 {
-        for i in 0..out.len() {
-            let hi = if i + 1 < v.len() { v[i + 1] } else { 0 };
-            out[i] = (v[i] >> shift) | (hi << (BASE_BITS - shift));
+        for i in 0..v.len() {
+            let hi = v.get(i + 1).copied().unwrap_or(0);
+            v[i] = (v[i] >> shift) | (hi << (BASE_BITS - shift));
         }
     }
-    while out.last() == Some(&0) {
-        out.pop();
+    while v.last() == Some(&0) {
+        v.pop();
     }
-    out
+}
+
+/// The number of trailing zero bits of a non-zero magnitude.
+fn trailing_zero_bits(v: &[u32]) -> u64 {
+    let i = v.iter().position(|&w| w != 0).expect("non-zero magnitude");
+    i as u64 * BASE_BITS as u64 + v[i].trailing_zeros() as u64
 }
 
 /// `v = v * m + add` in place.
@@ -566,126 +573,27 @@ fn mul_small_add(v: &mut Vec<u32>, m: u32, add: u32) {
     }
 }
 
-/// `v << bits` for any shift, whole limbs included.
-fn shl_any(v: &[u32], bits: u64) -> Vec<u32> {
-    let mut out = vec![0u32; (bits / BASE_BITS as u64) as usize];
-    out.extend(shl_bits(v, (bits % BASE_BITS as u64) as u32));
-    out
-}
-
-/// Greatest common divisor of two machine words: Euclid on hardware
-/// `u64` division while both operands fit, binary gcd (TAOCP vol. 2
-/// §4.5.2, Algorithm B) above that, where `u128` division is a software
-/// routine and shifts are far cheaper.
+/// Euclidean gcd over `u128`, dropping to `u64` arithmetic when both
+/// operands fit (the overwhelmingly common case — `u128` division is a
+/// software routine on most targets).
 pub(crate) fn gcd_u128(a: u128, b: u128) -> u128 {
-    if (a | b) >> 64 == 0 {
-        return gcd_u64(a as u64, b as u64) as u128;
-    }
-    if a == 0 || b == 0 {
-        return a | b;
-    }
-    let shift = (a | b).trailing_zeros();
-    // `a` stays odd, so stripping factors of two from `b` keeps the gcd.
-    let (mut a, mut b) = (a >> a.trailing_zeros(), b);
-    loop {
-        b >>= b.trailing_zeros();
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
+    if a <= u64::MAX as u128 && b <= u64::MAX as u128 {
+        let (mut a, mut b) = (a as u64, b as u64);
+        while b != 0 {
+            let t = a % b;
+            a = b;
+            b = t;
         }
-        b -= a;
-        if b == 0 {
-            return a << shift;
+        a as u128
+    } else {
+        let (mut a, mut b) = (a, b);
+        while b != 0 {
+            let t = a % b;
+            a = b;
+            b = t;
         }
-        if (a | b) >> 64 == 0 {
-            return (gcd_u64(a as u64, b as u64) as u128) << shift;
-        }
+        a
     }
-}
-
-fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
-
-/// The binary gcd's working form: `u64` limbs, so each subtract and
-/// shift makes half the loop trips it would over `u32` limbs.
-fn to_wide(v: &[u32]) -> Vec<u64> {
-    v.chunks(2)
-        .map(|c| c[0] as u64 | (c.get(1).copied().unwrap_or(0) as u64) << 32)
-        .collect()
-}
-
-fn from_wide(v: &[u64]) -> Vec<u32> {
-    let mut out: Vec<u32> = v
-        .iter()
-        .flat_map(|&w| [w as u32, (w >> 32) as u32])
-        .collect();
-    while out.last() == Some(&0) {
-        out.pop();
-    }
-    out
-}
-
-fn u128_to_wide(v: u128) -> Vec<u64> {
-    let mut out = vec![v as u64, (v >> 64) as u64];
-    while out.last() == Some(&0) {
-        out.pop();
-    }
-    out
-}
-
-fn wide_to_u128(v: &[u64]) -> u128 {
-    v.iter().rev().fold(0, |acc, &w| acc << 64 | w as u128)
-}
-
-fn trailing_zero_bits(v: &[u64]) -> u64 {
-    let i = v.iter().position(|&w| w != 0).expect("non-zero operand");
-    i as u64 * 64 + v[i].trailing_zeros() as u64
-}
-
-/// `v >>= bits` in place, trimming high zero limbs.
-fn shr_wide(v: &mut Vec<u64>, bits: u64) {
-    v.drain(..(bits / 64) as usize);
-    let s = (bits % 64) as u32;
-    if s != 0 {
-        for i in 0..v.len() {
-            let hi = v.get(i + 1).copied().unwrap_or(0);
-            v[i] = (v[i] >> s) | (hi << (64 - s));
-        }
-    }
-    while v.last() == Some(&0) {
-        v.pop();
-    }
-}
-
-/// `x -= y` in place for `x >= y`, trimming high zero limbs.
-fn sub_wide(x: &mut Vec<u64>, y: &[u64]) {
-    let mut borrow = false;
-    for (i, limb) in x.iter_mut().enumerate() {
-        let sub = y.get(i).copied();
-        if sub.is_none() && !borrow {
-            break;
-        }
-        let (d1, b1) = limb.overflowing_sub(sub.unwrap_or(0));
-        let (d2, b2) = d1.overflowing_sub(borrow as u64);
-        *limb = d2;
-        borrow = b1 || b2;
-    }
-    debug_assert!(!borrow, "sub_wide: |x| < |y|");
-    while x.last() == Some(&0) {
-        x.pop();
-    }
-}
-
-/// `v mod d` for a one-limb divisor.
-fn rem_wide(v: &[u64], d: u64) -> u64 {
-    v.iter()
-        .rev()
-        .fold(0u128, |r, &w| ((r << 64) | w as u128) % d as u128) as u64
 }
 
 impl From<u64> for BigInt {
@@ -764,11 +672,10 @@ impl Ord for BigInt {
     }
 }
 
-impl BigInt {
-    /// `self + (-1)^rhs_negative · |rhs|`: the shared body of `+` and `-`,
-    /// so subtraction never clones its operand just to flip a sign.
-    fn add_signed(&self, rhs: &BigInt, rhs_negative: bool) -> BigInt {
-        if self.negative == rhs_negative {
+impl Add for &BigInt {
+    type Output = BigInt;
+    fn add(self, rhs: &BigInt) -> BigInt {
+        if self.negative == rhs.negative {
             BigInt::trim(BigInt::add_abs(&self.limbs, &rhs.limbs), self.negative)
         } else {
             match BigInt::cmp_abs(&self.limbs, &rhs.limbs) {
@@ -777,24 +684,17 @@ impl BigInt {
                     BigInt::trim(BigInt::sub_abs(&self.limbs, &rhs.limbs), self.negative)
                 }
                 Ordering::Less => {
-                    BigInt::trim(BigInt::sub_abs(&rhs.limbs, &self.limbs), rhs_negative)
+                    BigInt::trim(BigInt::sub_abs(&rhs.limbs, &self.limbs), rhs.negative)
                 }
             }
         }
     }
 }
 
-impl Add for &BigInt {
-    type Output = BigInt;
-    fn add(self, rhs: &BigInt) -> BigInt {
-        self.add_signed(rhs, rhs.negative)
-    }
-}
-
 impl Sub for &BigInt {
     type Output = BigInt;
     fn sub(self, rhs: &BigInt) -> BigInt {
-        self.add_signed(rhs, !rhs.negative)
+        self + &(-rhs.clone())
     }
 }
 
@@ -982,33 +882,6 @@ mod tests {
             BigInt::from(3u64).pow(300).gcd(&BigInt::from(3u64).pow(5)),
             big(243)
         );
-    }
-
-    #[test]
-    fn gcd_u128_matches_euclid() {
-        let euclid = |mut a: u128, mut b: u128| {
-            while b != 0 {
-                (a, b) = (b, a % b);
-            }
-            a
-        };
-        let samples = [
-            0u128,
-            1,
-            6,
-            1 << 64,
-            (1 << 64) + 2,
-            u64::MAX as u128 * 12,
-            u128::MAX,
-            u128::MAX - 1,
-            3u128.pow(80),
-            1000u128.pow(12),
-        ];
-        for &a in &samples {
-            for &b in &samples {
-                assert_eq!(gcd_u128(a, b), euclid(a, b), "gcd_u128({a}, {b})");
-            }
-        }
     }
 
     #[test]

@@ -274,19 +274,7 @@ impl Ratio {
                     Repr::Small(d, n)
                 },
             },
-            // Swapping keeps lowest terms and both magnitudes, so the
-            // value stays non-`Small`; only the sign moves.
-            Repr::Big(b) => {
-                let (n, d) = (&b.0, &b.1);
-                let flipped = if n.is_negative() {
-                    (-d.clone(), n.abs())
-                } else {
-                    (d.clone(), n.clone())
-                };
-                Ratio {
-                    repr: Repr::Big(Box::new(flipped)),
-                }
-            }
+            Repr::Big(b) => Ratio::from_bigints(b.1.clone(), b.0.clone()),
         }
     }
 
@@ -356,8 +344,7 @@ impl Ratio {
                 return Ratio::from_i128(np, dp);
             }
         }
-        // Powers of coprime parts stay coprime: no gcd needed.
-        Ratio::from_normalised_bigints(self.num_big().pow(exp), self.den_big().pow(exp))
+        Ratio::from_bigints(self.num_big().pow(exp), self.den_big().pow(exp))
     }
 
     /// Absolute value.

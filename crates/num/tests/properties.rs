@@ -212,23 +212,23 @@ fn std_hash(r: &Ratio) -> u64 {
 proptest! {
     #[test]
     fn boundary_add_matches_bigint_reference(a in arb_boundary_ratio(), b in arb_boundary_ratio()) {
-        prop_assert_eq!(parts(&(&a + &b)), ref_add(&a, &b));
+        check_against(&(&a + &b), ref_add(&a, &b))?;
     }
 
     #[test]
     fn boundary_sub_matches_bigint_reference(a in arb_boundary_ratio(), b in arb_boundary_ratio()) {
-        prop_assert_eq!(parts(&(&a - &b)), ref_sub(&a, &b));
+        check_against(&(&a - &b), ref_sub(&a, &b))?;
     }
 
     #[test]
     fn boundary_mul_matches_bigint_reference(a in arb_boundary_ratio(), b in arb_boundary_ratio()) {
-        prop_assert_eq!(parts(&(&a * &b)), ref_mul(&a, &b));
+        check_against(&(&a * &b), ref_mul(&a, &b))?;
     }
 
     #[test]
     fn boundary_div_matches_bigint_reference(a in arb_boundary_ratio(), b in arb_boundary_ratio()) {
         prop_assume!(!b.is_zero());
-        prop_assert_eq!(parts(&(&a / &b)), ref_div(&a, &b));
+        check_against(&(&a / &b), ref_div(&a, &b))?;
     }
 
     #[test]
@@ -337,12 +337,14 @@ fn arb_mixed_ratio() -> impl Strategy<Value = Ratio> {
     ]
 }
 
-/// `r` equals the reference parts, is canonical, and hashes like the
-/// same value rebuilt from those parts.
+/// `r` equals the reference parts, is canonical (so `Small` exactly when
+/// it fits), and is structurally equal to, and hashes like, the same value
+/// rebuilt from those parts.
 fn check_against(r: &Ratio, expected: (BigInt, BigInt)) -> TestCaseResult {
     prop_assert!(r.is_canonical(), "not canonical: {:?}", r);
     prop_assert_eq!(parts(r), expected.clone());
     let rebuilt = Ratio::from_bigints(expected.0, expected.1);
+    prop_assert_eq!(r, &rebuilt);
     prop_assert_eq!(std_hash(r), std_hash(&rebuilt));
     Ok(())
 }
