@@ -9,7 +9,7 @@
 
 use mcnetkat_analysis::{lint_model, lint_program, LintConfig, LintReport};
 use mcnetkat_net::{
-    chain_benchmark, running_example, FailureModel, FailureSpec, NetworkModel, RoutingScheme, Srlg,
+    chain_benchmark, running_example, FailureSpec, NetworkModel, RoutingScheme, Srlg,
 };
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::ab_fattree;
@@ -58,9 +58,9 @@ fn main() {
         (RoutingScheme::F10_3_5, "f10_3_5"),
     ];
     let failures = [
-        (FailureModel::none(), "none"),
-        (FailureModel::independent(pr.clone()), "independent"),
-        (FailureModel::bounded(pr.clone(), 1), "bounded"),
+        (FailureSpec::none(), "none"),
+        (FailureSpec::independent(pr.clone()), "independent"),
+        (FailureSpec::bounded(pr.clone(), 1), "bounded"),
     ];
     for (scheme, sname) in schemes {
         for (failure, fname) in &failures {
@@ -80,7 +80,7 @@ fn main() {
             topo,
             dst,
             RoutingScheme::F10_3,
-            FailureModel::independent(pr.clone()),
+            FailureSpec::independent(pr.clone()),
         )
         .with_hop_cap(8);
         run("fattree4-hopcap", lint_model("fattree4-hopcap", &model));

@@ -7,9 +7,7 @@ use mcnetkat_analysis::{
     lint_model, lint_program, lint_switch_program, LintCode, LintConfig, LintReport, Severity,
 };
 use mcnetkat_core::{Field, Pred, Prog};
-use mcnetkat_net::{
-    down_ports, running_example, FailureModel, FailureSpec, NetworkModel, RoutingScheme,
-};
+use mcnetkat_net::{down_ports, running_example, FailureSpec, NetworkModel, RoutingScheme};
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::{ab_fattree, Level, Topology};
 use std::collections::BTreeSet;
@@ -118,7 +116,7 @@ fn nl005_switch_program_forwarding_to_absent_port() {
     // (`NetworkModel` construction would never produce such a scheme).
     let topo = ab_fattree(4);
     let s = topo.find("edge0_0").unwrap();
-    let model = NetworkModel::new(topo, s, RoutingScheme::Ecmp, FailureModel::none());
+    let model = NetworkModel::new(topo, s, RoutingScheme::Ecmp, FailureSpec::none());
     let absent = 1 + model.topo.ports(s).iter().map(|pp| pp.port).max().unwrap();
     let bogus = Prog::assign(model.fields.pt, absent);
     let report = lint_switch_program(&model.topo, s, &model.fields, &bogus);
@@ -138,7 +136,7 @@ fn nl006_unreachable_switch() {
     let b = topo.add_switch("edge_b", Level::Edge);
     topo.add_switch("island", Level::Agg);
     topo.link(a, b);
-    let model = NetworkModel::new(topo, b, RoutingScheme::Ecmp, FailureModel::none());
+    let model = NetworkModel::new(topo, b, RoutingScheme::Ecmp, FailureSpec::none());
     let report = lint_model("toy", &model);
     let finding = report
         .with_code(LintCode::UnreachableSwitch)
@@ -255,9 +253,9 @@ fn fattree4_models_lint_clean() {
         RoutingScheme::F10_3_5,
     ] {
         for failure in [
-            FailureModel::none(),
-            FailureModel::independent(pr.clone()),
-            FailureModel::bounded(pr.clone(), 1),
+            FailureSpec::none(),
+            FailureSpec::independent(pr.clone()),
+            FailureSpec::bounded(pr.clone(), 1),
         ] {
             let topo = ab_fattree(4);
             let dst = topo.find("edge0_0").unwrap();

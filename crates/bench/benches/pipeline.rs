@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcnetkat_fdd::{CompileOptions, Manager};
 use mcnetkat_linalg::{AbsorbingChain, SolverBackend};
-use mcnetkat_net::{chain_benchmark, FailureModel, FailureSpec, NetworkModel, RoutingScheme, Srlg};
+use mcnetkat_net::{chain_benchmark, FailureSpec, NetworkModel, RoutingScheme, Srlg};
 use mcnetkat_num::Ratio;
 use mcnetkat_prism::{check_reachability, translate, McMode};
 use mcnetkat_topo::fattree;
@@ -43,8 +43,8 @@ fn bench_fattree_compile(c: &mut Criterion) {
         let topo = fattree(p);
         let dst = topo.find("edge0_0").unwrap();
         for (label, failure) in [
-            ("f0", FailureModel::none()),
-            ("f1000", FailureModel::independent(Ratio::new(1, 1000))),
+            ("f0", FailureSpec::none()),
+            ("f1000", FailureSpec::independent(Ratio::new(1, 1000))),
         ] {
             let model = NetworkModel::new(topo.clone(), dst, RoutingScheme::Ecmp, failure);
             group.bench_with_input(BenchmarkId::new(label, p), &model, |b, model| {
@@ -60,7 +60,7 @@ fn bench_fattree_compile(c: &mut Criterion) {
     for p in [10usize, 12] {
         let topo = fattree(p);
         let dst = topo.find("edge0_0").unwrap();
-        let model = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureModel::none());
+        let model = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureSpec::none());
         group.bench_with_input(BenchmarkId::new("f0", p), &model, |b, model| {
             b.iter(|| {
                 let mgr = Manager::new();
@@ -78,7 +78,7 @@ fn bench_fattree_compile(c: &mut Criterion) {
             topo,
             dst,
             RoutingScheme::Ecmp,
-            FailureModel::independent(Ratio::new(1, 1000)),
+            FailureSpec::independent(Ratio::new(1, 1000)),
         );
         group.bench_with_input(BenchmarkId::new("f1000", 16usize), &model, |b, model| {
             b.iter(|| {

@@ -24,11 +24,8 @@
 //! `--stable-only --fail-on-regress` is the *blocking* CI gate, while the
 //! full set stays advisory.
 //!
-//! When a `BENCH_opcache.json` dump is present (written by the
-//! `perf_profile` binary), the op-cache hit rates it contains are appended
-//! to the report, so cache-effectiveness changes travel with the timing
-//! diff. Likewise for `BENCH_serve.json` (written by `serve_bench`): its
-//! metrics are diffed against `crates/bench/BENCH_serve_baseline.json`,
+//! When a `BENCH_serve.json` dump is present (written by `serve_bench`),
+//! its metrics are diffed against `crates/bench/BENCH_serve_baseline.json`,
 //! advisory only — keys ending in `_per_sec` or `_speedup_x` are
 //! higher-is-better, everything else is nanoseconds, lower-is-better.
 //! `--serve-only` reports just that diff (and exits 0), for the CI serve
@@ -225,7 +222,6 @@ fn main() -> ExitCode {
         ]);
     }
     table.print();
-    report_opcache_rates();
     report_serve_diff(threshold_pct);
 
     if missing > 0 {
@@ -262,39 +258,6 @@ fn write_baseline(path: &str, results: &BTreeMap<String, f64>) -> Result<(), Str
     }
     json.push_str("}\n");
     std::fs::write(path, json).map_err(|e| e.to_string())
-}
-
-/// Prints the op-cache hit rates dumped by `perf_profile`, when present.
-/// Missing dumps are fine — the rates are context for the timing diff,
-/// not part of the gate.
-fn report_opcache_rates() {
-    let path = first_existing(&["BENCH_opcache.json", "crates/bench/BENCH_opcache.json"]);
-    let Ok(rates) = load(&path) else {
-        return;
-    };
-    println!("\nop-cache hit rates ({path}):");
-    let mut table = Table::new(&["cache", "hit rate"]);
-    let mut dense_fallbacks = 0u64;
-    for (name, rate) in &rates {
-        // The solver fallback counters ride in the same dump as raw
-        // counts, not percentages (see perf_profile).
-        if name.ends_with("/fallback_retries") || name.ends_with("/dense_fallbacks") {
-            table.row(vec![name.clone(), format!("{rate:.0}")]);
-            if name.ends_with("/dense_fallbacks") {
-                dense_fallbacks += *rate as u64;
-            }
-            continue;
-        }
-        table.row(vec![name.clone(), format!("{rate:.1}%")]);
-    }
-    table.print();
-    if dense_fallbacks > 0 {
-        eprintln!(
-            "\nwarning: {dense_fallbacks} loop solve(s) fell back to the dense \
-             exact reference — the sparse SCC solver is silently degrading \
-             (see `Manager::solve_report()` for the event log)"
-        );
-    }
 }
 
 /// Diffs the `serve_bench` dump against its checked-in baseline, when

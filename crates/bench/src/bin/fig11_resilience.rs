@@ -7,7 +7,7 @@
 
 use mcnetkat_bench::Table;
 use mcnetkat_fdd::Manager;
-use mcnetkat_net::{FailureModel, NetworkModel, Queries, RoutingScheme};
+use mcnetkat_net::{FailureSpec, NetworkModel, Queries, RoutingScheme};
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::ab_fattree;
 
@@ -28,8 +28,8 @@ fn main() {
         let mut row = vec![k.map_or("∞".into(), |k| k.to_string())];
         for scheme in schemes {
             let failure = match k {
-                Some(k) => FailureModel::bounded(pr.clone(), *k),
-                None => FailureModel::independent(pr.clone()),
+                Some(k) => FailureSpec::bounded(pr.clone(), *k),
+                None => FailureSpec::independent(pr.clone()),
             };
             let model = NetworkModel::new(topo.clone(), dst, scheme, failure);
             let mgr = Manager::new();
@@ -50,8 +50,8 @@ fn main() {
     ]);
     for k in &ks {
         let failure = match k {
-            Some(k) => FailureModel::bounded(pr.clone(), *k),
-            None => FailureModel::independent(pr.clone()),
+            Some(k) => FailureSpec::bounded(pr.clone(), *k),
+            None => FailureSpec::independent(pr.clone()),
         };
         let mgr = Manager::new();
         let models: Vec<NetworkModel> = schemes

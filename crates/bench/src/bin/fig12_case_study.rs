@@ -10,7 +10,7 @@
 
 use mcnetkat_bench::Table;
 use mcnetkat_fdd::Manager;
-use mcnetkat_net::{FailureModel, NetworkModel, Queries, RoutingScheme};
+use mcnetkat_net::{FailureSpec, NetworkModel, Queries, RoutingScheme};
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::{ab_fattree, fattree, Topology};
 
@@ -39,7 +39,7 @@ fn main() {
                 topo,
                 dst,
                 scheme,
-                FailureModel::independent(Ratio::new(n, d)),
+                FailureSpec::independent(Ratio::new(n, d)),
             );
             let mgr = Manager::new();
             let q = Queries::new(&mgr, &model).expect("compile");
@@ -59,7 +59,7 @@ fn main() {
             topo,
             dst,
             scheme,
-            FailureModel::independent(Ratio::new(1, 4)),
+            FailureSpec::independent(Ratio::new(1, 4)),
         )
         .with_hop_cap(HOP_CAP);
         let mgr = Manager::new();
@@ -86,7 +86,7 @@ fn main() {
                 topo,
                 dst,
                 scheme,
-                FailureModel::independent(Ratio::new(n, d)),
+                FailureSpec::independent(Ratio::new(n, d)),
             )
             .with_hop_cap(HOP_CAP);
             let mgr = Manager::new();

@@ -19,7 +19,7 @@
 
 use mcnetkat_bench::{scale, secs, timed, Scale, Table};
 use mcnetkat_fdd::Manager;
-use mcnetkat_net::{FailureModel, FailureSpec, NetworkModel, Queries, RoutingScheme, Srlg};
+use mcnetkat_net::{FailureSpec, NetworkModel, Queries, RoutingScheme, Srlg};
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::{ab_fattree, fattree, Topology};
 
@@ -75,15 +75,15 @@ fn main() {
     for scheme in schemes {
         for correlated in [false, true] {
             let mgr = Manager::new();
-            let (unbounded, bounded1): (FailureSpec, FailureSpec) = if correlated {
+            let (unbounded, bounded1) = if correlated {
                 (
                     linecard_spec(&topo, &pr, None),
                     linecard_spec(&topo, &pr, Some(1)),
                 )
             } else {
                 (
-                    FailureModel::independent(pr.clone()).into(),
-                    FailureModel::bounded(pr.clone(), 1).into(),
+                    FailureSpec::independent(pr.clone()),
+                    FailureSpec::bounded(pr.clone(), 1),
                 )
             };
             let m_unbounded = NetworkModel::new(topo.clone(), dst, scheme, unbounded);

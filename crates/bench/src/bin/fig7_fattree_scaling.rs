@@ -10,7 +10,7 @@
 
 use mcnetkat_bench::{scale, secs, timed, Scale, Table};
 use mcnetkat_fdd::Manager;
-use mcnetkat_net::{FailureModel, NetworkModel, RoutingScheme};
+use mcnetkat_net::{FailureSpec, NetworkModel, RoutingScheme};
 use mcnetkat_num::Ratio;
 use mcnetkat_prism::{check_reachability, translate, McMode};
 use mcnetkat_topo::fattree;
@@ -35,8 +35,8 @@ fn main() {
         let mut cells = vec![p.to_string(), nsw.to_string()];
 
         for failure in [
-            FailureModel::none(),
-            FailureModel::independent(Ratio::new(1, 1000)),
+            FailureSpec::none(),
+            FailureSpec::independent(Ratio::new(1, 1000)),
         ] {
             let model = NetworkModel::new(topo.clone(), dst, RoutingScheme::Ecmp, failure);
             let mgr = Manager::new();
@@ -47,8 +47,8 @@ fn main() {
         // PRISM backend: translation is fast; the model-checking step
         // dominates (one reachability query from a representative source).
         for failure in [
-            FailureModel::none(),
-            FailureModel::independent(Ratio::new(1, 1000)),
+            FailureSpec::none(),
+            FailureSpec::independent(Ratio::new(1, 1000)),
         ] {
             let model = NetworkModel::new(topo.clone(), dst, RoutingScheme::Ecmp, failure);
             let prog = model.program();

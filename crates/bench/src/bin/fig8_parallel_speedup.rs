@@ -7,7 +7,7 @@
 
 use mcnetkat_bench::{scale, secs, timed, Scale, Table};
 use mcnetkat_fdd::Manager;
-use mcnetkat_net::{compile_model_parallel, FailureModel, NetworkModel, RoutingScheme};
+use mcnetkat_net::{compile_model_parallel, FailureSpec, NetworkModel, RoutingScheme};
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::fattree;
 
@@ -22,7 +22,7 @@ fn main() {
         topo,
         dst,
         RoutingScheme::F10_3,
-        FailureModel::independent(Ratio::new(1, 100)),
+        FailureSpec::independent(Ratio::new(1, 100)),
     );
     let ncpu = std::thread::available_parallelism().map_or(4, |n| n.get());
     let workers: Vec<usize> = [1usize, 2, 4, 8, 16, 32]

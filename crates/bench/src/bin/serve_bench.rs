@@ -37,7 +37,7 @@
 //! one-permit admission gate) whose shed rate lands in the same dump.
 
 use mcnetkat_bench::{secs, timed, Scale, Table};
-use mcnetkat_net::{FailureModel, NetworkModel, RoutingScheme};
+use mcnetkat_net::{FailureSpec, NetworkModel, RoutingScheme};
 use mcnetkat_num::Ratio;
 use mcnetkat_serve::{Delta, Engine, EngineConfig, EngineError, ModelId, Query, QueryRequest};
 use mcnetkat_topo::{fattree, NodeId};
@@ -87,7 +87,7 @@ fn model_for(p: usize) -> NetworkModel {
         topo,
         dst,
         RoutingScheme::Ecmp,
-        FailureModel::independent(Ratio::new(1, 1000)),
+        FailureSpec::independent(Ratio::new(1, 1000)),
     )
 }
 

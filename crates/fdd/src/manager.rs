@@ -250,10 +250,10 @@ pub struct LoopSolveStats {
 /// Cumulative record of which loop-solver fallback rungs fired and why
 /// (see [`crate::FallbackPolicy`] for the rung order).
 ///
-/// Returned by [`Manager::solve_report`]; `perf_profile` dumps the
-/// counters into `BENCH_opcache.json` so a silent degradation to the
-/// dense solver shows up in perf artifacts rather than hiding inside a
-/// green timing number.
+/// Returned by [`Manager::solve_report`]. A clean fat-tree compile takes
+/// no fallback (pinned by `net/tests/fused_pipeline.rs`), so a silent
+/// degradation to the dense solver fails a test rather than hiding inside
+/// a green timing number.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SolveReport {
     /// Solves answered by the first-choice solver, no fallback needed.

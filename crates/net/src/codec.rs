@@ -561,11 +561,7 @@ pub struct ModelDescription {
 }
 
 impl ModelDescription {
-    /// Captures a model's description. Only the default
-    /// [`crate::FieldOrder`] survives a round-trip — models built over a
-    /// custom field order rebuild with standard handles (the serve
-    /// engine, the only producer of descriptions, is pinned to the
-    /// default order already).
+    /// Captures a model's description.
     pub fn of(model: &NetworkModel) -> ModelDescription {
         ModelDescription {
             topo: model.topo.clone(),
@@ -631,7 +627,7 @@ impl Codec for ModelDescription {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FailureModel;
+    use crate::FailureSpec;
     use mcnetkat_topo::{ab_fattree, chain, fattree};
 
     fn assert_topo_identical(a: &Topology, b: &Topology) {
@@ -729,7 +725,7 @@ mod tests {
             topo,
             dst,
             RoutingScheme::F10_3,
-            FailureModel::independent(Ratio::new(1, 64)),
+            FailureSpec::independent(Ratio::new(1, 64)),
         );
         let desc = ModelDescription::from_bytes(&ModelDescription::of(&model).to_bytes()).unwrap();
         let rebuilt = desc.build().unwrap();
@@ -747,7 +743,7 @@ mod tests {
             fattree(4),
             fattree(4).find("edge0_0").unwrap(),
             RoutingScheme::Ecmp,
-            FailureModel::none(),
+            FailureSpec::none(),
         ))
         .to_bytes();
         for cut in [0, 1, 7, bytes.len() / 2, bytes.len() - 1] {

@@ -32,74 +32,6 @@ use mcnetkat_num::Ratio;
 use mcnetkat_topo::{NodeId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The paper's uniform failure model for the links of one switch-hop.
-///
-/// This is the `f_0`/`f_k`/`f_∞` family of §2/§7. It converts into the
-/// richer [`FailureSpec`] (`.into()`), which is what [`crate::NetworkModel`]
-/// stores; the two encode identically when no overrides or groups are
-/// present.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FailureModel {
-    /// Per-link failure probability.
-    pub pr: Ratio,
-    /// Maximum number of failures (`None` = unbounded, the paper's `f_∞`).
-    pub k: Option<u32>,
-}
-
-impl FailureModel {
-    /// The failure-free model `f_0` (every link up).
-    pub fn none() -> FailureModel {
-        FailureModel {
-            pr: Ratio::zero(),
-            k: Some(0),
-        }
-    }
-
-    /// Links fail independently with probability `pr`, no bound (`f_∞`).
-    pub fn independent(pr: Ratio) -> FailureModel {
-        FailureModel { pr, k: None }
-    }
-
-    /// At most `k` failures, each drawn with probability `pr` (`f_k`).
-    pub fn bounded(pr: Ratio, k: u32) -> FailureModel {
-        FailureModel { pr, k: Some(k) }
-    }
-
-    /// Returns `true` if no link can ever fail.
-    pub fn is_failure_free(&self) -> bool {
-        self.pr.is_zero() || self.k == Some(0)
-    }
-
-    /// The program that draws fresh health flags for the given
-    /// (failure-prone) ports of the current switch — the `f` that runs at
-    /// the start of every hop in `M̂(p, t, f) = M((f;p), t)`.
-    ///
-    /// Delegates to [`FailureSpec::hop_program`] so that the uniform model
-    /// and a spec without overrides or groups compile to the *same*
-    /// program.
-    pub fn hop_program(&self, fields: &NetFields, ports: &[u32]) -> Prog {
-        FailureSpec::from(self.clone()).hop_program(fields, 0, ports)
-    }
-
-    /// Erases the health flags drawn by [`FailureModel::hop_program`], so
-    /// loop states do not carry stale link state (flags are re-drawn each
-    /// hop anyway — failures are memoryless in this model).
-    pub fn erase_program(fields: &NetFields, ports: &[u32]) -> Prog {
-        Prog::seq_all(ports.iter().map(|&p| Prog::assign(fields.up(p), 0)))
-    }
-}
-
-impl From<FailureModel> for FailureSpec {
-    fn from(m: FailureModel) -> FailureSpec {
-        FailureSpec {
-            pr: m.pr,
-            k: m.k,
-            link_pr: BTreeMap::new(),
-            groups: Vec::new(),
-        }
-    }
-}
-
 /// A shared-risk link group: a named set of `(switch, port)` links that
 /// fail *together* — one Bernoulli draw per hop takes every member down.
 ///
@@ -210,19 +142,27 @@ pub struct FailureSpec {
 }
 
 impl FailureSpec {
-    /// The failure-free spec (every link up).
+    /// The failure-free spec `f_0` (every link up).
     pub fn none() -> FailureSpec {
-        FailureModel::none().into()
+        FailureSpec::bounded(Ratio::zero(), 0)
     }
 
-    /// Links fail independently with probability `pr`, no bound.
+    /// Links fail independently with probability `pr`, no bound (`f_∞`).
     pub fn independent(pr: Ratio) -> FailureSpec {
-        FailureModel::independent(pr).into()
+        FailureSpec {
+            pr,
+            k: None,
+            link_pr: BTreeMap::new(),
+            groups: Vec::new(),
+        }
     }
 
-    /// At most `k` failure events, each drawn with probability `pr`.
+    /// At most `k` failure events, each drawn with probability `pr` (`f_k`).
     pub fn bounded(pr: Ratio, k: u32) -> FailureSpec {
-        FailureModel::bounded(pr, k).into()
+        FailureSpec {
+            k: Some(k),
+            ..FailureSpec::independent(pr)
+        }
     }
 
     /// Overrides the failure probability of one port.
@@ -446,7 +386,7 @@ mod tests {
     #[test]
     fn failure_free_sets_all_up() {
         let f = fields();
-        let prog = FailureModel::none().hop_program(&f, &[1, 2]);
+        let prog = FailureSpec::none().hop_program(&f, 1, &[1, 2]);
         let d = Interp::new().eval_packet(&prog, &Packet::new());
         let expect = Packet::new().with(f.up(1), 1).with(f.up(2), 1);
         assert_eq!(d.prob(&expect), Ratio::one());
@@ -455,8 +395,8 @@ mod tests {
     #[test]
     fn independent_failures_multiply() {
         let f = fields();
-        let model = FailureModel::independent(Ratio::new(1, 5));
-        let prog = model.hop_program(&f, &[1, 2]);
+        let spec = FailureSpec::independent(Ratio::new(1, 5));
+        let prog = spec.hop_program(&f, 1, &[1, 2]);
         let d = Interp::new().eval_packet(&prog, &Packet::new());
         // Both up: (4/5)^2.
         let both_up = Packet::new().with(f.up(1), 1).with(f.up(2), 1);
@@ -473,8 +413,8 @@ mod tests {
     #[test]
     fn bounded_model_caps_failures() {
         let f = fields();
-        let model = FailureModel::bounded(Ratio::new(1, 2), 1);
-        let prog = model.hop_program(&f, &[1, 2]);
+        let spec = FailureSpec::bounded(Ratio::new(1, 2), 1);
+        let prog = spec.hop_program(&f, 1, &[1, 2]);
         let d = Interp::new().eval_packet(&prog, &Packet::new());
         // With k=1, the outcome "both links down" is impossible.
         let mut none_up = Packet::new().with(f.fl, 2);
@@ -492,8 +432,8 @@ mod tests {
     #[test]
     fn exhausted_budget_forces_up() {
         let f = fields();
-        let model = FailureModel::bounded(Ratio::new(1, 2), 1);
-        let prog = model.hop_program(&f, &[1]);
+        let spec = FailureSpec::bounded(Ratio::new(1, 2), 1);
+        let prog = spec.hop_program(&f, 1, &[1]);
         // Start with fl already at the bound.
         let start = Packet::new().with(f.fl, 1);
         let d = Interp::new().eval_packet(&prog, &start);
@@ -503,28 +443,10 @@ mod tests {
     #[test]
     fn erase_resets_flags() {
         let f = fields();
-        let prog = FailureModel::erase_program(&f, &[1, 2]);
+        let prog = FailureSpec::none().erase_program(&f, &[1, 2]);
         let start = Packet::new().with(f.up(1), 1).with(f.up(2), 1);
         let d = Interp::new().eval_packet(&prog, &start);
         assert_eq!(d.prob(&Packet::new()), Ratio::one());
-    }
-
-    #[test]
-    fn spec_without_extras_encodes_like_the_model() {
-        // A `FailureSpec` with no overrides and no groups must produce the
-        // *identical* program (benchmarks and existing models rely on it).
-        let f = fields();
-        for model in [
-            FailureModel::none(),
-            FailureModel::independent(Ratio::new(1, 7)),
-            FailureModel::bounded(Ratio::new(2, 5), 2),
-        ] {
-            let spec: FailureSpec = model.clone().into();
-            assert_eq!(
-                model.hop_program(&f, &[1, 3]),
-                spec.hop_program(&f, 9, &[1, 3])
-            );
-        }
     }
 
     #[test]

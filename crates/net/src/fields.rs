@@ -2,71 +2,16 @@
 //!
 //! Field interning order fixes the FDD variable order, which matters for
 //! diagram size: `sw` is tested at the root of every per-switch `case`, so
-//! it comes first. The rest of the order is a pluggable [`FieldOrder`]
-//! policy; the default keeps the historical layout (`pt`, detour flag,
-//! failure budget, hop counter, link-health flags, group flags).
+//! it comes first, then `pt`, the detour flag, the failure budget, the hop
+//! counter, the link-health flags and the group flags (see
+//! [`NetFields::with_groups`]).
 //!
 //! Since the fused per-switch pipeline eliminates every `up_i`/`grp_j`
 //! scratch field before the global diagram is assembled, the order of the
-//! health flags is now a second-order effect — it only shapes the small
-//! per-switch scratch diagrams (see `perf_profile --order` for the
-//! empirical sweep that picked the default).
+//! health flags is a second-order effect: it only shapes the small
+//! per-switch scratch diagrams.
 
 use mcnetkat_core::Field;
-
-/// Interning-order policy for the model fields — i.e. the FDD variable
-/// order (DESIGN.md invariant 5: order changes diagram size, never
-/// semantics).
-///
-/// Fields are interned process-wide at first use, so within one process
-/// the *first* `NetFields` built for a name set fixes the order; the
-/// namespaced constructor ([`NetFields::with_order_in`]) gives each
-/// policy its own name space so `perf_profile --order` can sweep all
-/// policies in a single run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum FieldOrder {
-    /// `sw, pt, dt, fl, cnt, up₁…, grp₁…` — the historical order and the
-    /// empirical default: loop state (`dt`, `fl`, `cnt`) sits right under
-    /// the switch/port dispatch, scratch fields last.
-    #[default]
-    Standard,
-    /// `sw, pt, up₁…, grp₁…, dt, fl, cnt` — link state directly under the
-    /// switch/port tests, loop bookkeeping last.
-    SwitchMajor,
-    /// `sw, pt, dt, fl, cnt, grp₁…, up₁…` — every group flag adjacent to
-    /// (just before) the member `up` flags its draw derives.
-    DrawAdjacent,
-}
-
-impl FieldOrder {
-    /// Human-readable policy name (for tables and CLI flags).
-    pub fn name(&self) -> &'static str {
-        match self {
-            FieldOrder::Standard => "standard",
-            FieldOrder::SwitchMajor => "switch-major",
-            FieldOrder::DrawAdjacent => "draw-adjacent",
-        }
-    }
-
-    /// Parses a CLI spelling of a policy name.
-    pub fn parse(s: &str) -> Option<FieldOrder> {
-        match s {
-            "standard" => Some(FieldOrder::Standard),
-            "switch-major" => Some(FieldOrder::SwitchMajor),
-            "draw-adjacent" => Some(FieldOrder::DrawAdjacent),
-            _ => None,
-        }
-    }
-
-    /// All policies, for sweeps.
-    pub fn all() -> [FieldOrder; 3] {
-        [
-            FieldOrder::Standard,
-            FieldOrder::SwitchMajor,
-            FieldOrder::DrawAdjacent,
-        ]
-    }
-}
 
 /// The field handles shared by all model-building code.
 #[derive(Clone, Debug)]
@@ -99,71 +44,23 @@ impl NetFields {
 
     /// Interns the canonical fields plus `groups` shared-risk-group health
     /// flags (for models with a [`crate::FailureSpec`] that declares
-    /// SRLGs), in the default [`FieldOrder`].
-    pub fn with_groups(max_ports: usize, groups: usize) -> NetFields {
-        NetFields::with_order(max_ports, groups, FieldOrder::default())
-    }
-
-    /// Interns the canonical fields in the given [`FieldOrder`].
+    /// SRLGs).
     ///
-    /// Field interning is process-wide and first-use-wins: this only
-    /// controls the FDD variable order if the canonical names have not
-    /// been interned yet (use [`NetFields::with_order_in`] to sweep
-    /// several orders in one process).
-    pub fn with_order(max_ports: usize, groups: usize, order: FieldOrder) -> NetFields {
-        NetFields::with_order_in("", max_ports, groups, order)
-    }
-
-    /// Interns the fields inside a namespace (names become `ns::sw` etc.
-    /// for a non-empty `ns`), in the given [`FieldOrder`]. A fresh
-    /// namespace guarantees the interner hands out ascending ids in
-    /// exactly the policy's order, no matter what was interned before.
-    pub fn with_order_in(
-        ns: &str,
-        max_ports: usize,
-        groups: usize,
-        order: FieldOrder,
-    ) -> NetFields {
-        let name = |base: &str| -> Field {
-            if ns.is_empty() {
-                Field::named(base)
-            } else {
-                Field::named(&format!("{ns}::{base}"))
-            }
-        };
-        // Every policy dispatches on sw first, then pt.
-        let sw = name("sw");
-        let pt = name("pt");
-        let intern_ups =
-            |n: usize| -> Vec<Field> { (1..=n).map(|i| name(&format!("up{i}"))).collect() };
-        let intern_grps =
-            |n: usize| -> Vec<Field> { (1..=n).map(|j| name(&format!("grp{j}"))).collect() };
-        let (dt, fl, cnt, ups, grps) = match order {
-            FieldOrder::Standard => {
-                let dt = name("dt");
-                let fl = name("fl");
-                let cnt = name("cnt");
-                let ups = intern_ups(max_ports);
-                let grps = intern_grps(groups);
-                (dt, fl, cnt, ups, grps)
-            }
-            FieldOrder::SwitchMajor => {
-                let ups = intern_ups(max_ports);
-                let grps = intern_grps(groups);
-                let dt = name("dt");
-                let fl = name("fl");
-                let cnt = name("cnt");
-                (dt, fl, cnt, ups, grps)
-            }
-            FieldOrder::DrawAdjacent => {
-                let dt = name("dt");
-                let fl = name("fl");
-                let cnt = name("cnt");
-                let grps = intern_grps(groups);
-                let ups = intern_ups(max_ports);
-                (dt, fl, cnt, ups, grps)
-            }
-        };
+    /// Interning is process-wide and first-use-wins, so this fixes the
+    /// FDD variable order `sw, pt, dt, fl, cnt, up₁…, grp₁…`: loop state
+    /// sits right under the switch/port dispatch, scratch fields last.
+    pub fn with_groups(max_ports: usize, groups: usize) -> NetFields {
+        let sw = Field::named("sw");
+        let pt = Field::named("pt");
+        let dt = Field::named("dt");
+        let fl = Field::named("fl");
+        let cnt = Field::named("cnt");
+        let ups = (1..=max_ports)
+            .map(|i| Field::named(&format!("up{i}")))
+            .collect();
+        let grps = (1..=groups)
+            .map(|j| Field::named(&format!("grp{j}")))
+            .collect();
         NetFields {
             sw,
             pt,
@@ -225,22 +122,10 @@ mod tests {
     }
 
     #[test]
-    fn field_orders_intern_namespaced_policies() {
-        // Each namespace gets its own interner slice, so the policy fully
-        // controls relative order within it.
-        let std = NetFields::with_order_in("t_std", 3, 2, FieldOrder::Standard);
-        assert!(std.sw < std.pt && std.pt < std.dt);
-        assert!(std.cnt < std.up(1) && std.up(3) < std.grp(1));
-        let sm = NetFields::with_order_in("t_sm", 3, 2, FieldOrder::SwitchMajor);
-        assert!(sm.pt < sm.up(1) && sm.up(3) < sm.grp(1));
-        assert!(sm.grp(2) < sm.dt && sm.dt < sm.fl && sm.fl < sm.cnt);
-        let da = NetFields::with_order_in("t_da", 3, 2, FieldOrder::DrawAdjacent);
-        assert!(da.cnt < da.grp(1) && da.grp(2) < da.up(1));
-        // Policy names round-trip through the CLI parser.
-        for order in FieldOrder::all() {
-            assert_eq!(FieldOrder::parse(order.name()), Some(order));
-        }
-        assert_eq!(FieldOrder::parse("nope"), None);
+    fn standard_order_puts_dispatch_and_loop_state_before_scratch() {
+        let f = NetFields::with_groups(3, 2);
+        assert!(f.sw < f.pt && f.pt < f.dt && f.dt < f.fl);
+        assert!(f.fl < f.cnt && f.cnt < f.up(1));
     }
 
     #[test]

@@ -507,10 +507,10 @@ pub(crate) fn local_wrappers(model: &NetworkModel) -> (Prog, Prog) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FailureModel, FailureSpec, RoutingScheme, Srlg};
+    use crate::{FailureSpec, RoutingScheme, Srlg};
     use mcnetkat_topo::ab_fattree;
 
-    fn mk(scheme: RoutingScheme, failure: impl Into<FailureSpec>) -> NetworkModel {
+    fn mk(scheme: RoutingScheme, failure: FailureSpec) -> NetworkModel {
         let topo = ab_fattree(4);
         let dst = topo.find("edge0_0").unwrap();
         NetworkModel::new(topo, dst, scheme, failure)
@@ -520,7 +520,7 @@ mod tests {
     fn fused_matches_legacy_unbounded() {
         let m = mk(
             RoutingScheme::F10_3,
-            FailureModel::independent(Ratio::new(1, 10)),
+            FailureSpec::independent(Ratio::new(1, 10)),
         );
         let mgr = Manager::new();
         let legacy = m.compile_legacy(&mgr).unwrap();
@@ -532,7 +532,7 @@ mod tests {
     fn fused_matches_legacy_bounded() {
         let m = mk(
             RoutingScheme::F10_3_5,
-            FailureModel::bounded(Ratio::new(1, 10), 2),
+            FailureSpec::bounded(Ratio::new(1, 10), 2),
         );
         let mgr = Manager::new();
         let legacy = m.compile_legacy(&mgr).unwrap();
@@ -542,7 +542,7 @@ mod tests {
 
     #[test]
     fn fused_matches_legacy_failure_free() {
-        let m = mk(RoutingScheme::Ecmp, FailureModel::none());
+        let m = mk(RoutingScheme::Ecmp, FailureSpec::none());
         let mgr = Manager::new();
         let legacy = m.compile_legacy(&mgr).unwrap();
         let fused = m.compile(&mgr).unwrap();
@@ -566,7 +566,7 @@ mod tests {
     fn compile_hops_returns_input_order_for_any_worker_count() {
         let m = mk(
             RoutingScheme::F10_3,
-            FailureModel::independent(Ratio::new(1, 10)),
+            FailureSpec::independent(Ratio::new(1, 10)),
         );
         let sp = ShortestPaths::towards(&m.topo, m.dst);
         let mut every: Vec<HopInputs> = m
@@ -601,12 +601,10 @@ mod tests {
     fn fused_scratch_stats_are_per_switch_sized() {
         let m = mk(
             RoutingScheme::Ecmp,
-            FailureModel::independent(Ratio::new(1, 1000)),
+            FailureSpec::independent(Ratio::new(1, 1000)),
         );
         let mgr = Manager::new();
-        let (fdd, stats) = m
-            .compile_with_stats(&mgr, &CompileOptions::default())
-            .unwrap();
+        let (fdd, stats) = compile_model_fused(&mgr, &m, 1, &CompileOptions::default()).unwrap();
         assert_eq!(stats.switches, m.topo.switches().len());
         assert!(stats.max_scratch_nodes > 0);
         // The compiled diagram mentions no scratch field.

@@ -21,10 +21,10 @@ mod scheme;
 pub use chain::{chain_benchmark, chain_delivery_native, chain_expected_delivery, ChainBenchmark};
 pub use codec::{Codec, CodecError, ModelDescription, Reader};
 pub use example::{running_example, RunningExample};
-pub use failure::{FailureModel, FailureSpec, Srlg};
-pub use fields::{FieldOrder, NetFields};
+pub use failure::{FailureSpec, Srlg};
+pub use fields::NetFields;
 pub use fused::FusedStats;
 pub use model::{teleport, NetworkModel};
-pub use parallel::{compile_model_parallel, compile_model_parallel_with_stats};
+pub use parallel::compile_model_parallel;
 pub use queries::{HopStats, Queries};
 pub use scheme::{down_ports, RoutingScheme};

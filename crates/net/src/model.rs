@@ -11,7 +11,7 @@
 //! failure model is memoryless, exactly as in the paper where `f` runs at
 //! every hop).
 
-use crate::fused::{compile_model_fused, FusedStats};
+use crate::fused::compile_model_fused;
 use crate::scheme::{down_ports, switch_program};
 use crate::{FailureSpec, NetFields, RoutingScheme};
 use mcnetkat_core::{Pred, Prog};
@@ -35,8 +35,7 @@ pub struct NetworkModel {
     /// incremental engine model a single-switch program edit (see
     /// [`NetworkModel::scheme_for`]).
     pub scheme_overrides: BTreeMap<NodeId, RoutingScheme>,
-    /// Failure specification run at every hop (the plain [`crate::FailureModel`]
-    /// converts into this via `Into`).
+    /// Failure specification run at every hop.
     pub failure: FailureSpec,
     /// When set, a hop counter is threaded through the model, capped at
     /// this many hops (for the path-stretch analyses of Figure 12 b/c).
@@ -44,10 +43,8 @@ pub struct NetworkModel {
 }
 
 impl NetworkModel {
-    /// Builds a model for `topo` with destination `dst`. `failure` is
-    /// anything convertible into a [`FailureSpec`] — a plain
-    /// [`crate::FailureModel`] or a full spec with overrides and
-    /// shared-risk groups.
+    /// Builds a model for `topo` with destination `dst` that runs the
+    /// failure spec `failure` at every hop.
     ///
     /// # Panics
     ///
@@ -58,7 +55,7 @@ impl NetworkModel {
         topo: Topology,
         dst: NodeId,
         scheme: RoutingScheme,
-        failure: impl Into<FailureSpec>,
+        failure: FailureSpec,
     ) -> NetworkModel {
         NetworkModel::try_new(topo, dst, scheme, failure)
             .unwrap_or_else(|e| panic!("invalid failure spec: {e}"))
@@ -75,62 +72,11 @@ impl NetworkModel {
         topo: Topology,
         dst: NodeId,
         scheme: RoutingScheme,
-        failure: impl Into<FailureSpec>,
+        failure: FailureSpec,
     ) -> Result<NetworkModel, String> {
-        let failure = failure.into();
         failure.validate(&topo)?;
         let fields = NetFields::with_groups(topo.max_degree(), failure.group_count());
-        Ok(NetworkModel::from_parts(topo, dst, fields, scheme, failure))
-    }
-
-    /// Builds a model over explicitly provided field handles — the hook
-    /// for sweeping [`crate::FieldOrder`] policies (each policy interns
-    /// its fields in its own order, possibly namespaced).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`FailureSpec::validate`], or if `fields`
-    /// declares fewer `up`/`grp` handles than the topology and spec need.
-    pub fn new_with_fields(
-        topo: Topology,
-        dst: NodeId,
-        fields: NetFields,
-        scheme: RoutingScheme,
-        failure: impl Into<FailureSpec>,
-    ) -> NetworkModel {
-        let failure = failure.into();
-        if let Err(e) = failure.validate(&topo) {
-            panic!("invalid failure spec: {e}");
-        }
-        NetworkModel::from_parts(topo, dst, fields, scheme, failure)
-    }
-
-    /// Assembles a model from an already-validated spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fields` declares fewer `up`/`grp` handles than the
-    /// topology and spec need.
-    fn from_parts(
-        topo: Topology,
-        dst: NodeId,
-        fields: NetFields,
-        scheme: RoutingScheme,
-        failure: FailureSpec,
-    ) -> NetworkModel {
-        assert!(
-            fields.ups().len() >= topo.max_degree(),
-            "fields declare {} up flags, topology needs {}",
-            fields.ups().len(),
-            topo.max_degree()
-        );
-        assert!(
-            fields.grps().len() >= failure.group_count(),
-            "fields declare {} group flags, spec needs {}",
-            fields.grps().len(),
-            failure.group_count()
-        );
-        NetworkModel {
+        Ok(NetworkModel {
             topo,
             dst,
             fields,
@@ -138,7 +84,7 @@ impl NetworkModel {
             scheme_overrides: BTreeMap::new(),
             failure,
             hop_cap: None,
-        }
+        })
     }
 
     /// Enables the hop counter with the given cap.
@@ -365,20 +311,6 @@ impl NetworkModel {
         Ok(compile_model_fused(mgr, self, 1, opts)?.0)
     }
 
-    /// Compiles with explicit options and returns the fused pipeline's
-    /// scratch-size gauges alongside the diagram (see [`FusedStats`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`] from the FDD backend.
-    pub fn compile_with_stats(
-        &self,
-        mgr: &Manager,
-        opts: &CompileOptions,
-    ) -> Result<(Fdd, FusedStats), CompileError> {
-        compile_model_fused(mgr, self, 1, opts)
-    }
-
     /// The legacy whole-body compile: builds the complete program AST
     /// (every switch's scratch fields alive simultaneously), compiles it
     /// in `mgr`, and projects the group scratch fields out with
@@ -455,7 +387,6 @@ pub fn teleport(model: &NetworkModel) -> Prog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FailureModel;
     use mcnetkat_core::Packet;
     use mcnetkat_num::Ratio;
     use mcnetkat_topo::ab_fattree;
@@ -468,7 +399,7 @@ mod tests {
     fn failure_free_ecmp_delivers_everything() {
         let topo = ab_fattree(4);
         let dst = topo.find("edge0_0").unwrap();
-        let model = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureModel::none());
+        let model = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureSpec::none());
         let mgr = Manager::new();
         let fdd = model.compile(&mgr).unwrap();
         for src in model.ingresses() {
@@ -486,7 +417,7 @@ mod tests {
     fn failure_free_model_equals_teleport() {
         let topo = ab_fattree(4);
         let dst = topo.find("edge0_0").unwrap();
-        let model = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureModel::none());
+        let model = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureSpec::none());
         let mgr = Manager::new();
         let fdd = model.compile(&mgr).unwrap();
         let tele = mgr.compile(&model.teleport()).unwrap();
@@ -497,7 +428,7 @@ mod tests {
     fn non_ingress_packets_are_dropped() {
         let topo = ab_fattree(4);
         let dst = topo.find("edge0_0").unwrap();
-        let model = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureModel::none());
+        let model = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureSpec::none());
         let mgr = Manager::new();
         let fdd = model.compile(&mgr).unwrap();
         // A core switch is not an ingress.
@@ -514,7 +445,7 @@ mod tests {
             topo,
             dst,
             RoutingScheme::Ecmp,
-            FailureModel::independent(Ratio::new(1, 4)),
+            FailureSpec::independent(Ratio::new(1, 4)),
         );
         let mgr = Manager::new();
         let fdd = model.compile(&mgr).unwrap();
@@ -529,7 +460,7 @@ mod tests {
     fn f103_beats_ecmp_under_failures() {
         let topo = ab_fattree(4);
         let dst = topo.find("edge0_0").unwrap();
-        let failure = FailureModel::independent(Ratio::new(1, 4));
+        let failure = FailureSpec::independent(Ratio::new(1, 4));
         let mgr = Manager::new();
         let ecmp = NetworkModel::new(topo.clone(), dst, RoutingScheme::Ecmp, failure.clone());
         let f103 = NetworkModel::new(topo, dst, RoutingScheme::F10_3, failure);
@@ -547,7 +478,7 @@ mod tests {
         let topo = ab_fattree(4);
         let dst = topo.find("edge0_0").unwrap();
         let model =
-            NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureModel::none()).with_hop_cap(8);
+            NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureSpec::none()).with_hop_cap(8);
         let mgr = Manager::new();
         let fdd = model.compile(&mgr).unwrap();
         // From the other edge in pod 0 the path is always 2 hops.
@@ -565,10 +496,10 @@ mod tests {
     fn try_new_returns_the_validation_error() {
         let topo = ab_fattree(4);
         let dst = topo.find("edge0_0").unwrap();
-        let bad = FailureModel::independent(Ratio::new(3, 2));
+        let bad = FailureSpec::independent(Ratio::new(3, 2));
         let err = NetworkModel::try_new(topo.clone(), dst, RoutingScheme::Ecmp, bad).unwrap_err();
         assert!(err.contains("probability"), "{err}");
-        let ok = FailureModel::independent(Ratio::new(1, 2));
+        let ok = FailureSpec::independent(Ratio::new(1, 2));
         assert!(NetworkModel::try_new(topo, dst, RoutingScheme::Ecmp, ok).is_ok());
     }
 }

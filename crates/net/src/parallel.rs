@@ -13,7 +13,7 @@
 //! The `while` solve goes through [`Manager::while_loop`], so repeated
 //! loops across models sharing a manager hit the loop-solution cache.
 
-use crate::fused::{compile_model_fused, FusedStats};
+use crate::fused::compile_model_fused;
 use crate::NetworkModel;
 use mcnetkat_fdd::{CompileError, CompileOptions, Fdd, Manager};
 
@@ -33,28 +33,13 @@ pub fn compile_model_parallel(
     workers: usize,
     opts: &CompileOptions,
 ) -> Result<Fdd, CompileError> {
-    Ok(compile_model_parallel_with_stats(mgr, model, workers, opts)?.0)
-}
-
-/// [`compile_model_parallel`] plus the fused pipeline's scratch-size
-/// gauges, merged over every worker (`switches` sums, peaks max).
-///
-/// # Errors
-///
-/// Propagates the first [`CompileError`] raised by any worker.
-pub fn compile_model_parallel_with_stats(
-    mgr: &Manager,
-    model: &NetworkModel,
-    workers: usize,
-    opts: &CompileOptions,
-) -> Result<(Fdd, FusedStats), CompileError> {
-    compile_model_fused(mgr, model, workers, opts)
+    Ok(compile_model_fused(mgr, model, workers, opts)?.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FailureModel, Queries, RoutingScheme};
+    use crate::{FailureSpec, Queries, RoutingScheme};
     use mcnetkat_num::Ratio;
     use mcnetkat_topo::ab_fattree;
 
@@ -65,7 +50,7 @@ mod tests {
             topo,
             dst,
             RoutingScheme::F10_3,
-            FailureModel::independent(Ratio::new(1, 10)),
+            FailureSpec::independent(Ratio::new(1, 10)),
         )
     }
 
@@ -102,7 +87,7 @@ mod tests {
             topo,
             dst,
             RoutingScheme::F10_3_5,
-            FailureModel::bounded(Ratio::new(1, 10), 2),
+            FailureSpec::bounded(Ratio::new(1, 10), 2),
         );
         let mgr = Manager::new();
         let sequential = m.compile(&mgr).unwrap();
@@ -152,8 +137,7 @@ mod tests {
     fn parallel_stats_cover_every_switch() {
         let m = model();
         let mgr = Manager::new();
-        let (fdd, stats) =
-            compile_model_parallel_with_stats(&mgr, &m, 3, &Default::default()).unwrap();
+        let (fdd, stats) = compile_model_fused(&mgr, &m, 3, &Default::default()).unwrap();
         assert_eq!(stats.switches, m.topo.switches().len());
         assert!(stats.max_scratch_nodes > 0);
         assert!(mgr.equiv(fdd, m.compile(&mgr).unwrap()));

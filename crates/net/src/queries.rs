@@ -202,10 +202,10 @@ impl<'a> Queries<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FailureModel, RoutingScheme};
+    use crate::{FailureSpec, RoutingScheme};
     use mcnetkat_topo::ab_fattree;
 
-    fn model(scheme: RoutingScheme, failure: FailureModel) -> NetworkModel {
+    fn model(scheme: RoutingScheme, failure: FailureSpec) -> NetworkModel {
         let topo = ab_fattree(4);
         let dst = topo.find("edge0_0").unwrap();
         NetworkModel::new(topo, dst, scheme, failure)
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn teleport_equivalence_without_failures() {
         let mgr = Manager::new();
-        let m = model(RoutingScheme::F10_3, FailureModel::none());
+        let m = model(RoutingScheme::F10_3, FailureSpec::none());
         let q = Queries::new(&mgr, &m).unwrap();
         assert!(q.equiv_teleport().unwrap());
         assert_eq!(q.min_delivery(), Ratio::one());
@@ -225,7 +225,7 @@ mod tests {
         let mgr = Manager::new();
         let m = model(
             RoutingScheme::Ecmp,
-            FailureModel::bounded(Ratio::new(1, 100), 1),
+            FailureSpec::bounded(Ratio::new(1, 100), 1),
         );
         let q = Queries::new(&mgr, &m).unwrap();
         assert!(!q.equiv_teleport().unwrap());
@@ -236,7 +236,7 @@ mod tests {
         let mgr = Manager::new();
         let m = model(
             RoutingScheme::F10_3,
-            FailureModel::bounded(Ratio::new(1, 100), 1),
+            FailureSpec::bounded(Ratio::new(1, 100), 1),
         );
         let q = Queries::new(&mgr, &m).unwrap();
         assert!(q.equiv_teleport().unwrap());
@@ -276,7 +276,7 @@ mod tests {
     #[test]
     fn refinement_between_schemes() {
         let mgr = Manager::new();
-        let failure = FailureModel::independent(Ratio::new(1, 8));
+        let failure = FailureSpec::independent(Ratio::new(1, 8));
         let me = model(RoutingScheme::Ecmp, failure.clone());
         let m3 = model(RoutingScheme::F10_3, failure);
         let qe = Queries::new(&mgr, &me).unwrap();
@@ -292,7 +292,7 @@ mod tests {
         let topo = ab_fattree(4);
         let dst = topo.find("edge0_0").unwrap();
         let m =
-            NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureModel::none()).with_hop_cap(8);
+            NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureSpec::none()).with_hop_cap(8);
         let q = Queries::new(&mgr, &m).unwrap();
         let src = m.topo.find("edge1_0").unwrap();
         let stats = q.hop_stats(src);

@@ -6,7 +6,7 @@
 
 use mcnetkat_fdd::Manager;
 use mcnetkat_net::{
-    chain_benchmark, chain_delivery_native, chain_expected_delivery, FailureModel, NetworkModel,
+    chain_benchmark, chain_delivery_native, chain_expected_delivery, FailureSpec, NetworkModel,
     RoutingScheme,
 };
 use mcnetkat_num::{arith_stats, reset_arith_stats, ArithStats, Ratio};
@@ -21,7 +21,7 @@ fn fattree4_compile_never_leaves_the_small_path() {
         topo,
         dst,
         RoutingScheme::Ecmp,
-        FailureModel::independent(Ratio::new(1, 1000)),
+        FailureSpec::independent(Ratio::new(1, 1000)),
     );
     let mgr = Manager::new();
     // `compile` runs the fused pipeline on this thread (one worker), so

@@ -12,7 +12,7 @@
 use mcnetkat_fdd::failpoints::{self, FaultAction};
 use mcnetkat_fdd::{Budget, CompileError, CompileOptions, FallbackPolicy, LinalgError, Manager};
 use mcnetkat_net::{
-    compile_model_parallel, running_example, FailureModel, NetworkModel, RoutingScheme,
+    compile_model_parallel, running_example, FailureSpec, NetworkModel, RoutingScheme,
 };
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::ab_fattree;
@@ -40,7 +40,7 @@ fn model() -> NetworkModel {
         topo,
         dst,
         RoutingScheme::Ecmp,
-        FailureModel::independent(Ratio::new(1, 1000)),
+        FailureSpec::independent(Ratio::new(1, 1000)),
     )
 }
 

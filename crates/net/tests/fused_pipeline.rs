@@ -12,8 +12,7 @@
 
 use mcnetkat_fdd::{Manager, ScratchField};
 use mcnetkat_net::{
-    compile_model_parallel, running_example, FailureModel, FailureSpec, NetworkModel,
-    RoutingScheme, Srlg,
+    compile_model_parallel, running_example, FailureSpec, NetworkModel, RoutingScheme, Srlg,
 };
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::{ab_fattree, fattree, Topology};
@@ -74,7 +73,7 @@ fn fattree4_all_schemes_unbounded() {
             topo.clone(),
             dst,
             scheme,
-            FailureModel::independent(Ratio::new(1, 10)),
+            FailureSpec::independent(Ratio::new(1, 10)),
         );
         assert_fused_matches_legacy(&m, &[3]);
     }
@@ -89,7 +88,7 @@ fn fattree4_bounded_budgets() {
             topo.clone(),
             dst,
             RoutingScheme::F10_3,
-            FailureModel::bounded(Ratio::new(1, 10), k),
+            FailureSpec::bounded(Ratio::new(1, 10), k),
         );
         assert_fused_matches_legacy(&m, &[2]);
     }
@@ -114,7 +113,7 @@ fn fattree6_ecmp_unbounded() {
         topo,
         dst,
         RoutingScheme::Ecmp,
-        FailureModel::independent(Ratio::new(1, 1000)),
+        FailureSpec::independent(Ratio::new(1, 1000)),
     );
     assert_fused_matches_legacy(&m, &[4]);
 }
@@ -127,7 +126,7 @@ fn fattree4_hop_capped_model() {
         topo,
         dst,
         RoutingScheme::Ecmp,
-        FailureModel::independent(Ratio::new(1, 10)),
+        FailureSpec::independent(Ratio::new(1, 10)),
     )
     .with_hop_cap(6);
     assert_fused_matches_legacy(&m, &[2]);
@@ -150,8 +149,8 @@ fn srlg_singletons_match_independent_through_both_pipelines() {
         let m = NetworkModel::new(topo.clone(), dst, RoutingScheme::F10_3, spec);
         assert_fused_matches_legacy(&m, &[3]);
         let indep = match k {
-            Some(k) => FailureModel::bounded(pr.clone(), k),
-            None => FailureModel::independent(pr.clone()),
+            Some(k) => FailureSpec::bounded(pr.clone(), k),
+            None => FailureSpec::independent(pr.clone()),
         };
         let mi = NetworkModel::new(topo.clone(), dst, RoutingScheme::F10_3, indep);
         let mgr = Manager::new();
@@ -226,7 +225,7 @@ fn randomised_spec_sweep_matches_legacy() {
 fn fattree10_smoke_compile() {
     let topo = fattree(10);
     let dst = topo.find("edge0_0").unwrap();
-    let m = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureModel::none());
+    let m = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureSpec::none());
     let mgr = Manager::new();
     let fdd = m.compile(&mgr).unwrap();
     let tele = mgr.compile(&m.teleport()).unwrap();
@@ -252,7 +251,7 @@ fn fattree16_smoke_compile_with_failures() {
         topo,
         dst,
         RoutingScheme::Ecmp,
-        FailureModel::independent(Ratio::new(1, 1000)),
+        FailureSpec::independent(Ratio::new(1, 1000)),
     );
     let mgr = Manager::new();
     let fdd = m.compile(&mgr).unwrap();
@@ -277,6 +276,36 @@ fn fattree16_smoke_compile_with_failures() {
     );
 }
 
+/// A clean compile never degrades past the first-choice loop solver: on
+/// fattree(4)/(6), ECMP and F10₃, unbounded and bounded at the paper's
+/// 1/1000, every loop solve is answered by the lumped sparse SCC solve
+/// with no no-lumping retry and no dense fallback.
+#[test]
+fn clean_fattree_compiles_take_no_solver_fallback() {
+    let pr = Ratio::new(1, 1000);
+    for p in [4, 6] {
+        let topo = fattree(p);
+        let dst = topo.find("edge0_0").unwrap();
+        for scheme in [RoutingScheme::Ecmp, RoutingScheme::F10_3] {
+            for spec in [
+                FailureSpec::independent(pr.clone()),
+                FailureSpec::bounded(pr.clone(), 1),
+            ] {
+                let label = format!("fattree({p}), {scheme:?}, k = {:?}", spec.k);
+                let m = NetworkModel::new(topo.clone(), dst, scheme, spec);
+                let mgr = Manager::new();
+                m.compile(&mgr).unwrap();
+                let report = mgr.solve_report();
+                assert_eq!(report.total_fallbacks(), 0, "{label}: {report:?}");
+                let stats = mgr.loop_solve_stats();
+                assert!(stats.solves > 0, "{label}: no loop was solved");
+                assert_eq!(stats.fallback_retries, 0, "{label}: {stats:?}");
+                assert_eq!(stats.dense_fallbacks, 0, "{label}: {stats:?}");
+            }
+        }
+    }
+}
+
 /// Sanity check that the §2-style delivery numbers survive the pipeline
 /// swap on a real fattree: fused and legacy agree on the actual query
 /// output, not just on `equiv`.
@@ -286,7 +315,7 @@ fn delivery(topo: Topology, scheme: RoutingScheme) -> (Ratio, Ratio) {
         topo,
         dst,
         scheme,
-        FailureModel::independent(Ratio::new(1, 4)),
+        FailureSpec::independent(Ratio::new(1, 4)),
     );
     let mgr = Manager::new();
     let fused = m.compile(&mgr).unwrap();

@@ -4,7 +4,7 @@
 //! and able to complete the same compile on retry.
 
 use mcnetkat_fdd::{Budget, CancelToken, CompileError, CompileOptions, Manager};
-use mcnetkat_net::{compile_model_parallel, FailureModel, NetworkModel, RoutingScheme};
+use mcnetkat_net::{compile_model_parallel, FailureSpec, NetworkModel, RoutingScheme};
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::ab_fattree;
 use std::time::{Duration, Instant};
@@ -16,7 +16,7 @@ fn model(k: usize) -> NetworkModel {
         topo,
         dst,
         RoutingScheme::Ecmp,
-        FailureModel::independent(Ratio::new(1, 1000)),
+        FailureSpec::independent(Ratio::new(1, 1000)),
     )
 }
 

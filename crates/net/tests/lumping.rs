@@ -9,7 +9,7 @@
 //! trivially holding because nothing lumped).
 
 use mcnetkat_fdd::{CompileOptions, Manager};
-use mcnetkat_net::{running_example, FailureModel, NetworkModel, Queries, RoutingScheme};
+use mcnetkat_net::{running_example, FailureSpec, NetworkModel, Queries, RoutingScheme};
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::{fattree, Topology};
 
@@ -58,7 +58,7 @@ fn fattree_model(p: usize) -> (NetworkModel, Topology) {
         topo.clone(),
         dst,
         RoutingScheme::Ecmp,
-        FailureModel::independent(Ratio::new(1, 1000)),
+        FailureSpec::independent(Ratio::new(1, 1000)),
     );
     (m, topo)
 }

@@ -5,8 +5,8 @@
 
 use mcnetkat_fdd::Manager;
 use mcnetkat_net::{
-    compile_model_parallel, running_example, FailureModel, FailureSpec, NetFields, NetworkModel,
-    Queries, RoutingScheme, Srlg,
+    compile_model_parallel, running_example, FailureSpec, NetFields, NetworkModel, Queries,
+    RoutingScheme, Srlg,
 };
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::{ab_fattree, fattree, Topology};
@@ -80,8 +80,8 @@ fn singleton_srlg_refines_independent_both_ways_on_fattree4() {
     let pr = Ratio::new(1, 100);
     for k in [None, Some(1), Some(2)] {
         let indep = match k {
-            Some(k) => FailureModel::bounded(pr.clone(), k),
-            None => FailureModel::independent(pr.clone()),
+            Some(k) => FailureSpec::bounded(pr.clone(), k),
+            None => FailureSpec::independent(pr.clone()),
         };
         let m_indep = NetworkModel::new(topo.clone(), dst, RoutingScheme::Ecmp, indep);
         let m_srlg = NetworkModel::new(
@@ -112,7 +112,7 @@ fn linecard_correlation_separates_from_independent_on_f10() {
         topo.clone(),
         dst,
         RoutingScheme::F10_3,
-        FailureModel::independent(pr.clone()),
+        FailureSpec::independent(pr.clone()),
     );
     let m_corr = NetworkModel::new(
         topo.clone(),
@@ -150,7 +150,7 @@ fn one_linecard_failure_breaks_f10_one_resilience() {
         topo.clone(),
         dst,
         RoutingScheme::F10_3,
-        FailureModel::bounded(pr.clone(), 1),
+        FailureSpec::bounded(pr.clone(), 1),
     );
     let q_indep = Queries::new(&mgr, &m_indep).unwrap();
     assert!(q_indep.equiv_teleport().unwrap());

@@ -780,7 +780,7 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, RecoveryError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcnetkat_net::{FailureModel, NetworkModel, RoutingScheme};
+    use mcnetkat_net::{FailureSpec, NetworkModel, RoutingScheme};
     use mcnetkat_num::Ratio;
     use mcnetkat_topo::ab_fattree;
     use std::path::PathBuf;
@@ -801,7 +801,7 @@ mod tests {
             topo,
             dst,
             RoutingScheme::Ecmp,
-            FailureModel::independent(Ratio::new(1, 100)),
+            FailureSpec::independent(Ratio::new(1, 100)),
         ))
     }
 

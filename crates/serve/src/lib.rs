@@ -47,7 +47,7 @@
 //! atomicity contract.
 //!
 //! ```
-//! use mcnetkat_net::{FailureModel, NetworkModel, RoutingScheme};
+//! use mcnetkat_net::{FailureSpec, NetworkModel, RoutingScheme};
 //! use mcnetkat_num::Ratio;
 //! use mcnetkat_serve::{Delta, Engine, Query};
 //! use mcnetkat_topo::ab_fattree;
@@ -57,7 +57,7 @@
 //! let core = topo.find("core0").unwrap();
 //! let model = NetworkModel::new(
 //!     topo, dst, RoutingScheme::Ecmp,
-//!     FailureModel::independent(Ratio::new(1, 100)),
+//!     FailureSpec::independent(Ratio::new(1, 100)),
 //! );
 //!
 //! let mut engine = Engine::default();
@@ -1113,11 +1113,8 @@ impl Engine {
     /// sharing switches with an already-loaded one reuses their
     /// diagrams), and returns its handle.
     ///
-    /// All loaded models must share field handles — build them with
-    /// [`NetworkModel::new`] (the default [`mcnetkat_net::FieldOrder`]).
-    /// An engine is pinned to one field order for its lifetime; changing
-    /// order means a fresh engine, the one "shared structure" delta that
-    /// cannot be expressed as a [`Delta`].
+    /// All loaded models share field handles: [`NetworkModel::new`]
+    /// interns the canonical fields in one fixed order.
     ///
     /// # Errors
     ///
@@ -1673,18 +1670,13 @@ fn percentiles(samples: &[u64]) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcnetkat_net::FailureModel;
+    use mcnetkat_net::FailureSpec;
     use mcnetkat_topo::ab_fattree;
 
     fn fattree_model(pr: Ratio) -> NetworkModel {
         let topo = ab_fattree(4);
         let dst = topo.find("edge0_0").unwrap();
-        NetworkModel::new(
-            topo,
-            dst,
-            RoutingScheme::Ecmp,
-            FailureModel::independent(pr),
-        )
+        NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureSpec::independent(pr))
     }
 
     #[test]
@@ -1732,7 +1724,7 @@ mod tests {
             topo,
             dst,
             RoutingScheme::Ecmp,
-            FailureModel::bounded(Ratio::zero(), 1),
+            FailureSpec::bounded(Ratio::zero(), 1),
         );
         let prone = model
             .topo
@@ -1826,7 +1818,7 @@ mod tests {
             t1,
             a1,
             RoutingScheme::Ecmp,
-            FailureModel::independent(Ratio::zero()),
+            FailureSpec::independent(Ratio::zero()),
         );
         model.scheme_overrides.insert(c1, RoutingScheme::F10_3);
 

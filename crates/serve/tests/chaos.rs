@@ -13,7 +13,7 @@
 
 use mcnetkat_fdd::failpoints::{self, FaultAction};
 use mcnetkat_fdd::CompileError;
-use mcnetkat_net::{Codec, FailureModel, ModelDescription, NetworkModel, RoutingScheme};
+use mcnetkat_net::{Codec, FailureSpec, ModelDescription, NetworkModel, RoutingScheme};
 use mcnetkat_num::Ratio;
 use mcnetkat_serve::journal::JournalError;
 use mcnetkat_serve::{Delta, Engine, EngineConfig, EngineError, ModelId, Query};
@@ -48,7 +48,7 @@ fn base_model() -> NetworkModel {
         topo,
         dst,
         RoutingScheme::Ecmp,
-        FailureModel::independent(Ratio::new(1, 100)),
+        FailureSpec::independent(Ratio::new(1, 100)),
     )
 }
 

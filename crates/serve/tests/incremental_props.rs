@@ -8,7 +8,7 @@
 //! run under `--release`, the suite checks the code the benchmark
 //! measures.
 
-use mcnetkat_net::{down_ports, FailureModel, NetworkModel, RoutingScheme, Srlg};
+use mcnetkat_net::{down_ports, FailureSpec, NetworkModel, RoutingScheme, Srlg};
 use mcnetkat_num::Ratio;
 use mcnetkat_serve::{Delta, Engine, EngineError, Query};
 use mcnetkat_topo::ab_fattree;
@@ -128,17 +128,17 @@ fn concretize(d: &Desc, model: &NetworkModel) -> Delta {
 
 /// The factored base: independent draws, no budget.
 fn base_model() -> NetworkModel {
-    base_with(FailureModel::independent(Ratio::new(1, 100)))
+    base_with(FailureSpec::independent(Ratio::new(1, 100)))
 }
 
 /// The budget-coupled, failure-free base: any nonzero probability edit
 /// flips `FailureSpec::is_failure_free`, which every prone switch's hop
 /// program reads.
 fn failure_free_budget_model() -> NetworkModel {
-    base_with(FailureModel::bounded(Ratio::zero(), 1))
+    base_with(FailureSpec::bounded(Ratio::zero(), 1))
 }
 
-fn base_with(failure: FailureModel) -> NetworkModel {
+fn base_with(failure: FailureSpec) -> NetworkModel {
     let topo = ab_fattree(4);
     let dst = topo.find("edge0_0").unwrap();
     NetworkModel::new(topo, dst, RoutingScheme::Ecmp, failure)

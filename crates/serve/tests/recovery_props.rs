@@ -7,7 +7,7 @@
 //! marker.
 
 use mcnetkat_net::{
-    down_ports, Codec, FailureModel, ModelDescription, NetworkModel, RoutingScheme, Srlg,
+    down_ports, Codec, FailureSpec, ModelDescription, NetworkModel, RoutingScheme, Srlg,
 };
 use mcnetkat_num::Ratio;
 use mcnetkat_serve::journal::RecoveryError;
@@ -56,7 +56,7 @@ fn base_model() -> NetworkModel {
         topo,
         dst,
         RoutingScheme::Ecmp,
-        FailureModel::independent(Ratio::new(1, 100)),
+        FailureSpec::independent(Ratio::new(1, 100)),
     )
 }
 

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example f10_case_study`
 
 use mcnetkat::fdd::Manager;
-use mcnetkat::net::{FailureModel, NetworkModel, Queries, RoutingScheme};
+use mcnetkat::net::{FailureSpec, NetworkModel, Queries, RoutingScheme};
 use mcnetkat::num::Ratio;
 use mcnetkat::topo::ab_fattree;
 
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 topo.clone(),
                 dst,
                 scheme,
-                FailureModel::bounded(Ratio::new(1, 100), k),
+                FailureSpec::bounded(Ratio::new(1, 100), k),
             );
             let mgr = Manager::new();
             let q = Queries::new(&mgr, &model)?;
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             topo.clone(),
             dst,
             scheme,
-            FailureModel::independent(Ratio::new(1, 8)),
+            FailureSpec::independent(Ratio::new(1, 8)),
         )
         .with_hop_cap(14);
         let mgr = Manager::new();

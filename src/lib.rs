@@ -75,7 +75,7 @@ mod tests {
         let _ = crate::topo::chain(1);
         let _ = crate::prism::McMode::Exact;
         let _ = crate::baseline::ExactInference::default();
-        let _ = crate::net::FailureModel::none();
+        let _ = crate::net::FailureSpec::none();
         let _ = crate::serve::Engine::default();
     }
 }

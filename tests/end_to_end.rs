@@ -4,8 +4,8 @@
 use mcnetkat::baseline::ExactInference;
 use mcnetkat::fdd::Manager;
 use mcnetkat::net::{
-    chain_benchmark, chain_expected_delivery, compile_model_parallel, running_example,
-    FailureModel, NetworkModel, Queries, RoutingScheme,
+    chain_benchmark, chain_expected_delivery, compile_model_parallel, running_example, FailureSpec,
+    NetworkModel, Queries, RoutingScheme,
 };
 use mcnetkat::num::Ratio;
 use mcnetkat::prism::{check_reachability, translate, McMode};
@@ -58,7 +58,7 @@ fn f10_resilience_table_diagonal() {
             topo.clone(),
             dst,
             scheme,
-            FailureModel::bounded(pr.clone(), resilience),
+            FailureSpec::bounded(pr.clone(), resilience),
         );
         let q = Queries::new(&mgr, &m).unwrap();
         assert!(
@@ -72,7 +72,7 @@ fn f10_resilience_table_diagonal() {
             topo.clone(),
             dst,
             scheme,
-            FailureModel::bounded(pr.clone(), resilience + 1),
+            FailureSpec::bounded(pr.clone(), resilience + 1),
         );
         let q = Queries::new(&mgr, &m).unwrap();
         assert!(
@@ -100,7 +100,7 @@ fn f10_refinement_order() {
             RoutingScheme::F10_3_5,
         ]
         .into_iter()
-        .map(|s| NetworkModel::new(topo.clone(), dst, s, FailureModel::bounded(pr.clone(), k)))
+        .map(|s| NetworkModel::new(topo.clone(), dst, s, FailureSpec::bounded(pr.clone(), k)))
         .collect();
         let q: Vec<Queries> = models
             .iter()
@@ -153,7 +153,7 @@ fn parallel_backend_preserves_semantics() {
         topo,
         dst,
         RoutingScheme::F10_3_5,
-        FailureModel::bounded(Ratio::new(1, 10), 2),
+        FailureSpec::bounded(Ratio::new(1, 10), 2),
     );
     let mgr = Manager::new();
     let sequential = model.compile(&mgr).unwrap();
@@ -170,8 +170,8 @@ fn dot_round_trip_preserves_model_results() {
     let dst2 = reparsed.find("edge0_0").unwrap();
     let mgr = Manager::new();
     // Levels survive the round trip, so ECMP models agree.
-    let m1 = NetworkModel::new(topo, dst1, RoutingScheme::Ecmp, FailureModel::none());
-    let m2 = NetworkModel::new(reparsed, dst2, RoutingScheme::Ecmp, FailureModel::none());
+    let m1 = NetworkModel::new(topo, dst1, RoutingScheme::Ecmp, FailureSpec::none());
+    let m2 = NetworkModel::new(reparsed, dst2, RoutingScheme::Ecmp, FailureSpec::none());
     let f1 = m1.compile(&mgr).unwrap();
     let f2 = m2.compile(&mgr).unwrap();
     assert!(mgr.equiv(f1, f2));
@@ -181,7 +181,7 @@ fn dot_round_trip_preserves_model_results() {
 /// the AB wiring strictly helps F10_3 under failures.
 #[test]
 fn ab_wiring_helps_f10() {
-    let pr = FailureModel::independent(Ratio::new(1, 8));
+    let pr = FailureSpec::independent(Ratio::new(1, 8));
     let mgr = Manager::new();
     let mk = |topo: mcnetkat::topo::Topology, scheme| {
         let dst = topo.find("edge0_0").unwrap();
@@ -208,7 +208,7 @@ fn hop_count_cdf_sane() {
         topo,
         dst,
         RoutingScheme::F10_3,
-        FailureModel::independent(Ratio::new(1, 4)),
+        FailureSpec::independent(Ratio::new(1, 4)),
     )
     .with_hop_cap(12);
     let mgr = Manager::new();
