@@ -122,6 +122,11 @@ impl<K: Eq + Hash, V: Copy> Cache<K, V> {
 
 struct Inner {
     nodes: Vec<Node>,
+    /// Per-node predicate flag, parallel to `nodes` and set once in
+    /// `cons`: a leaf is a predicate when it is exactly pass or drop, a
+    /// branch when both children are. Makes [`Manager::is_predicate`] — and
+    /// `seq`'s filter-first fast path — O(1).
+    predicate: Vec<bool>,
     consed: Cache<Node, Fdd>,
     /// Interned leaf distributions; `DistId` indexes this table. The `Arc`
     /// lets readers hand distributions out without deep-cloning them while
@@ -193,6 +198,7 @@ impl Default for Inner {
     fn default() -> Self {
         Inner {
             nodes: Vec::new(),
+            predicate: Vec::new(),
             consed: Cache::default(),
             dists: Vec::new(),
             dist_ids: FxHashMap::default(),
@@ -487,15 +493,22 @@ fn branch_order_violation(
     None
 }
 
+/// Whether a leaf distribution may sit in a guard: exactly pass or drop.
+/// `cons` records it as the leaf's predicate flag, from which every
+/// branch's flag follows (see [`Manager::is_predicate`]).
+fn is_guard_leaf(d: &ActionDist) -> bool {
+    d.is_skip() || d.is_drop()
+}
+
 /// Explains how a leaf distribution breaks `ite`'s deterministic-guard
 /// contract (every guard leaf must be exactly pass or drop), or `None`
-/// when the leaf is a valid guard. The same condition
-/// [`Manager::is_predicate`] checks structurally over whole diagrams —
-/// named here, like [`branch_order_violation`], so the construction-time
-/// panic and the diagram-level audits state one rule, not two drifting
-/// copies.
+/// when the leaf is a valid guard. The rule is [`is_guard_leaf`], the
+/// same one `cons` uses to set the per-node predicate flag behind
+/// [`Manager::is_predicate`] — named here, like
+/// [`branch_order_violation`], so the construction-time panic and the
+/// diagram-level flag state one rule, not two drifting copies.
 fn guard_leaf_violation(d: &ActionDist) -> Option<String> {
-    if d.is_skip() || d.is_drop() {
+    if is_guard_leaf(d) {
         None
     } else {
         Some(format!(
@@ -629,6 +642,15 @@ impl Manager {
     }
 
     /// Sequential composition of two FDDs (matrix product `B⟦p;q⟧`).
+    ///
+    /// Two algebraic fast paths skip the general product, and both results
+    /// are memoised like any other `seq`:
+    ///
+    /// * a predicate `p` (see [`Manager::is_predicate`]) is a filter, so
+    ///   `p ; q` is `ite(p, q, drop)`;
+    /// * a leaf `q` tests nothing, so `p ; q` keeps `p`'s tests and maps
+    ///   each of `p`'s leaves through `q` — no path test has to be
+    ///   re-introduced with `ite`.
     pub fn seq(&self, p: Fdd, q: Fdd) -> Fdd {
         let mut inner = self.inner.lock();
         inner.seq(p, q)
@@ -781,28 +803,12 @@ impl Manager {
     }
 
     /// Whether `p` is a predicate diagram: every leaf pass or drop.
+    ///
+    /// O(1): every node carries a predicate flag, set once when it is
+    /// hash-consed (a leaf is a predicate when it is exactly pass or drop,
+    /// a branch when both children are).
     pub fn is_predicate(&self, p: Fdd) -> bool {
-        let inner = self.inner.lock();
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![p];
-        while let Some(x) = stack.pop() {
-            if !seen.insert(x) {
-                continue;
-            }
-            match inner.nodes[x.0 as usize] {
-                Node::Leaf(did) => {
-                    let d = &inner.dists[did.0 as usize];
-                    if !d.is_skip() && !d.is_drop() {
-                        return false;
-                    }
-                }
-                Node::Branch { hi, lo, .. } => {
-                    stack.push(hi);
-                    stack.push(lo);
-                }
-            }
-        }
-        true
+        self.inner.lock().predicate[p.0 as usize]
     }
 
     pub(crate) fn node(&self, p: Fdd) -> Node {
@@ -1069,6 +1075,7 @@ impl Manager {
     ///
     /// * canonical `(field, value)` order on every branch (the same named
     ///   check `mk_branch` debug-asserts at construction time);
+    /// * every node's predicate flag matches its structure;
     /// * no redundant branches (`hi == lo`) and no structural duplicates
     ///   (hash-consing must make structural equality pointer equality);
     /// * the hash-cons map is an exact inverse of the node table;
@@ -1128,6 +1135,19 @@ impl Manager {
                         violations.push(AuditViolation::OrderViolation { node: id, detail });
                     }
                 }
+            }
+            let predicate = match *node {
+                Node::Leaf(did) => inner
+                    .dists
+                    .get(did.0 as usize)
+                    .is_some_and(|d| is_guard_leaf(d)),
+                Node::Branch { hi, lo, .. } => {
+                    inner.predicate.get(hi.0 as usize) == Some(&true)
+                        && inner.predicate.get(lo.0 as usize) == Some(&true)
+                }
+            };
+            if inner.predicate.get(i) != Some(&predicate) {
+                violations.push(AuditViolation::PredicateFlag { node: id });
             }
             if let Some(&first) = seen.get(node) {
                 violations.push(AuditViolation::DuplicateNode { node: id, first });
@@ -1233,6 +1253,12 @@ pub enum AuditViolation {
         /// Offending node id.
         node: u32,
     },
+    /// A node's predicate flag disagrees with its structure (a leaf is a
+    /// predicate iff it is pass or drop, a branch iff both children are).
+    PredicateFlag {
+        /// Offending node id.
+        node: u32,
+    },
     /// Two structurally identical nodes were allocated — hash-consing no
     /// longer makes structural equality pointer equality.
     DuplicateNode {
@@ -1298,6 +1324,12 @@ impl std::fmt::Display for AuditViolation {
             }
             AuditViolation::RedundantBranch { node } => {
                 write!(f, "node {node}: redundant branch (hi == lo)")
+            }
+            AuditViolation::PredicateFlag { node } => {
+                write!(
+                    f,
+                    "node {node}: predicate flag disagrees with its structure"
+                )
             }
             AuditViolation::DuplicateNode { node, first } => {
                 write!(f, "node {node}: structural duplicate of node {first}")
@@ -1437,7 +1469,14 @@ impl Inner {
             return id;
         }
         let id = Fdd(self.nodes.len() as u32);
+        let predicate = match node {
+            Node::Leaf(did) => is_guard_leaf(&self.dists[did.0 as usize]),
+            Node::Branch { hi, lo, .. } => {
+                self.predicate[hi.0 as usize] && self.predicate[lo.0 as usize]
+            }
+        };
         self.nodes.push(node);
+        self.predicate.push(predicate);
         self.consed.insert(node, id, usize::MAX);
         id
     }
@@ -1903,40 +1942,85 @@ impl Inner {
         if self.gov_checkpoint() {
             return self.leaf_fail();
         }
-        let result = match self.nodes[p.0 as usize] {
-            Node::Leaf(did) => {
-                let d = self.dists[did.0 as usize].clone();
-                let mut acc = self.leaf_zero();
-                for (action, r) in d.iter() {
-                    let cont = self.action_then(action, q);
-                    let scaled = self.scale(cont, r);
-                    acc = self.sum(acc, scaled);
+        let result = if self.predicate[p.0 as usize] {
+            // A filter passes the packet unchanged or drops it.
+            let fail = self.leaf_fail();
+            self.ite(p, q, fail)
+        } else {
+            match self.nodes[p.0 as usize] {
+                Node::Leaf(did) => self.seq_leaf(did, q),
+                Node::Branch {
+                    field,
+                    value,
+                    hi,
+                    lo,
+                } => {
+                    let nh = self.seq(hi, q);
+                    let nl = self.seq(lo, q);
+                    if matches!(self.nodes[q.0 as usize], Node::Leaf(_)) {
+                        // `nh`/`nl` only test what `hi`/`lo` test, so they
+                        // already sit in order under this node's test.
+                        self.mk_branch(field, value, nh, nl)
+                    } else {
+                        self.seq_branch(field, value, nh, nl)
+                    }
                 }
-                acc
-            }
-            Node::Branch {
-                field,
-                value,
-                hi,
-                lo,
-            } => {
-                // Compose the children, then re-introduce the path test via
-                // `ite` so the constraint `field = value` (resp. `≠`) also
-                // resolves the residual tests `q` contributes — the leaf
-                // case only restricted `q` by the *modifications*, not by
-                // the path.
-                let nh = self.seq(hi, q);
-                let nl = self.seq(lo, q);
-                let pass = self.leaf_pass();
-                let fail = self.leaf_fail();
-                let test = self.mk_branch(field, value, pass, fail);
-                self.ite(test, nh, nl)
             }
         };
         if !self.gov_tripped() {
             let cap = self.cache_capacity;
             self.seq_cache.insert(key, result, cap);
         }
+        result
+    }
+
+    /// `seq`'s leaf case: each action of the leaf, continued into `q`
+    /// (restricted by the action's modifications), weighted and summed.
+    fn seq_leaf(&mut self, did: DistId, q: Fdd) -> Fdd {
+        let d = self.dists[did.0 as usize].clone();
+        let mut acc = self.leaf_zero();
+        for (action, r) in d.iter() {
+            let cont = self.action_then(action, q);
+            let scaled = self.scale(cont, r);
+            acc = self.sum(acc, scaled);
+        }
+        acc
+    }
+
+    /// `seq`'s general branch case, given the composed children: the path
+    /// test is re-introduced via `ite` so the constraint `field = value`
+    /// (resp. `≠`) also resolves the residual tests `q` contributes — the
+    /// leaf case only restricted `q` by the *modifications*, not by the
+    /// path.
+    fn seq_branch(&mut self, field: Field, value: Value, nh: Fdd, nl: Fdd) -> Fdd {
+        let pass = self.leaf_pass();
+        let fail = self.leaf_fail();
+        let test = self.mk_branch(field, value, pass, fail);
+        self.ite(test, nh, nl)
+    }
+
+    /// The general `seq` without the predicate and leaf fast paths, memoised
+    /// per call: the reference the fast paths are differential-tested
+    /// against.
+    #[cfg(test)]
+    fn seq_reference(&mut self, p: Fdd, q: Fdd, memo: &mut FxHashMap<Fdd, Fdd>) -> Fdd {
+        if let Some(&hit) = memo.get(&p) {
+            return hit;
+        }
+        let result = match self.nodes[p.0 as usize] {
+            Node::Leaf(did) => self.seq_leaf(did, q),
+            Node::Branch {
+                field,
+                value,
+                hi,
+                lo,
+            } => {
+                let nh = self.seq_reference(hi, q, memo);
+                let nl = self.seq_reference(lo, q, memo);
+                self.seq_branch(field, value, nh, nl)
+            }
+        };
+        memo.insert(p, result);
         result
     }
 }
@@ -2305,5 +2389,90 @@ mod tests {
         // The cons entry tracks the hash-cons table.
         let cons = *second.get("cons").unwrap();
         assert_eq!(cons.entries, mgr.node_count());
+    }
+
+    /// `seq`'s fast paths against [`Inner::seq_reference`], the general
+    /// product with both fast paths off.
+    mod fast_paths {
+        use super::*;
+        use mcnetkat_core::{Pred, Prog};
+        use proptest::prelude::*;
+
+        fn field(ix: usize) -> Field {
+            Field::named(["mgr_fp_a", "mgr_fp_b", "mgr_fp_c"][ix])
+        }
+
+        fn arb_pred() -> BoxedStrategy<Pred> {
+            let leaf = prop_oneof![
+                Just(Pred::t()),
+                Just(Pred::f()),
+                (0..3usize, 0..=2u32).prop_map(|(f, v)| Pred::test(field(f), v)),
+            ];
+            leaf.prop_recursive(3, 16, 2, |inner| {
+                prop_oneof![
+                    (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+                    (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+                    inner.prop_map(Pred::not),
+                ]
+            })
+            .boxed()
+        }
+
+        fn arb_prog() -> BoxedStrategy<Prog> {
+            let leaf = prop_oneof![
+                Just(Prog::skip()),
+                Just(Prog::drop()),
+                (0..3usize, 0..=2u32).prop_map(|(f, v)| Prog::assign(field(f), v)),
+                arb_pred().prop_map(Prog::filter),
+            ];
+            leaf.prop_recursive(3, 16, 2, |inner| {
+                prop_oneof![
+                    (inner.clone(), inner.clone()).prop_map(|(p, q)| p.seq(q)),
+                    (inner.clone(), 1..4i64, inner.clone()).prop_map(|(p, n, q)| Prog::choice2(
+                        p,
+                        Ratio::new(n, 4),
+                        q
+                    )),
+                    (arb_pred(), inner.clone(), inner.clone())
+                        .prop_map(|(t, p, q)| Prog::ite(t, p, q)),
+                ]
+            })
+            .boxed()
+        }
+
+        fn reference(mgr: &Manager, p: Fdd, q: Fdd) -> Fdd {
+            mgr.inner
+                .lock()
+                .seq_reference(p, q, &mut FxHashMap::default())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Filter first: `ite(t, q, drop)` denotes the general product.
+            #[test]
+            fn filter_first_seq_matches_general_seq(t in arb_pred(), q in arb_prog()) {
+                let mgr = Manager::new();
+                let ft = mgr.compile_pred(&t);
+                let fq = mgr.compile(&q).unwrap();
+                let want = reference(&mgr, ft, fq);
+                prop_assert!(mgr.equiv(mgr.seq(ft, fq), want));
+            }
+
+            /// Leaf last: mapping the leaves builds the very diagram the
+            /// general product builds, not only an equivalent one.
+            #[test]
+            fn leaf_last_seq_matches_general_seq(
+                p in arb_prog(),
+                pairs in proptest::collection::vec((0..3usize, 0..=2u32), 0..4),
+            ) {
+                let mgr = Manager::new();
+                let fp = mgr.compile(&p).unwrap();
+                let a = Action::mods(pairs.into_iter().map(|(f, v)| (field(f), v)));
+                let leaf = mgr.leaf(ActionDist::dirac(a));
+                let want = reference(&mgr, fp, leaf);
+                prop_assert_eq!(mgr.seq(fp, leaf), want);
+            }
+        }
     }
 }

@@ -22,8 +22,15 @@
 //!     export → import                               — scratch-free, tiny
 //!   main manager:
 //!     case sw=s₁ … sw=sₙ chain of imported hops     — assemble_chain
-//!     while-solve ; ingress ; pt<-0 ; local wrappers — assemble_model
+//!     while-solve                                   — assemble_model
+//!     ingress ; pt<-0 ; local wrappers              — assemble_tail
 //! ```
+//!
+//! The tail after the loop solve costs a few `ite`s, not whole-model
+//! products: `ingress ; do body while g` is rewritten by the do-while law
+//! so `body ; loop` is never built for a fat tree, and the remaining
+//! `seq`s take [`Manager::seq`]'s filter-first and leaf-last fast paths
+//! (see [`assemble_tail`]).
 //!
 //! Every compile takes that shape. A cold compile keys every switch and
 //! compiles them all, inline ([`NetworkModel::compile_with`]) or on a
@@ -450,9 +457,8 @@ pub fn audit_compiled_model(mgr: &Manager, model: &NetworkModel, fdd: Fdd) {
     }
 }
 
-/// The sequential tail every compile shares: loop solve, ingress filter,
-/// arrival-port normalisation and the local-variable wrappers, given an
-/// already-assembled loop-body diagram.
+/// The sequential tail every compile shares: loop solve, then
+/// [`assemble_tail`], given an already-assembled loop-body diagram.
 ///
 /// In the incremental engine, after a model delta recompiles only the
 /// invalidated switches and re-folds the `sw`-case chain
@@ -471,10 +477,51 @@ pub fn assemble_model(
 ) -> Result<Fdd, CompileError> {
     let guard = mgr.compile_pred(&model.guard());
     let loop_fdd = mgr.while_loop(guard, body, opts)?;
-    let do_while = mgr.seq(body, loop_fdd);
+    assemble_tail(mgr, model, body, loop_fdd, opts)
+}
 
-    let ingress = mgr.compile_with(&Prog::filter(model.ingress_pred()), opts)?;
-    let with_in = mgr.seq(ingress, do_while);
+/// Everything after the loop solve: ingress filter, arrival-port
+/// normalisation and the local-variable wrappers around the solved loop
+/// `loop_fdd` (= `while g do body`).
+///
+/// The model runs `in ; do body while g`. Rather than composing
+/// `body ; loop` as a whole diagram, the tail uses the do-while law:
+/// since `while g do b = if g then (b ; while g do b) else skip`,
+///
+/// ```text
+///   in ; b ; while g do b = (in ∧ g) ; while g do b + (in ∧ ¬g) ; b ; while g do b
+/// ```
+///
+/// and the two summands are disjoint, so the sum is an `ite` on `in ∧ g`.
+/// The second summand is built only when `in ∧ ¬g` is satisfiable. Every
+/// fat tree's ingress excludes the destination while `g` is `sw ≠ dst`,
+/// so there it is empty; it is non-empty only for a degenerate topology
+/// whose fallback ingress is the destination. Every other step is a
+/// `seq` with a filter on the left or an assignment leaf on the right,
+/// which [`Manager::seq`] answers by its fast paths.
+///
+/// # Errors
+///
+/// Propagates [`CompileError`] from the tail compiles.
+pub fn assemble_tail(
+    mgr: &Manager,
+    model: &NetworkModel,
+    body: Fdd,
+    loop_fdd: Fdd,
+    opts: &CompileOptions,
+) -> Result<Fdd, CompileError> {
+    let guard = mgr.compile_pred(&model.guard());
+    let ingress = mgr.compile_pred(&model.ingress_pred());
+    let fail = mgr.fail();
+    let in_and_g = mgr.ite(ingress, guard, fail);
+    let in_not_g = mgr.ite(guard, fail, ingress);
+    let unrolled = if in_not_g == fail {
+        fail
+    } else {
+        let do_while = mgr.seq(body, loop_fdd);
+        mgr.seq(in_not_g, do_while)
+    };
+    let with_in = mgr.ite(in_and_g, loop_fdd, unrolled);
     let normalise = mgr.compile_with(&Prog::assign(model.fields.pt, 0), opts)?;
     let core = mgr.seq(with_in, normalise);
 

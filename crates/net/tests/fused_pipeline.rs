@@ -6,16 +6,19 @@
 //! eagerly, and assembles the global model from scratch-free diagrams.
 //! The legacy path (`NetworkModel::compile_legacy`) builds the whole body
 //! FDD first. These tests pin the two `equiv` (and `refines` both ways)
-//! on the §2 running example's hop, fattree(4)/(6), all-singleton and
-//! correlated SRLG specs, and randomised guarded specs — for both the
+//! on the §2 running example's hop, fattree(4)/(6) under every failure
+//! family, all-singleton and correlated SRLG specs, randomised guarded
+//! specs and models whose ingress is the destination — for both the
 //! sequential and parallel backends, bounded and unbounded.
 
-use mcnetkat_fdd::{Manager, ScratchField};
+use mcnetkat_core::{Packet, Pred, Prog};
+use mcnetkat_fdd::{CompileOptions, Manager, ScratchField};
+use mcnetkat_net::fused::assemble_tail;
 use mcnetkat_net::{
     compile_model_parallel, running_example, FailureSpec, NetworkModel, RoutingScheme, Srlg,
 };
 use mcnetkat_num::Ratio;
-use mcnetkat_topo::{ab_fattree, fattree, Topology};
+use mcnetkat_topo::{ab_fattree, fattree, Level, Topology};
 
 /// Pins fused ≡ legacy (and ≤ both ways) for one model, sequentially and
 /// through the parallel backend.
@@ -130,6 +133,99 @@ fn fattree4_hop_capped_model() {
     )
     .with_hop_cap(6);
     assert_fused_matches_legacy(&m, &[2]);
+}
+
+/// The failure-free rows of the fattree(4) scheme × failure-family
+/// matrix; the tests around it cover every scheme under independent,
+/// budget-bounded and SRLG failures.
+#[test]
+fn fattree4_failure_free_all_schemes() {
+    let topo = ab_fattree(4);
+    let dst = topo.find("edge0_0").unwrap();
+    for scheme in [
+        RoutingScheme::Ecmp,
+        RoutingScheme::F10_3,
+        RoutingScheme::F10_3_5,
+    ] {
+        let m = NetworkModel::new(topo.clone(), dst, scheme, FailureSpec::none());
+        assert_fused_matches_legacy(&m, &[2]);
+    }
+}
+
+/// Models whose only ingress is the destination itself — a topology with
+/// no edge switch falls back to its first switch. There the tail's
+/// `(in ∧ ¬guard) ; body ; loop` summand of the do-while law is not
+/// empty, so the fused tail must build it.
+#[test]
+fn ingress_at_destination_builds_the_unrolled_summand() {
+    let chain = mcnetkat_topo::chain(1);
+    let first = chain.switches()[0];
+    let chain_model = NetworkModel::new(chain, first, RoutingScheme::Ecmp, FailureSpec::none());
+
+    // Core/agg only: the core's down links are failure-prone.
+    let mut topo = Topology::new();
+    let agg0 = topo.add_switch("agg0", Level::Agg);
+    let core0 = topo.add_switch("core0", Level::Core);
+    let core1 = topo.add_switch("core1", Level::Core);
+    let agg1 = topo.add_switch("agg1", Level::Agg);
+    for core in [core0, core1] {
+        topo.link(core, agg0);
+        topo.link(core, agg1);
+    }
+    let plain = NetworkModel::new(
+        topo,
+        agg0,
+        RoutingScheme::Ecmp,
+        FailureSpec::independent(Ratio::new(1, 10)),
+    );
+    for m in [chain_model, plain] {
+        assert_eq!(m.ingresses(), vec![m.dst], "the ingress falls back to dst");
+        assert_fused_matches_legacy(&m, &[2]);
+    }
+}
+
+/// No routing scheme moves a packet out of the destination (its switch
+/// program is `drop`), so in a real model the unrolled summand denotes
+/// drop. With a loop body that does leave the destination, the summand
+/// carries mass, and `assemble_tail` must still equal the whole program
+/// `in ; do body while guard ; pt←0` compiled by the general path.
+#[test]
+fn assemble_tail_matches_general_compile_with_a_live_unrolled_summand() {
+    let topo = mcnetkat_topo::chain(1);
+    let dst = topo.switches()[0];
+    let m = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureSpec::none());
+    let f = &m.fields;
+    let out = m
+        .topo
+        .ports(dst)
+        .iter()
+        .find(|pp| m.topo.info(pp.peer).level != Level::Host)
+        .unwrap();
+    let leave =
+        Prog::assign(f.sw, m.topo.sw_value(out.peer)).seq(Prog::assign(f.pt, out.peer_port));
+    let body = Prog::ite(Pred::test(f.sw, m.topo.sw_value(dst)), leave, m.body());
+    let mut whole = Prog::filter(m.ingress_pred())
+        .seq(Prog::do_while(body.clone(), m.guard()))
+        .seq(Prog::assign(f.pt, 0));
+    whole = Prog::local(f.dt, 0, whole);
+    for i in (1..=m.topo.max_degree() as u32).rev() {
+        whole = Prog::local(f.up(i), 1, whole);
+    }
+
+    let mgr = Manager::new();
+    let opts = CompileOptions::default();
+    let general = mgr.compile(&whole).unwrap();
+    let fbody = mgr.compile(&body).unwrap();
+    let w = mgr
+        .while_loop(mgr.compile_pred(&m.guard()), fbody, &opts)
+        .unwrap();
+    let tail = assemble_tail(&mgr, &m, fbody, w, &opts).unwrap();
+    assert!(mgr.equiv(tail, general));
+    let at_dst = Packet::new().with(f.sw, m.topo.sw_value(dst)).with(f.pt, 0);
+    assert!(
+        !mgr.eval(tail, &at_dst).is_drop(),
+        "a packet injected at the destination must take the unrolled summand"
+    );
 }
 
 /// All-singleton SRLG specs: fused ≡ legacy *and* both ≡ the plain
@@ -261,7 +357,7 @@ fn fattree16_smoke_compile_with_failures() {
         "fattree(16) compile took {elapsed:?}, budget {budget:?}"
     );
     let src = m.topo.find("edge1_0").unwrap();
-    let pk = mcnetkat_core::Packet::new().with(m.fields.sw, m.topo.sw_value(src));
+    let pk = Packet::new().with(m.fields.sw, m.topo.sw_value(src));
     let p = mgr.prob_delivery(fdd, &pk);
     assert!(
         p > Ratio::new(99, 100) && p < Ratio::one(),
@@ -321,7 +417,7 @@ fn delivery(topo: Topology, scheme: RoutingScheme) -> (Ratio, Ratio) {
     let fused = m.compile(&mgr).unwrap();
     let legacy = m.compile_legacy(&mgr).unwrap();
     let src = m.topo.find("edge1_0").unwrap();
-    let pk = mcnetkat_core::Packet::new().with(m.fields.sw, m.topo.sw_value(src));
+    let pk = Packet::new().with(m.fields.sw, m.topo.sw_value(src));
     (
         mgr.prob_delivery(fused, &pk),
         mgr.prob_delivery(legacy, &pk),

@@ -84,7 +84,7 @@ pub mod journal;
 use journal::{JournalError, Record, RecoveryError};
 use mcnetkat_fdd::{Budget, CompileError, CompileOptions, Fdd, Manager, WhileCacheStats};
 use mcnetkat_net::fused::{
-    assemble_chain, assemble_model, compile_hops, hop_inputs, FusedStats, HopInputs,
+    assemble_chain, assemble_tail, compile_hops, hop_inputs, FusedStats, HopInputs,
 };
 use mcnetkat_net::{FailureSpec, ModelDescription, NetworkModel, Queries, RoutingScheme, Srlg};
 use mcnetkat_num::Ratio;
@@ -481,8 +481,45 @@ pub struct DeltaReport {
     /// Whether the loop solve was answered from the `while`-solution
     /// cache (a chain body the engine had already seen).
     pub loop_cache_hit: bool,
+    /// Where the patch's time went, phase by phase. The phases never
+    /// overlap, so their sum is at most [`DeltaReport::elapsed`].
+    pub phases: ApplyPhases,
     /// Wall-clock time of the whole patch.
     pub elapsed: Duration,
+}
+
+/// Wall-clock time of each phase of one [`Engine::apply`], in pipeline
+/// order ([`DeltaReport::phases`]). What is left of
+/// [`DeltaReport::elapsed`] is the delta's own bookkeeping: computing the
+/// next model and its touched set, and updating the engine's tables.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ApplyPhases {
+    /// Recomputing the touched switches' [`HopInputs`] and looking them up
+    /// in the hop cache.
+    pub rekey: Duration,
+    /// Compiling the hop-cache misses ([`compile_hops`]).
+    pub hop_compile: Duration,
+    /// Folding the `sw`-case chain ([`assemble_chain`]).
+    pub assemble_chain: Duration,
+    /// Solving the loop, or finding it in the `while`-solution cache.
+    pub loop_solve: Duration,
+    /// Ingress, normalisation and local wrappers ([`assemble_tail`]).
+    pub tail: Duration,
+    /// Appending the delta and its commit marker to the journal (a
+    /// no-op without one).
+    pub journal: Duration,
+}
+
+impl ApplyPhases {
+    /// The phases' total.
+    pub fn sum(&self) -> Duration {
+        self.rekey
+            + self.hop_compile
+            + self.assemble_chain
+            + self.loop_solve
+            + self.tail
+            + self.journal
+    }
 }
 
 /// Why an [`Engine::apply`] re-keyed the switches it did
@@ -689,6 +726,8 @@ struct Patch {
     rekeyed: SwitchHops,
     /// Re-keyed switches that missed the hop cache and compiled.
     recompiled: usize,
+    /// Time per compile phase (the journal phase is left zero).
+    phases: ApplyPhases,
 }
 
 impl ModelEntry {
@@ -1216,10 +1255,12 @@ impl Engine {
     /// for a [`Touched::All`] or structural delta), recompiles those
     /// whose [`HopInputs`] miss the hop cache, re-folds the `sw`-case
     /// chain, and finishes through the batch pipeline's
-    /// [`assemble_model`] tail — where an already-seen chain body hits
-    /// the `while`-solution cache and skips the loop solve. Every other
-    /// switch reuses its previous inputs and diagram, so a one-switch
-    /// delta costs one switch's keying, not the network's.
+    /// [`assemble_model`](mcnetkat_net::fused::assemble_model) tail —
+    /// where an already-seen chain body hits the `while`-solution cache
+    /// and skips the loop solve. Every other switch reuses its previous
+    /// inputs and diagram, so a one-switch delta costs one switch's
+    /// keying, not the network's. The report times each of those steps
+    /// ([`DeltaReport::phases`]).
     ///
     /// On error the engine keeps the pre-delta model and diagram.
     ///
@@ -1236,10 +1277,12 @@ impl Engine {
         // Write-ahead: the delta hits the journal before any engine
         // state moves. If the compile below fails, the intent stays
         // uncommitted and replay skips it — journal and survivor agree.
+        let journal_start = Instant::now();
         let mark = self.journal_intent(&Record::Apply {
             id: id.0,
             delta: delta.clone(),
         })?;
+        let intent_time = journal_start.elapsed();
         // Shared structure moved under the cache: a structural delta
         // recompiles against a fresh cache so no stale field/budget
         // coupling survives. The pre-delta cache is kept aside and only
@@ -1259,7 +1302,12 @@ impl Engine {
         // crash on either side of it leaves journal and state agreeing.
         let compiled = self
             .compile_incremental(&next, &touched, &hops)
-            .and_then(|patch| self.journal_commit(mark).map(|()| patch));
+            .and_then(|mut patch| {
+                let commit_start = Instant::now();
+                self.journal_commit(mark)?;
+                patch.phases.journal = intent_time + commit_start.elapsed();
+                Ok(patch)
+            });
         let entry = self.models.get_mut(&id).expect("entry looked up above");
         let patch = match compiled {
             Ok(patch) => patch,
@@ -1310,6 +1358,7 @@ impl Engine {
             switches_recompiled: patch.recompiled,
             full_rebuild,
             loop_cache_hit: while_stats_after.hits > while_stats_before.hits,
+            phases: patch.phases,
             elapsed: start.elapsed(),
         })
     }
@@ -1328,6 +1377,8 @@ impl Engine {
         touched: &Touched,
         prev: &SwitchHops,
     ) -> Result<Patch, EngineError> {
+        let mut phases = ApplyPhases::default();
+        let rekey_start = Instant::now();
         let sp = ShortestPaths::towards(&model.topo, model.dst);
         let mut keyed: Vec<(NodeId, HopInputs)> = Vec::new();
         for &s in model.topo.switches() {
@@ -1357,6 +1408,8 @@ impl Engine {
                 misses.push(inp.clone());
             }
         }
+        phases.rekey = rekey_start.elapsed();
+        let compile_start = Instant::now();
         let fresh = compile_hops(
             &self.mgr,
             &misses,
@@ -1373,6 +1426,8 @@ impl Engine {
                 (s, (inp, fdd))
             })
             .collect();
+        phases.hop_compile = compile_start.elapsed();
+        let chain_start = Instant::now();
         let body = assemble_chain(&self.mgr, model, |s| {
             let (_, fdd) = rekeyed
                 .get(&s)
@@ -1380,15 +1435,23 @@ impl Engine {
                 .expect("an untouched switch keeps its previous inputs");
             Ok(*fdd)
         })?;
+        phases.assemble_chain = chain_start.elapsed();
         #[cfg(feature = "failpoints")]
         mcnetkat_fdd::failpoints::check_compile("serve::apply::assemble")?;
-        let fdd = assemble_model(&self.mgr, model, body, &self.opts)?;
+        let loop_start = Instant::now();
+        let guard = self.mgr.compile_pred(&model.guard());
+        let loop_fdd = self.mgr.while_loop(guard, body, &self.opts)?;
+        phases.loop_solve = loop_start.elapsed();
+        let tail_start = Instant::now();
+        let fdd = assemble_tail(&self.mgr, model, body, loop_fdd, &self.opts)?;
+        phases.tail = tail_start.elapsed();
         #[cfg(feature = "audit")]
         mcnetkat_net::fused::audit_compiled_model(&self.mgr, model, fdd);
         Ok(Patch {
             fdd,
             rekeyed,
             recompiled,
+            phases,
         })
     }
 
@@ -1772,6 +1835,30 @@ mod tests {
         assert_eq!(report.rekey, Rekey::Structural);
         assert!(engine.stats().full_rebuilds == 1);
         assert!(engine.verify_against_cold(id).unwrap());
+    }
+
+    #[test]
+    fn apply_reports_its_phases() {
+        let dir = std::env::temp_dir().join(format!("mcnetkat-phases-{}", std::process::id()));
+        let mut engine = Engine::with_journal(EngineConfig::default(), &dir).unwrap();
+        let model = fattree_model(Ratio::new(1, 100));
+        let agg = model.topo.find("core0").unwrap();
+        let id = engine.load(model).unwrap();
+        let patch = engine
+            .apply(id, Delta::SetSwitchScheme(agg, RoutingScheme::F10_3))
+            .unwrap();
+        let rebuild = engine.apply(id, Delta::SetBudget(Some(1))).unwrap();
+        for report in [patch, rebuild] {
+            let p = report.phases;
+            assert!(p.sum() <= report.elapsed, "{p:?} vs {:?}", report.elapsed);
+            assert!(!p.hop_compile.is_zero(), "{p:?}");
+            assert!(!p.journal.is_zero(), "{p:?}");
+        }
+        assert!(rebuild.full_rebuild);
+        assert!(!rebuild.phases.tail.is_zero(), "{:?}", rebuild.phases);
+        assert!(!rebuild.phases.loop_solve.is_zero(), "{:?}", rebuild.phases);
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
