@@ -227,6 +227,87 @@ impl Default for Inner {
     }
 }
 
+/// A read-only view of the node and leaf tables under one lock
+/// acquisition: what the pair descent behind [`Manager::equiv`] and
+/// [`Manager::less_eq`] walks, and the reachability walks. It only
+/// follows existing edges, so a query never builds a node.
+pub(crate) struct Walker<'a>(parking_lot::MutexGuard<'a, Inner>);
+
+impl Walker<'_> {
+    /// The top test of `p`, or `None` for a leaf.
+    pub(crate) fn top(&self, p: Fdd) -> Option<(Field, Value)> {
+        var_of(&self.0.nodes[p.0 as usize])
+    }
+
+    /// The distribution at leaf `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is a branch.
+    pub(crate) fn leaf(&self, p: Fdd) -> (DistId, &ActionDist) {
+        match self.0.nodes[p.0 as usize] {
+            Node::Leaf(did) => (did, &self.0.dists[did.0 as usize]),
+            Node::Branch { .. } => panic!("{p:?} is not a leaf"),
+        }
+    }
+
+    /// Every node reachable from `roots`, each once.
+    pub(crate) fn reachable(&self, roots: &[Fdd]) -> Vec<Fdd> {
+        // One bit per node of the table: cheaper than hashing, even for a
+        // small diagram in a large manager.
+        let mut seen = vec![0u64; self.0.nodes.len().div_ceil(64)];
+        let mut stack = roots.to_vec();
+        let mut out = Vec::new();
+        while let Some(x) = stack.pop() {
+            let (word, bit) = (x.0 as usize / 64, 1u64 << (x.0 % 64));
+            if seen[word] & bit != 0 {
+                continue;
+            }
+            seen[word] |= bit;
+            out.push(x);
+            if let Node::Branch { hi, lo, .. } = self.0.nodes[x.0 as usize] {
+                stack.push(hi);
+                stack.push(lo);
+            }
+        }
+        out
+    }
+
+    /// `p` restricted to `f = v`, where `(f, v)` is at most `p`'s top
+    /// test: follows the false edges of `f` tests until one tests `f = v`
+    /// (and takes its true edge) or the field changes.
+    pub(crate) fn cofactor_eq(&self, mut p: Fdd, f: Field, v: Value) -> Fdd {
+        while let Node::Branch {
+            field,
+            value,
+            hi,
+            lo,
+        } = self.0.nodes[p.0 as usize]
+        {
+            if field != f {
+                break;
+            }
+            debug_assert!(value >= v, "cofactor below the top test");
+            if value == v {
+                return hi;
+            }
+            p = lo;
+        }
+        p
+    }
+
+    /// `p` restricted to `f ≠ v`, where `(f, v)` is at most `p`'s top
+    /// test: steps past `f = v` only where it is that top test.
+    pub(crate) fn cofactor_ne(&self, p: Fdd, f: Field, v: Value) -> Fdd {
+        match self.0.nodes[p.0 as usize] {
+            Node::Branch {
+                field, value, lo, ..
+            } if (field, value) == (f, v) => lo,
+            _ => p,
+        }
+    }
+}
+
 /// Cumulative gauges over every absorbing-chain solve this manager ran
 /// (cache hits don't count — they skip the solve).
 ///
@@ -762,24 +843,11 @@ impl Manager {
 
     /// Collects the tested fields/values of the diagram into a [`Domain`].
     pub fn domain(&self, p: Fdd) -> Domain {
-        let inner = self.inner.lock();
+        let walk = self.walker();
         let mut dom = Domain::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![p];
-        while let Some(x) = stack.pop() {
-            if !seen.insert(x) {
-                continue;
-            }
-            if let Node::Branch {
-                field,
-                value,
-                hi,
-                lo,
-            } = inner.nodes[x.0 as usize]
-            {
+        for x in walk.reachable(&[p]) {
+            if let Some((field, value)) = walk.top(x) {
                 dom.add_test(field, value);
-                stack.push(hi);
-                stack.push(lo);
             }
         }
         dom
@@ -787,19 +855,7 @@ impl Manager {
 
     /// Number of reachable nodes (a size metric for benchmarks).
     pub fn reachable_size(&self, p: Fdd) -> usize {
-        let inner = self.inner.lock();
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![p];
-        while let Some(x) = stack.pop() {
-            if !seen.insert(x) {
-                continue;
-            }
-            if let Node::Branch { hi, lo, .. } = inner.nodes[x.0 as usize] {
-                stack.push(hi);
-                stack.push(lo);
-            }
-        }
-        seen.len()
+        self.walker().reachable(&[p]).len()
     }
 
     /// Whether `p` is a predicate diagram: every leaf pass or drop.
@@ -813,6 +869,11 @@ impl Manager {
 
     pub(crate) fn node(&self, p: Fdd) -> Node {
         self.inner.lock().nodes[p.0 as usize]
+    }
+
+    /// Takes the lock for a read-only walk (see [`Walker`]).
+    pub(crate) fn walker(&self) -> Walker<'_> {
+        Walker(self.inner.lock())
     }
 
     /// The interned distribution behind a leaf id.

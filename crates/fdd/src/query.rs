@@ -1,15 +1,47 @@
 //! Verification queries over compiled FDDs: output distributions,
 //! program equivalence (`≡`), refinement (`≤`), and expectations.
 //!
-//! Equivalence and refinement enumerate the input equivalence classes of
-//! both diagrams (dynamic domain reduction) and compare the induced output
-//! distributions exactly, using rational arithmetic throughout. This is
-//! complete: two guarded programs are equivalent iff they agree on every
-//! input class (Corollary 3.2 specialised to single packets).
+//! Equivalence and refinement are decided by one read-only descent over
+//! the pair of diagrams, the way BDD `apply` walks two operands (Bryant
+//! 1986), under a single lock acquisition and without building a node.
+//! At a pair `(u, v)` the descent splits on the smaller top test
+//! `f = w`: the true side follows each diagram's false edges through its
+//! `f` tests until one tests `f = w` (taking its true edge) or the field
+//! changes; the false side steps past `f = w` only where it is a node's
+//! top test. Since the split is always the minimum test, both sides are
+//! existing nodes. The descent iterates along false edges and recurses
+//! only on true edges, so its stack depth is bounded by the number of
+//! fields, not by the length of a test chain.
+//!
+//! A leaf pair is compared under the path's positive tests, because an
+//! action is not canonical there: `f←w` below `f = w` is `skip` (the
+//! `mod_to_tested_value_equals_skip_on_that_class` test). The descent
+//! carries the positive tests on fields some reachable leaf writes (the
+//! only ones a leaf can observe) and at a leaf drops every modification
+//! `g←w` the context already holds before comparing. When no action
+//! writes a tested value, the leaves compare as they are: interned
+//! distributions are equal iff their ids are, and refinement is a
+//! merge-walk over the two sorted supports. The verdict is the
+//! conjunction of the leaf pairs' verdicts, so each node pair is walked
+//! once per context (the memo is a visited set), and the walk stops as
+//! soon as the verdict is false.
+//!
+//! This is exact. On the input class that fixes the path's positive
+//! fields and leaves every other field `*`, distinct normalised actions
+//! yield distinct outputs, so comparing normalised distributions is
+//! comparing that class's output distributions. Every other class on the
+//! path only merges outputs (a delivered output into a delivered one),
+//! and both `=` and the entrywise `≤` on delivered outputs survive
+//! merging. The paths partition the input classes, so the descent
+//! agrees with comparing every class (Corollary 3.2 specialised to single
+//! packets) — the enumeration the differential tests keep as an oracle.
 
-use crate::{Fdd, Manager, SymPkt};
-use mcnetkat_core::Packet;
+use crate::manager::Walker;
+use crate::{Action, ActionDist, Fdd, Manager, SymPkt};
+use fxhash::{FxHashMap, FxHashSet};
+use mcnetkat_core::{Field, Packet, Value};
 use mcnetkat_num::Ratio;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// A distribution over single-packet outcomes (`None` = dropped),
@@ -68,44 +100,237 @@ impl Manager {
             .sum()
     }
 
-    /// The joint input classes of two diagrams.
-    fn joint_classes(&self, p: Fdd, q: Fdd) -> Vec<SymPkt> {
-        let mut dom = self.domain(p);
-        dom.merge(&self.domain(q));
-        dom.input_classes()
-    }
-
-    /// Exact program equivalence `p ≡ q` (Corollary 3.2).
-    ///
-    /// Hash-consing makes identical diagrams pointer-equal, which is the
-    /// fast path; otherwise every joint input class is compared.
+    /// Exact program equivalence `p ≡ q` (Corollary 3.2), decided by the
+    /// pair descent (module docs).
     pub fn equiv(&self, p: Fdd, q: Fdd) -> bool {
-        if p == q {
-            return true;
-        }
-        self.joint_classes(p, q)
-            .iter()
-            .all(|class| self.sym_output_dist(p, class) == self.sym_output_dist(q, class))
+        self.decide(p, q, Relation::Equiv, HOLDS) == HOLDS
     }
 
     /// Probabilistic refinement `p ≤ q`: for every input class and every
     /// *delivered* output, `q` assigns at least as much probability as `p`
     /// (the order used for `M̂(p) < M̂(p̂)` in §2/§7).
     pub fn less_eq(&self, p: Fdd, q: Fdd) -> bool {
-        self.joint_classes(p, q).iter().all(|class| {
-            let dp = self.sym_output_dist(p, class);
-            let dq = self.sym_output_dist(q, class);
-            dp.iter().all(|(o, rp)| match o {
-                None => true,
-                Some(_) => dq.get(o).map_or(rp.is_zero(), |rq| rp <= rq),
-            })
-        })
+        self.decide(p, q, Relation::Refine, HOLDS) == HOLDS
     }
 
-    /// Strict refinement: `p ≤ q` and not `q ≤ p`.
+    /// Strict refinement: `p ≤ q` and not `q ≤ p`, both decided in one
+    /// descent.
     pub fn less(&self, p: Fdd, q: Fdd) -> bool {
-        self.less_eq(p, q) && !self.less_eq(q, p)
+        self.decide(p, q, Relation::Refine, HOLDS | CONVERSE) == HOLDS
     }
+
+    /// Runs the pair descent for the verdict bits in `want`.
+    fn decide(&self, p: Fdd, q: Fdd, relation: Relation, want: u8) -> u8 {
+        if p == q {
+            return want;
+        }
+        let mut descent = Descent::new(self.walker(), p, q, relation, want);
+        descent.pair(p, q, 0);
+        descent.verdict
+    }
+}
+
+/// The relation a [`Descent`] decides. Its verdicts are bit sets: bit
+/// [`HOLDS`] for `p ≡ q` or `p ≤ q`, bit [`CONVERSE`] for `q ≤ p`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Relation {
+    Equiv,
+    Refine,
+}
+
+const HOLDS: u8 = 1;
+const CONVERSE: u8 = 2;
+
+/// One equivalence or refinement query's walk over a pair of diagrams
+/// (module docs).
+///
+/// The verdict is the conjunction of every leaf pair's verdict, so a
+/// branch pair already visited under the same context adds nothing: the
+/// memo is a visited set, and the walk ends as soon as every asked-for
+/// bit has failed.
+struct Descent<'a> {
+    walk: Walker<'a>,
+    relation: Relation,
+    /// The verdict bits that still hold.
+    verdict: u8,
+    /// Fields some reachable leaf of either diagram writes: the only
+    /// fields whose positive tests a leaf can observe.
+    written: FxHashSet<Field>,
+    /// The current path's positive tests on written fields, in field
+    /// order (true edges only ever go to greater fields).
+    path: Vec<(Field, Value)>,
+    /// Interned path contexts: context 0 is empty, and `(ctx, f, w)` names
+    /// context `ctx` plus `f = w`.
+    contexts: FxHashMap<(u32, Field, Value), u32>,
+    /// Branch pairs visited, with their context.
+    visited: FxHashSet<(Fdd, Fdd, u32)>,
+}
+
+impl<'a> Descent<'a> {
+    fn new(walk: Walker<'a>, p: Fdd, q: Fdd, relation: Relation, want: u8) -> Descent<'a> {
+        let mut written = FxHashSet::default();
+        for x in walk.reachable(&[p, q]) {
+            if walk.top(x).is_none() {
+                for (action, _) in walk.leaf(x).1.iter() {
+                    if let Action::Mods(mods) = action {
+                        written.extend(mods.iter().map(|&(f, _)| f));
+                    }
+                }
+            }
+        }
+        Descent {
+            walk,
+            relation,
+            verdict: want,
+            written,
+            path: Vec::new(),
+            contexts: FxHashMap::default(),
+            visited: FxHashSet::default(),
+        }
+    }
+
+    /// Folds the leaf pairs below `(u, v)` under context `ctx` into the
+    /// verdict: iterates along the false edges and recurses on each true
+    /// side.
+    fn pair(&mut self, mut u: Fdd, mut v: Fdd, ctx: u32) {
+        while u != v {
+            let (f, w) = match (self.walk.top(u), self.walk.top(v)) {
+                (None, None) => {
+                    self.verdict &= self.leaves(u, v);
+                    return;
+                }
+                (Some(t), None) | (None, Some(t)) => t,
+                (Some(s), Some(t)) => s.min(t),
+            };
+            if !self.visited.insert((u, v, ctx)) {
+                return;
+            }
+            let (hu, hv) = (
+                self.walk.cofactor_eq(u, f, w),
+                self.walk.cofactor_eq(v, f, w),
+            );
+            if self.written.contains(&f) {
+                let next = self.contexts.len() as u32 + 1;
+                let hi_ctx = *self.contexts.entry((ctx, f, w)).or_insert(next);
+                self.path.push((f, w));
+                self.pair(hu, hv, hi_ctx);
+                self.path.pop();
+            } else {
+                self.pair(hu, hv, ctx);
+            }
+            if self.verdict == 0 {
+                return;
+            }
+            u = self.walk.cofactor_ne(u, f, w);
+            v = self.walk.cofactor_ne(v, f, w);
+        }
+    }
+
+    /// The verdict on two leaves under the current path.
+    fn leaves(&self, u: Fdd, v: Fdd) -> u8 {
+        let ((du, a), (dv, b)) = (self.walk.leaf(u), self.walk.leaf(v));
+        let tests = &self.path[..];
+        if !writes_tested(a, tests) && !writes_tested(b, tests) {
+            return match self.relation {
+                // Interned: equal distributions have equal ids.
+                Relation::Equiv => u8::from(du == dv),
+                Relation::Refine => self.refine(
+                    || delivers_at_most(a.iter(), b.iter(), &[]),
+                    || delivers_at_most(b.iter(), a.iter(), &[]),
+                ),
+            };
+        }
+        let (a, b) = (untested(a, tests), untested(b, tests));
+        match self.relation {
+            Relation::Equiv => u8::from(
+                a.len() == b.len()
+                    && entries(&a)
+                        .zip(entries(&b))
+                        .all(|((x, r), (y, s))| cmp_untested(x, y, tests).is_eq() && r == s),
+            ),
+            Relation::Refine => self.refine(
+                || delivers_at_most(entries(&a), entries(&b), tests),
+                || delivers_at_most(entries(&b), entries(&a), tests),
+            ),
+        }
+    }
+
+    /// The refinement bits still asked for, each decided only if needed.
+    fn refine(&self, holds: impl FnOnce() -> bool, converse: impl FnOnce() -> bool) -> u8 {
+        let mut out = 0;
+        if self.verdict & HOLDS != 0 && holds() {
+            out |= HOLDS;
+        }
+        if self.verdict & CONVERSE != 0 && converse() {
+            out |= CONVERSE;
+        }
+        out
+    }
+}
+
+/// Whether some action of `d` writes a value its path already tested.
+fn writes_tested(d: &ActionDist, tests: &[(Field, Value)]) -> bool {
+    !tests.is_empty()
+        && d.iter().any(|(action, _)| match action {
+            Action::Drop => false,
+            Action::Mods(mods) => mods.iter().any(|m| tests.binary_search(m).is_ok()),
+        })
+}
+
+/// Orders actions as `Ord` does once every modification in `tests` is
+/// dropped from them.
+fn cmp_untested(a: &Action, b: &Action, tests: &[(Field, Value)]) -> Ordering {
+    if a == b {
+        return Ordering::Equal;
+    }
+    match (a, b) {
+        (Action::Mods(x), Action::Mods(y)) => {
+            let kept = |m: &&(Field, Value)| tests.binary_search(m).is_err();
+            x.iter().filter(kept).cmp(y.iter().filter(kept))
+        }
+        _ => a.cmp(b),
+    }
+}
+
+/// The entries of `d` with the modifications in `tests` dropped, in
+/// [`cmp_untested`] order, actions that became equal merged.
+fn untested<'d>(d: &'d ActionDist, tests: &[(Field, Value)]) -> Vec<(&'d Action, Ratio)> {
+    let mut out: Vec<(&Action, Ratio)> = d.iter().map(|(a, r)| (a, r.clone())).collect();
+    out.sort_by(|x, y| cmp_untested(x.0, y.0, tests));
+    out.dedup_by(|later, earlier| {
+        let same = cmp_untested(later.0, earlier.0, tests).is_eq();
+        if same {
+            earlier.1 += &later.1;
+        }
+        same
+    });
+    out
+}
+
+/// Iterates `untested` entries as `ActionDist::iter` does.
+fn entries<'x>(d: &'x [(&'x Action, Ratio)]) -> impl Iterator<Item = (&'x Action, &'x Ratio)> {
+    d.iter().map(|(x, r)| (*x, r))
+}
+
+/// Whether `b` gives every delivering action of `a` at least `a`'s
+/// probability, actions compared by [`cmp_untested`]: a merge-walk over
+/// the two supports, both sorted in that order.
+fn delivers_at_most<'x>(
+    mut a: impl Iterator<Item = (&'x Action, &'x Ratio)>,
+    b: impl Iterator<Item = (&'x Action, &'x Ratio)>,
+    tests: &[(Field, Value)],
+) -> bool {
+    let mut b = b.peekable();
+    a.all(|(x, r)| {
+        if *x == Action::Drop {
+            return true;
+        }
+        while b
+            .next_if(|&(y, _)| cmp_untested(y, x, tests).is_lt())
+            .is_some()
+        {}
+        matches!(b.peek(), Some(&(y, s)) if cmp_untested(y, x, tests).is_eq() && r <= s)
+    })
 }
 
 #[cfg(test)]
@@ -172,6 +397,30 @@ mod tests {
             ))
             .unwrap();
         let b = mgr.compile(&Prog::test(f, 1)).unwrap();
+        assert!(mgr.equiv(a, b));
+    }
+
+    #[test]
+    fn shared_subdiagram_is_judged_per_path() {
+        let (mgr, f, g) = mgr_and_fields();
+        // Both branches below `f=1 + f=2` share one diagram each side;
+        // `f<-1` is skip below `f=1` but not below `f=2`.
+        let t = Pred::test(f, 1).or(Pred::test(f, 2));
+        let shared = |p: Prog| {
+            Prog::ite(
+                t.clone(),
+                Prog::ite(Pred::test(g, 0), p, Prog::drop()),
+                Prog::drop(),
+            )
+        };
+        let a = mgr.compile(&shared(Prog::assign(f, 1))).unwrap();
+        let b = mgr.compile(&shared(Prog::skip())).unwrap();
+        assert!(!mgr.equiv(a, b));
+        assert!(!mgr.less_eq(a, b));
+        assert!(!mgr.less_eq(b, a));
+        let below_one = |p: Prog| Prog::ite(Pred::test(f, 1), p, Prog::drop());
+        let a = mgr.compile(&below_one(shared(Prog::assign(f, 1)))).unwrap();
+        let b = mgr.compile(&below_one(shared(Prog::skip()))).unwrap();
         assert!(mgr.equiv(a, b));
     }
 

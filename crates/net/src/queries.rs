@@ -111,16 +111,21 @@ impl<'a> Queries<'a> {
     /// `other` delivers every packet with at least `self`'s probability
     /// (Figure 11c).
     pub fn refines(&self, other: &Queries<'_>) -> bool {
+        self.same_manager(other);
+        self.mgr.less_eq(self.fdd, other.fdd)
+    }
+
+    /// Strict refinement `self < other`, decided in one pass.
+    pub fn strictly_refines(&self, other: &Queries<'_>) -> bool {
+        self.same_manager(other);
+        self.mgr.less(self.fdd, other.fdd)
+    }
+
+    fn same_manager(&self, other: &Queries<'_>) {
         assert!(
             std::ptr::eq(self.mgr, other.mgr),
             "refinement requires diagrams from the same manager"
         );
-        self.mgr.less_eq(self.fdd, other.fdd)
-    }
-
-    /// Strict refinement `self < other`.
-    pub fn strictly_refines(&self, other: &Queries<'_>) -> bool {
-        self.refines(other) && !other.refines(self)
     }
 
     /// Mean delivery probability over all ingresses (packets enter the

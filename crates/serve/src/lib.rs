@@ -1481,8 +1481,9 @@ impl Engine {
     /// [`EngineConfig::max_concurrent_queries`] (falling back to the
     /// machine's parallelism), and the requests past the cap *queue* on
     /// the workers' shared cursor rather than spawning threads — a 10k
-    /// query batch runs on a handful of threads. Under cross-batch
-    /// contention, individual queries can still shed with
+    /// query batch runs on a handful of threads. A batch with one worker
+    /// (one request, or a cap of one) runs on the caller's thread. Under
+    /// cross-batch contention, individual queries can still shed with
     /// [`EngineError::Overloaded`] (the admission gate is global).
     pub fn query_batch(&self, reqs: &[QueryRequest]) -> Vec<Result<Answer, EngineError>> {
         if reqs.is_empty() {
@@ -1495,6 +1496,11 @@ impl Engine {
             .len()
             .min(self.max_concurrent_queries.unwrap_or(hardware))
             .max(1);
+        if workers == 1 {
+            // One worker would only queue the requests behind a thread
+            // spawn: answer them on the caller's thread, in order.
+            return reqs.iter().map(|req| self.query(req)).collect();
+        }
         let slots: Vec<OnceLock<Result<Answer, EngineError>>> =
             (0..reqs.len()).map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);
@@ -2030,6 +2036,32 @@ mod tests {
         // refines the lossy one from every ingress, strictly.
         assert_eq!(answers[0].as_ref().unwrap().truth(), Some(true));
         assert_eq!(answers[1].as_ref().unwrap().truth(), Some(false));
+    }
+
+    #[test]
+    fn one_request_batch_runs_inline_through_the_gate() {
+        let mut engine = Engine::new(EngineConfig {
+            max_concurrent_queries: Some(1),
+            ..EngineConfig::default()
+        });
+        let id = engine.load(fattree_model(Ratio::new(1, 100))).unwrap();
+        let req: QueryRequest = Query::MinDelivery { model: id }.into();
+        let batch = engine.query_batch(std::slice::from_ref(&req));
+        assert_eq!(batch.len(), 1);
+        assert_eq!(
+            batch[0].as_ref().unwrap().prob(),
+            engine.query(&req).unwrap().prob()
+        );
+        // With the only slot taken, the inline batch is shed like a query.
+        let _held = engine.admit().unwrap();
+        let shed = engine.query_batch(&[req]);
+        assert!(matches!(
+            shed[..],
+            [Err(EngineError::Overloaded {
+                active: 1,
+                limit: 1
+            })]
+        ));
     }
 
     #[test]
