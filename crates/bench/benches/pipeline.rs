@@ -1,10 +1,10 @@
 //! Criterion microbenchmarks (E10): the compilation pipeline stage by
-//! stage, the compiler's loop solve, and the float solver backends that
-//! remain beside it (DESIGN.md § "Loop solve").
+//! stage, the compiler's loop solve, and PRISM-approx's float iteration
+//! beside it (DESIGN.md § "Loop solve").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcnetkat_fdd::{CompileOptions, Manager};
-use mcnetkat_linalg::{AbsorbingChain, SolverBackend};
+use mcnetkat_linalg::AbsorbingChain;
 use mcnetkat_net::{chain_benchmark, FailureSpec, NetworkModel, RoutingScheme, Srlg};
 use mcnetkat_num::Ratio;
 use mcnetkat_prism::{check_reachability, translate, McMode};
@@ -153,7 +153,7 @@ fn bench_chain_engines(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: the same absorbing chain solved by each linear backend.
+/// PRISM-approx's Gauss–Seidel reachability solve on one large SCC.
 fn bench_solver_backends(c: &mut Criterion) {
     assert_audit_off();
     let mut group = c.benchmark_group("solver_backends");
@@ -171,17 +171,15 @@ fn bench_solver_backends(c: &mut Criterion) {
         chain.add(s, back, Ratio::new(9, 20));
         chain.add(s, n, Ratio::new(1, 10));
     }
-    // `SparseScc` is deliberately absent: it solves in exact rational
-    // arithmetic, and this chain is a single 400-state SCC — the one shape
-    // where exact elimination is hopeless (seconds, not microseconds; the
-    // entries grow into huge rationals). Its regime — many small SCCs
-    // and lumped symmetric blocks — is what `loop_solving/sparse_scc` and
-    // the `fattree_compile` benchmarks measure.
-    for backend in [SolverBackend::SparseLu, SolverBackend::GaussSeidel] {
-        group.bench_function(format!("{backend:?}"), |b| {
-            b.iter(|| chain.solve(backend).unwrap())
-        });
-    }
+    // The exact sparse SCC solve is deliberately absent: this chain is a
+    // single 400-state SCC — the one shape where exact elimination is
+    // hopeless (seconds, not microseconds; the entries grow into huge
+    // rationals). Its regime — many small SCCs and lumped symmetric
+    // blocks — is what `loop_solving/sparse_scc` and the
+    // `fattree_compile` benchmarks measure.
+    group.bench_function("GaussSeidel", |b| {
+        b.iter(|| chain.reach_prob_approx(&[n]).unwrap())
+    });
     group.finish();
 }
 

@@ -8,9 +8,10 @@ use std::fmt;
 
 /// Options controlling compilation.
 ///
-/// Every `while` loop is solved exactly, by the sparse SCC solve with
-/// the [`FallbackPolicy`] rungs behind it; these options bound and steer
-/// that solve but never trade exactness for speed.
+/// Every `while` loop is solved exactly, by the sparse SCC solve with a
+/// fixed ladder of exact fallback rungs behind it (see
+/// [`crate::SolveReport`]); these options bound and steer that solve but
+/// never trade exactness for speed.
 #[derive(Clone, Debug)]
 pub struct CompileOptions {
     /// Upper bound on the symbolic state space explored per loop.
@@ -20,9 +21,6 @@ pub struct CompileOptions {
     /// pods) to one representative. Exact — never changes the result,
     /// only the work.
     pub lumping: bool,
-    /// What to do when the loop solver fails (see [`FallbackPolicy`]).
-    /// Part of the `while`-cache key.
-    pub fallback: FallbackPolicy,
     /// Resource limits for this compile (deadline, cancellation,
     /// table-size ceilings). Unlimited by default; deliberately *not*
     /// part of the `while`-cache key — a budget never changes a
@@ -35,48 +33,7 @@ impl Default for CompileOptions {
         CompileOptions {
             state_limit: 4_000_000,
             lumping: true,
-            fallback: FallbackPolicy::default(),
             budget: Budget::default(),
-        }
-    }
-}
-
-/// Declarative solver-degradation policy for `while`-loop solves.
-///
-/// The rung order is: (1) the sparse SCC solve with the configured
-/// lumping, (2) the same solve with lumping disabled (a lumping edge case
-/// cannot then mask a solvable chain), (3) the dense exact reference
-/// solver. All three rungs are exact. Each rung that fires is counted in
-/// the manager's [`crate::SolveReport`], so degradation is visible, never
-/// silent.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct FallbackPolicy {
-    /// Rung 2: retry the sparse SCC solve without lumping when the lumped
-    /// solve fails (only meaningful when `lumping` is on).
-    pub retry_without_lumping: bool,
-    /// Rung 3: fall back to the dense exact reference solver when every
-    /// sparse attempt has failed.
-    pub dense_exact: bool,
-}
-
-impl Default for FallbackPolicy {
-    /// Degrade through every rung — the robust default.
-    fn default() -> Self {
-        FallbackPolicy {
-            retry_without_lumping: true,
-            dense_exact: true,
-        }
-    }
-}
-
-impl FallbackPolicy {
-    /// No fallback at all: the first solver failure is the final answer.
-    /// What the pre-fallback compiler did; useful for differential tests
-    /// that must observe the raw solver error.
-    pub fn strict() -> FallbackPolicy {
-        FallbackPolicy {
-            retry_without_lumping: false,
-            dense_exact: false,
         }
     }
 }
@@ -91,17 +48,13 @@ impl FallbackPolicy {
 /// is part of the key — so a future inexact quotient can't silently share
 /// cache entries with the unquotiented path. Leaving a field out would
 /// let a solution computed under one configuration answer a query made
-/// under another. `fallback` steers which solver ultimately produces the
-/// rows (a policy that reaches the dense reference can succeed where
-/// `strict()` errors), so it is part of the key too. The [`Budget`] is
-/// the one options field *not* in the key: it decides whether a compile
-/// finishes, never what a finished compile produces, and aborted compiles
-/// are never cached.
+/// under another. The [`Budget`] is the one options field *not* in the
+/// key: it decides whether a compile finishes, never what a finished
+/// compile produces, and aborted compiles are never cached.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct OptsKey {
     state_limit: usize,
     lumping: bool,
-    fallback: FallbackPolicy,
 }
 
 impl From<&CompileOptions> for OptsKey {
@@ -109,7 +62,6 @@ impl From<&CompileOptions> for OptsKey {
         OptsKey {
             state_limit: opts.state_limit,
             lumping: opts.lumping,
-            fallback: opts.fallback,
         }
     }
 }
@@ -126,8 +78,8 @@ pub enum CompileError {
         /// The configured limit.
         limit: usize,
     },
-    /// The linear solver failed (after every rung permitted by the
-    /// [`FallbackPolicy`] was tried).
+    /// The linear solver failed on every rung of the loop-solve fallback
+    /// chain.
     Solver(LinalgError),
     /// A loop guard compiled to a probabilistic diagram.
     ProbabilisticGuard,
@@ -438,8 +390,8 @@ mod tests {
     #[test]
     fn while_cache_keys_on_solver_configuration() {
         // Regression: the cache key must cover every solver-configuration
-        // field. A solution computed under one lumping / state-limit /
-        // fallback setting must never answer a query made under another —
+        // field. A solution computed under one lumping / state-limit
+        // setting must never answer a query made under another —
         // each distinct configuration is its own miss and its own entry.
         let mgr = Manager::new();
         let f = Field::named("cmp_wk");
@@ -453,12 +405,6 @@ mod tests {
             },
             CompileOptions {
                 state_limit: 1_000,
-                ..CompileOptions::default()
-            },
-            // The fallback policy steers which solver can produce the
-            // rows, so it keys the cache too.
-            CompileOptions {
-                fallback: FallbackPolicy::strict(),
                 ..CompileOptions::default()
             },
         ];

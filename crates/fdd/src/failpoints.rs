@@ -10,13 +10,18 @@
 //! ```text
 //! site                     seam                              sensible actions
 //! fdd::intern              loop-state interning              Panic, Delay, Cancel
-//! fdd::loops::solve        any sparse solver rung            Singular, Panic, Delay, Cancel
+//! fdd::loops::solve        every loop-solver rung            Singular, Panic, Delay, Cancel
 //! linalg::lump             the lumping partition rung        Singular, Panic, Delay, Cancel
 //! net::parallel::worker    per-hop compile on a pool worker  Panic, Delay, Cancel
 //! serve::journal::append   write-ahead journal append        Singular (= torn write), Cancel, Panic, Delay
 //! serve::apply::patch      each re-keyed switch of a patch   Singular, Panic, Delay, Cancel
 //! serve::apply::assemble   post-patch model assembly         Singular, Panic, Delay, Cancel
 //! ```
+//!
+//! `fdd::loops::solve` is checked once on each rung of the loop-solve
+//! fallback chain (sparse, unlumped sparse when lumping is on, dense
+//! exact), so under the default options a `Singular` armed for three
+//! consecutive hits exhausts the chain.
 //!
 //! (`linalg::lump` is a *logical* name: the registry lives here because
 //! `mcnetkat-linalg` sits below this crate, so `fdd::loops` checks the
@@ -67,7 +72,7 @@ struct Site {
     /// 1-based hit count on which the fault first fires.
     trigger_at: u64,
     /// How many consecutive hits fire, starting at `trigger_at`. Lets a
-    /// test fail *both* retries of a fallback rung to force the next one.
+    /// test fail several rungs of the fallback chain in a row.
     times: u64,
     hits: u64,
     fired: u64,

@@ -46,7 +46,7 @@ mod sympkt;
 
 pub use action::{Action, ActionDist};
 pub use budget::{Budget, CancelToken};
-pub use compile::{CompileError, CompileOptions, FallbackPolicy};
+pub use compile::{CompileError, CompileOptions};
 pub use export::FddExport;
 pub(crate) use manager::Node;
 #[cfg(feature = "audit")]

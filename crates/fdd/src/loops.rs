@@ -105,71 +105,63 @@ fn sparse_rung(
     }
 }
 
-/// Runs the declarative solver fallback chain: (1) sparse SCC with the
-/// configured lumping, (2) the same solve without lumping, (3) the dense
-/// exact reference. Which rungs are permitted comes from
-/// [`crate::FallbackPolicy`]; every transition is recorded on the
-/// manager's [`crate::SolveReport`]. All three rungs are exact, so a
-/// fallback changes how the answer is computed, never the answer.
+/// Runs the solver fallback chain: (1) sparse SCC with the configured
+/// lumping, (2) when lumping is on, the same solve without it, (3) the
+/// dense exact reference. Every transition is recorded on the manager's
+/// [`crate::SolveReport`]. All three rungs are exact, so a fallback
+/// changes how the answer is computed, never the answer.
 fn solve_with_fallback(
     mgr: &Manager,
     chain: &AbsorbingChain,
     nt: usize,
     opts: &CompileOptions,
 ) -> Result<SolveOutcome, CompileError> {
-    let policy = opts.fallback;
     let mut events: Vec<String> = Vec::new();
-    let mut retried = false;
 
-    let mut last = match sparse_rung(chain, nt, opts.lumping, &opts.budget)? {
+    match sparse_rung(chain, nt, opts.lumping, &opts.budget)? {
         Ok(out) => {
             mgr.record_solve_rungs(false, false, false, events);
             return Ok(out);
         }
-        Err(e) => e,
-    };
-    events.push(format!(
-        "sparse SCC solve (lumping={}) failed: {last}",
-        opts.lumping
-    ));
+        Err(e) => events.push(format!(
+            "sparse SCC solve (lumping={}) failed: {e}",
+            opts.lumping
+        )),
+    }
 
-    if opts.lumping && policy.retry_without_lumping {
-        retried = true;
+    if opts.lumping {
         match sparse_rung(chain, nt, false, &opts.budget)? {
             Ok(out) => {
                 events.push("retry without lumping succeeded".to_string());
                 mgr.record_solve_rungs(true, false, false, events);
                 return Ok(out);
             }
-            Err(e) => {
-                events.push(format!("retry without lumping failed: {e}"));
-                last = e;
-            }
+            Err(e) => events.push(format!("retry without lumping failed: {e}")),
         }
     }
 
-    if policy.dense_exact {
-        opts.budget.check_external()?;
-        match chain.solve_exact() {
-            Ok(rows) => {
-                events.push("dense exact reference succeeded".to_string());
-                mgr.record_solve_rungs(retried, true, false, events);
-                return Ok(SolveOutcome {
-                    rows: sparsify(rows),
-                    blocks: nt,
-                    sccs: 0,
-                });
-            }
-            Err(e) => {
-                events.push(format!("dense exact reference failed: {e}"));
-                last = e;
-            }
+    opts.budget.check_external()?;
+    let dense = match rung_failpoint("fdd::loops::solve")? {
+        Some(e) => Err(e),
+        None => chain.solve_exact(),
+    };
+    match dense {
+        Ok(rows) => {
+            events.push("dense exact reference succeeded".to_string());
+            mgr.record_solve_rungs(opts.lumping, true, false, events);
+            Ok(SolveOutcome {
+                rows: sparsify(rows),
+                blocks: nt,
+                sccs: 0,
+            })
+        }
+        Err(e) => {
+            events.push(format!("dense exact reference failed: {e}"));
+            events.push("fallback chain exhausted".to_string());
+            mgr.record_solve_rungs(opts.lumping, true, true, events);
+            Err(CompileError::Solver(e))
         }
     }
-
-    events.push("fallback chain exhausted".to_string());
-    mgr.record_solve_rungs(retried, policy.dense_exact, true, events);
-    Err(CompileError::Solver(last))
 }
 
 /// Compiles `while guard do body` given compiled guard and body FDDs.
@@ -333,8 +325,8 @@ pub fn compile_while(
 
     // Absorption probabilities as *sparse* exact rows, `(absorbing rank,
     // probability)` with zero entries never materialised: SCC-decomposed
-    // back-substitution over rationals, degrading through the
-    // `FallbackPolicy` rungs instead of failing outright.
+    // back-substitution over rationals, degrading through the exact
+    // fallback rungs instead of failing outright.
     let out = solve_with_fallback(mgr, &chain, nt, opts)?;
     mgr.record_loop_solve(nt, out.blocks, out.sccs);
 

@@ -162,10 +162,9 @@ struct Inner {
     dist_then_cache: Cache<(ActId, DistId), DistId>,
     // Memoised `while`-loop solutions (see `Manager::while_loop`). The key
     // must include every solver-configuration option: `state_limit` bounds
-    // which loops solve at all, `lumping` selects the quotienting strategy
-    // and `fallback` which solver can produce the rows, so the same
-    // (guard, body) can legitimately yield different outcomes under
-    // different options. See `OptsKey` for the full rule.
+    // which loops solve at all and `lumping` selects the quotienting
+    // strategy, so the same (guard, body) can legitimately yield different
+    // outcomes under different options. See `OptsKey` for the full rule.
     while_cache: Cache<(Fdd, Fdd, OptsKey), Fdd>,
     /// Cumulative absorbing-chain solve gauges (see `LoopSolveStats`).
     loop_stats: LoopSolveStats,
@@ -328,14 +327,20 @@ pub struct LoopSolveStats {
     /// Largest single chain solved (transient states).
     pub max_transient: usize,
     /// Solves that needed a no-lumping retry (fallback rung 2; see
-    /// [`crate::FallbackPolicy`]).
+    /// [`SolveReport`]).
     pub fallback_retries: u64,
     /// Solves that fell back to the dense exact reference (rung 3).
     pub dense_fallbacks: u64,
 }
 
-/// Cumulative record of which loop-solver fallback rungs fired and why
-/// (see [`crate::FallbackPolicy`] for the rung order).
+/// Cumulative record of which loop-solver fallback rungs fired and why.
+///
+/// Every `while`-loop solve climbs the same ladder, stopping at the first
+/// rung that succeeds: (1) the sparse SCC solve with the configured
+/// lumping, (2) when lumping is on, the same solve without it (a lumping
+/// edge case cannot then mask a solvable chain), (3) the dense exact
+/// reference solver. All three rungs are exact, so a fallback changes how
+/// the answer is computed, never the answer.
 ///
 /// Returned by [`Manager::solve_report`]. A clean fat-tree compile takes
 /// no fallback (pinned by `net/tests/fused_pipeline.rs`), so a silent
@@ -350,8 +355,8 @@ pub struct SolveReport {
     pub lumping_retries: u64,
     /// Solves that reached the dense exact reference solver (rung 3).
     pub dense_fallbacks: u64,
-    /// Solves where every rung the policy permitted failed — the error
-    /// the caller saw is the last rung's.
+    /// Solves where every rung failed — the error the caller saw is the
+    /// last rung's.
     pub exhausted: u64,
     /// Bounded log (most recent solves dropped once full) of why each
     /// fallback rung fired.

@@ -9,34 +9,19 @@
 //! ```
 //!
 //! Then the absorption probabilities are `A = (I − Q)^{-1} R`
-//! (equation 2 / Theorem 4.7). This module computes `A` three ways: the
-//! sparse SCC-decomposed *exact* solve (every compiled `while` loop), the
-//! dense *exact* rational elimination of [`AbsorbingChain::solve_exact`]
-//! (the reference it is differential-tested against), and the float
-//! [`AbsorbingChain::solve`] backends — sparse LU (the paper's UMFPACK
-//! analogue) and Gauss–Seidel (the PRISM model checker's iteration).
+//! (equation 2 / Theorem 4.7). This module computes `A` exactly two ways:
+//! the sparse SCC-decomposed solve of [`AbsorbingChain::solve_sparse_scc`]
+//! (every compiled `while` loop) and the dense rational elimination of
+//! [`AbsorbingChain::solve_exact`] (the reference it is differential-tested
+//! against). [`AbsorbingChain::reach_prob_approx`] is the float
+//! reachability probability `(I − Q)^{-1} R · 1_targets` the PRISM model
+//! checker iterates for, computed by Gauss–Seidel.
 
 use crate::lump::{refine, Partition};
 use crate::scc::condense;
-use crate::{gauss_seidel, DenseMatrix, IterativeOptions, LinalgError, SparseLu, Triplets};
+use crate::{gauss_seidel, DenseMatrix, IterativeOptions, LinalgError, Triplets};
 use mcnetkat_num::Ratio;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// Which linear-solver backend computes `(I − Q)^{-1} R`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum SolverBackend {
-    /// Sparse SCC-decomposed *exact* solve (the production path): the
-    /// transient subgraph is condensed into its SCC DAG and absorption
-    /// probabilities are back-propagated per component in reverse
-    /// topological order, over exact rationals, never materialising a
-    /// zero entry. See [`AbsorbingChain::solve_sparse_scc`].
-    #[default]
-    SparseScc,
-    /// Sparse left-looking LU (the float UMFPACK-replacement path).
-    SparseLu,
-    /// Gauss–Seidel sweeps; good for huge, very sparse chains.
-    GaussSeidel,
-}
 
 /// An absorbing Markov chain under construction.
 ///
@@ -50,7 +35,7 @@ pub enum SolverBackend {
 /// # Examples
 ///
 /// ```
-/// use mcnetkat_linalg::{AbsorbingChain, SolverBackend};
+/// use mcnetkat_linalg::AbsorbingChain;
 /// use mcnetkat_num::Ratio;
 ///
 /// // Gambler's ruin on {0,1,2} with fair coin: states 0 and 2 absorb.
@@ -59,29 +44,16 @@ pub enum SolverBackend {
 /// chain.set_absorbing(2);
 /// chain.add(1, 0, Ratio::new(1, 2));
 /// chain.add(1, 2, Ratio::new(1, 2));
-/// let sol = chain.solve(SolverBackend::SparseLu).unwrap();
-/// assert!((sol.prob(1, 0) - 0.5).abs() < 1e-12);
+/// let sol = chain.solve_sparse_scc(true).unwrap();
+/// assert_eq!(sol.prob(1, 0), Ratio::new(1, 2));
+/// let approx = chain.reach_prob_approx(&[0]).unwrap();
+/// assert!((approx[1] - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Clone, Debug)]
 pub struct AbsorbingChain {
     n: usize,
     absorbing: Vec<bool>,
     transitions: Vec<(usize, usize, Ratio)>,
-}
-
-/// Absorption probabilities of an [`AbsorbingChain`].
-#[derive(Clone, Debug)]
-pub struct AbsorptionResult {
-    n: usize,
-    /// Map original state → compact transient index (or MAX).
-    transient_ix: Vec<usize>,
-    /// Map original state → compact absorbing index (or MAX).
-    absorbing_ix: Vec<usize>,
-    /// Original ids of absorbing states, in compact order.
-    absorbing_states: Vec<usize>,
-    /// `probs[t][a]`: probability that transient `t` absorbs in `a`
-    /// (compact indices).
-    probs: Vec<Vec<f64>>,
 }
 
 impl AbsorbingChain {
@@ -141,93 +113,64 @@ impl AbsorbingChain {
         Ok(())
     }
 
-    /// Computes the absorption probabilities `A = (I − Q)^{-1} R` as
-    /// floats with the chosen backend. `SparseScc` solves exactly and
-    /// rounds only the result; `SparseLu` is the paper's UMFPACK analogue;
-    /// `GaussSeidel` is what the PRISM model checker iterates with.
+    /// The probability of eventually reaching one of the absorbing states
+    /// `targets`, for every state, in floats: one Gauss–Seidel solve of
+    /// `(I − Q) x = R · 1_targets`, which is how the PRISM model checker
+    /// computes `P[F target]`. Entry `s` of the result is state `s`'s
+    /// probability; an absorbing state reads 1 if it is a target, else 0.
     ///
     /// # Errors
     ///
-    /// Propagates solver failures; a [`LinalgError::Singular`] typically
-    /// means some transient state cannot reach any absorbing state (the
-    /// chain is not actually absorbing).
-    pub fn solve(&self, backend: SolverBackend) -> Result<AbsorptionResult, LinalgError> {
-        if backend == SolverBackend::SparseScc {
-            // The structured exact path; rounded to floats only here, at
-            // the shared result type.
-            return Ok(self.solve_sparse_scc(false)?.to_result());
+    /// [`LinalgError::NoConvergence`] when the iteration does not settle
+    /// within its sweep budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a target is not an absorbing state.
+    pub fn reach_prob_approx(&self, targets: &[usize]) -> Result<Vec<f64>, LinalgError> {
+        let mut is_target = vec![false; self.n];
+        for &t in targets {
+            assert!(self.absorbing[t], "target state {t} is not absorbing");
+            is_target[t] = true;
         }
-        let (transient_ix, absorbing_ix, transients, absorbing_states) = self.partition();
+        let (transient_ix, _, transients, _) = self.partition();
         let nt = transients.len();
-        let na = absorbing_states.len();
         let mut q = Triplets::new(nt, nt);
-        let mut r = vec![vec![0.0f64; na]; nt];
+        let mut b = vec![0.0f64; nt];
         for (from, to, p) in &self.transitions {
             let ti = transient_ix[*from];
-            let pf = p.to_f64();
-            if self.absorbing[*to] {
-                r[ti][absorbing_ix[*to]] += pf;
-            } else {
-                q.push(ti, transient_ix[*to], pf);
+            if !self.absorbing[*to] {
+                q.push(ti, transient_ix[*to], p.to_f64());
+            } else if is_target[*to] {
+                b[ti] += p.to_f64();
             }
         }
-        let qm = q.to_csr();
-        let probs = match backend {
-            SolverBackend::SparseScc => unreachable!("handled above"),
-            SolverBackend::SparseLu => {
-                // Factor (I - Q) once; back-solve one column of R at a time.
-                let mut iq = Triplets::new(nt, nt);
-                for i in 0..nt {
-                    iq.push(i, i, 1.0);
-                }
-                for i in 0..nt {
-                    for (j, v) in qm.row(i) {
-                        iq.push(i, j, -v);
-                    }
-                }
-                let lu = SparseLu::factor(&iq.to_csr())?;
-                let mut cols = Vec::with_capacity(na);
-                for a in 0..na {
-                    let rhs: Vec<f64> = r.iter().take(nt).map(|row| row[a]).collect();
-                    cols.push(lu.solve(&rhs));
-                }
-                transpose(cols, nt)
-            }
-            SolverBackend::GaussSeidel => {
-                let opts = IterativeOptions::default();
-                let mut cols = Vec::with_capacity(na);
-                for a in 0..na {
-                    let rhs: Vec<f64> = r.iter().take(nt).map(|row| row[a]).collect();
-                    cols.push(gauss_seidel(&qm, &rhs, opts)?);
-                }
-                transpose(cols, nt)
-            }
-        };
-        Ok(AbsorptionResult {
-            n: self.n,
-            transient_ix,
-            absorbing_ix,
-            absorbing_states,
-            probs,
-        })
+        let x = gauss_seidel(&q.to_csr(), &b, IterativeOptions::default())?;
+        Ok((0..self.n)
+            .map(|s| match transient_ix[s] {
+                usize::MAX if is_target[s] => 1.0,
+                usize::MAX => 0.0,
+                t => x[t],
+            })
+            .collect())
     }
 
     /// Computes the absorption probabilities exactly, over rationals, with
-    /// dense Gaussian elimination. Far slower than [`solve`] but
-    /// bit-for-bit exact: the reference the sparse SCC solve is
-    /// differential-tested against, and the loop compiler's last rung.
-    ///
-    /// [`solve`]: AbsorbingChain::solve
+    /// dense Gaussian elimination. Far slower than
+    /// [`solve_sparse_scc`](AbsorbingChain::solve_sparse_scc) on routing
+    /// chains: the reference the sparse SCC solve is differential-tested
+    /// against, and the loop compiler's last rung.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`AbsorbingChain::solve`].
+    /// [`LinalgError::Singular`] when some transient state cannot reach
+    /// any absorbing state (the chain is not actually absorbing).
     pub fn solve_exact(&self) -> Result<Vec<Vec<Ratio>>, LinalgError> {
         let (transient_ix, absorbing_ix, transients, absorbing_states) = self.partition();
         let nt = transients.len();
         let na = absorbing_states.len();
-        let mut iq = DenseMatrix::<Ratio>::identity(nt);
-        let mut r = DenseMatrix::<Ratio>::zeros(nt, na);
+        let mut iq = DenseMatrix::identity(nt);
+        let mut r = DenseMatrix::zeros(nt, na);
         for (from, to, p) in &self.transitions {
             let ti = transient_ix[*from];
             if self.absorbing[*to] {
@@ -422,13 +365,6 @@ impl AbsorbingChain {
     }
 }
 
-fn transpose(cols: Vec<Vec<f64>>, nt: usize) -> Vec<Vec<f64>> {
-    let na = cols.len();
-    (0..nt)
-        .map(|t| (0..na).map(|a| cols[a][t]).collect())
-        .collect()
-}
-
 /// Sorts a sparse row by target, sums duplicate targets, drops zeros.
 fn merge_row(row: &mut Vec<(usize, Ratio)>) {
     row.sort_unstable_by_key(|(t, _)| *t);
@@ -494,7 +430,7 @@ fn solve_component(
     // reaches.
     let k = comp.len();
     let pos: HashMap<usize, usize> = comp.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-    let mut a = DenseMatrix::<Ratio>::identity(k);
+    let mut a = DenseMatrix::identity(k);
     let mut bases: Vec<BTreeMap<usize, Ratio>> = vec![BTreeMap::new(); k];
     for (li, &s) in comp.iter().enumerate() {
         for (t, p) in &qrows[s] {
@@ -522,7 +458,7 @@ fn solve_component(
         return Err(LinalgError::Singular(comp[0]));
     }
     let col_ix: HashMap<usize, usize> = cols.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-    let mut rhs = DenseMatrix::<Ratio>::zeros(k, cols.len());
+    let mut rhs = DenseMatrix::zeros(k, cols.len());
     for (li, base) in bases.iter().enumerate() {
         for (aix, p) in base {
             rhs.set(li, col_ix[aix], p.clone());
@@ -630,68 +566,11 @@ impl SparseAbsorption {
             })
             .collect()
     }
-
-    /// Rounds into the float [`AbsorptionResult`] shared by every
-    /// [`SolverBackend`].
-    pub fn to_result(&self) -> AbsorptionResult {
-        AbsorptionResult {
-            n: self.n,
-            transient_ix: self.transient_ix.clone(),
-            absorbing_ix: self.absorbing_ix.clone(),
-            absorbing_states: self.absorbing_states.clone(),
-            probs: self
-                .to_dense()
-                .into_iter()
-                .map(|row| row.into_iter().map(|p| p.to_f64()).collect())
-                .collect(),
-        }
-    }
-}
-
-impl AbsorptionResult {
-    /// Probability that transient state `from` (original id) is absorbed in
-    /// absorbing state `to` (original id).
-    ///
-    /// For an absorbing `from`, returns 1 if `from == to` and 0 otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is not absorbing or ids are out of range.
-    pub fn prob(&self, from: usize, to: usize) -> f64 {
-        assert!(from < self.n && to < self.n, "state out of range");
-        let a = self.absorbing_ix[to];
-        assert!(a != usize::MAX, "target state {to} is not absorbing");
-        if self.transient_ix[from] == usize::MAX {
-            return if from == to { 1.0 } else { 0.0 };
-        }
-        self.probs[self.transient_ix[from]][a]
-    }
-
-    /// The absorbing states (original ids) in column order.
-    pub fn absorbing_states(&self) -> &[usize] {
-        &self.absorbing_states
-    }
-
-    /// The full absorption row for `from` as `(absorbing_state, prob)`.
-    pub fn row(&self, from: usize) -> Vec<(usize, f64)> {
-        self.absorbing_states
-            .iter()
-            .map(|&a| (a, self.prob(from, a)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn backends() -> [SolverBackend; 3] {
-        [
-            SolverBackend::SparseScc,
-            SolverBackend::SparseLu,
-            SolverBackend::GaussSeidel,
-        ]
-    }
 
     #[test]
     fn sparse_scc_matches_exact_on_cyclic_chain() {
@@ -770,23 +649,26 @@ mod tests {
     fn gamblers_ruin_all_backends() {
         // States 0..=4; 0 and 4 absorb; fair coin. Classic result:
         // P(absorb at 4 | start i) = i/4.
-        for backend in backends() {
-            let mut chain = AbsorbingChain::new(5);
-            chain.set_absorbing(0);
-            chain.set_absorbing(4);
+        let mut chain = AbsorbingChain::new(5);
+        chain.set_absorbing(0);
+        chain.set_absorbing(4);
+        for i in 1..4 {
+            chain.add(i, i - 1, Ratio::new(1, 2));
+            chain.add(i, i + 1, Ratio::new(1, 2));
+        }
+        chain.validate().unwrap();
+        let exact = chain.solve_exact().unwrap();
+        for lumping in [false, true] {
+            let sol = chain.solve_sparse_scc(lumping).unwrap();
             for i in 1..4 {
-                chain.add(i, i - 1, Ratio::new(1, 2));
-                chain.add(i, i + 1, Ratio::new(1, 2));
+                assert_eq!(sol.prob(i, 4), Ratio::new(i as i64, 4), "start {i}");
+                assert_eq!(sol.prob(i, 0), Ratio::new(4 - i as i64, 4));
             }
-            chain.validate().unwrap();
-            let sol = chain.solve(backend).unwrap();
-            for i in 1..4 {
-                assert!(
-                    (sol.prob(i, 4) - i as f64 / 4.0).abs() < 1e-9,
-                    "{backend:?} start {i}"
-                );
-                assert!((sol.prob(i, 0) - (1.0 - i as f64 / 4.0)).abs() < 1e-9);
-            }
+            assert_eq!(sol.to_dense(), exact, "lumping={lumping}");
+        }
+        let approx = chain.reach_prob_approx(&[4]).unwrap();
+        for (i, p) in approx.iter().enumerate() {
+            assert!((p - i as f64 / 4.0).abs() < 1e-9, "start {i}");
         }
     }
 
@@ -800,13 +682,13 @@ mod tests {
         chain.add(2, 0, Ratio::new(1, 2));
         chain.add(2, 3, Ratio::new(1, 2));
         let exact = chain.solve_exact().unwrap();
-        let float = chain.solve(SolverBackend::SparseLu).unwrap();
+        let float = chain.reach_prob_approx(&[3]).unwrap();
         // Single absorbing state: everything absorbs there with prob 1.
         for row in &exact {
             assert_eq!(row[0], Ratio::one());
         }
-        for t in 0..3 {
-            assert!((float.prob(t, 3) - 1.0).abs() < 1e-9);
+        for p in float {
+            assert!((p - 1.0).abs() < 1e-9);
         }
     }
 
@@ -817,10 +699,11 @@ mod tests {
         chain.set_absorbing(1);
         chain.add(0, 0, Ratio::new(1, 2));
         chain.add(0, 1, Ratio::new(1, 2));
-        for backend in backends() {
-            let sol = chain.solve(backend).unwrap();
-            assert!((sol.prob(0, 1) - 1.0).abs() < 1e-9, "{backend:?}");
+        for lumping in [false, true] {
+            let sol = chain.solve_sparse_scc(lumping).unwrap();
+            assert_eq!(sol.prob(0, 1), Ratio::one(), "lumping={lumping}");
         }
+        assert!((chain.reach_prob_approx(&[1]).unwrap()[0] - 1.0).abs() < 1e-9);
         assert_eq!(chain.solve_exact().unwrap()[0][0], Ratio::one());
     }
 
@@ -832,9 +715,11 @@ mod tests {
         chain.set_absorbing(2);
         chain.add(0, 1, Ratio::new(1, 4));
         chain.add(0, 2, Ratio::new(3, 4));
-        let sol = chain.solve(SolverBackend::SparseLu).unwrap();
-        assert!((sol.prob(0, 1) - 0.25).abs() < 1e-12);
-        assert!((sol.prob(0, 2) - 0.75).abs() < 1e-12);
+        let sol = chain.solve_sparse_scc(false).unwrap();
+        assert_eq!(sol.prob(0, 1), Ratio::new(1, 4));
+        assert_eq!(sol.prob(0, 2), Ratio::new(3, 4));
+        assert!((chain.reach_prob_approx(&[1]).unwrap()[0] - 0.25).abs() < 1e-12);
+        assert!((chain.reach_prob_approx(&[1, 2]).unwrap()[0] - 1.0).abs() < 1e-12);
         let exact = chain.solve_exact().unwrap();
         assert_eq!(exact[0], vec![Ratio::new(1, 4), Ratio::new(3, 4)]);
     }
@@ -844,9 +729,10 @@ mod tests {
         let mut chain = AbsorbingChain::new(2);
         chain.set_absorbing(0);
         chain.set_absorbing(1);
-        let sol = chain.solve(SolverBackend::SparseLu).unwrap();
-        assert_eq!(sol.prob(0, 0), 1.0);
-        assert_eq!(sol.prob(0, 1), 0.0);
+        let sol = chain.solve_sparse_scc(false).unwrap();
+        assert_eq!(sol.prob(0, 0), Ratio::one());
+        assert_eq!(sol.prob(0, 1), Ratio::zero());
+        assert_eq!(chain.reach_prob_approx(&[0]).unwrap(), vec![1.0, 0.0]);
     }
 
     #[test]
@@ -876,10 +762,14 @@ mod tests {
                 }
             }
             chain.validate().unwrap();
-            let sol = chain.solve(SolverBackend::SparseLu).unwrap();
+            let sol = chain.solve_sparse_scc(true).unwrap();
             for s in 0..n - 1 {
-                let sum: f64 = sol.row(s).iter().map(|(_, p)| p).sum();
-                assert!((sum - 1.0).abs() < 1e-9, "row {s} sums to {sum}");
+                let sum: Ratio = sol.sparse_row(s).iter().map(|(_, p)| p).sum();
+                assert_eq!(sum, Ratio::one(), "row {s}");
+            }
+            let approx = chain.reach_prob_approx(&[n - 1]).unwrap();
+            for (s, p) in approx.iter().enumerate() {
+                assert!((p - 1.0).abs() < 1e-9, "state {s} reaches with {p}");
             }
         }
     }

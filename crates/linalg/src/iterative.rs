@@ -1,4 +1,6 @@
-//! Iterative solvers for `(I − Q) x = b` with substochastic `Q`.
+//! Gauss–Seidel for `(I − Q) x = b` with substochastic `Q`: the float
+//! iteration behind [`crate::AbsorbingChain::reach_prob_approx`], the
+//! crate's one float computation (PRISM's default engine).
 //!
 //! For absorbing chains the spectral radius of `Q` is strictly below one
 //! (Lemma B.3 of the paper), so the fixed-point iteration `x ← Q x + b`
@@ -10,7 +12,7 @@ use crate::{CsrMatrix, LinalgError};
 
 /// Convergence controls for the iterative solvers.
 #[derive(Clone, Copy, Debug)]
-pub struct IterativeOptions {
+pub(crate) struct IterativeOptions {
     /// Give up after this many sweeps.
     pub max_iters: usize,
     /// Stop when the ∞-norm of the update falls below this.
@@ -32,7 +34,7 @@ impl Default for IterativeOptions {
 ///
 /// Returns [`LinalgError::DimensionMismatch`] if shapes disagree and
 /// [`LinalgError::NoConvergence`] when the budget runs out.
-pub fn gauss_seidel(
+pub(crate) fn gauss_seidel(
     q: &CsrMatrix,
     b: &[f64],
     opts: IterativeOptions,

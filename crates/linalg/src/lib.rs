@@ -1,45 +1,42 @@
-//! Dense and sparse linear algebra for McNetKAT.
+//! Exact linear algebra for McNetKAT.
 //!
 //! The paper's native backend solves `(I − Q)X = R` for the absorption
 //! probabilities of the small-step Markov chain (§4, equation 2) using the
-//! UMFPACK sparse LU library. This crate is the from-scratch substitute:
+//! UMFPACK sparse LU library. This crate computes the same matrix exactly,
+//! over [`mcnetkat_num::Ratio`]:
 //!
-//! * generic dense matrices and Gaussian elimination over any [`Scalar`]
-//!   (used with `f64` *and* exact [`mcnetkat_num::Ratio`], so tests can
-//!   cross-check the float pipeline against exact arithmetic),
-//! * CSR sparse matrices built from triplets,
-//! * a sparse left-looking LU factorisation with partial pivoting
-//!   (Gilbert–Peierls), and
-//! * an iterative Gauss–Seidel solver that exploits the substochasticity
-//!   of `Q`.
+//! * [`AbsorbingChain::solve_sparse_scc`] condenses the transient graph
+//!   into its SCC DAG ([`scc`]), optionally quotients it by its coarsest
+//!   exact lumping ([`lump`]), and solves one component at a time — the
+//!   solve behind every compiled `while` loop;
+//! * [`AbsorbingChain::solve_exact`] is dense Gaussian elimination over
+//!   [`DenseMatrix`], the reference the sparse solve is tested against
+//!   and the loop compiler's last fallback rung.
 //!
-//! The [`absorbing`] module puts these together into the absorbing-chain
-//! solver used by the FDD backend for `while` loops.
+//! The one float computation is [`AbsorbingChain::reach_prob_approx`]: a
+//! Gauss–Seidel iteration, the engine of the PRISM model checker that the
+//! paper compares against (`mcnetkat-prism`'s approximate mode).
 
 #![forbid(unsafe_code)]
 
 pub mod absorbing;
 mod dense;
 mod iterative;
-mod lu;
 pub mod lump;
-mod scalar;
 pub mod scc;
 mod sparse;
 
-pub use absorbing::{AbsorbingChain, AbsorptionResult, SolverBackend, SparseAbsorption};
+pub use absorbing::{AbsorbingChain, SparseAbsorption};
 pub use dense::DenseMatrix;
-pub use iterative::{gauss_seidel, IterativeOptions};
-pub use lu::SparseLu;
+use iterative::{gauss_seidel, IterativeOptions};
 pub use lump::{is_lumpable, refine, Partition};
-pub use scalar::Scalar;
 pub use scc::{condense, Condensation};
-pub use sparse::{CsrMatrix, Triplets};
+use sparse::{CsrMatrix, Triplets};
 
 /// Errors produced by solvers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LinalgError {
-    /// The matrix is singular (or numerically singular) at the given pivot.
+    /// The matrix is singular at the given pivot.
     Singular(usize),
     /// An iterative method failed to converge within its budget.
     NoConvergence {

@@ -5,7 +5,7 @@
 /// Duplicate entries are summed when compressed, which is convenient when
 /// accumulating transition probabilities.
 #[derive(Clone, Debug, Default)]
-pub struct Triplets {
+pub(crate) struct Triplets {
     rows: usize,
     cols: usize,
     entries: Vec<(usize, usize, f64)>,
@@ -31,16 +31,6 @@ impl Triplets {
         if v != 0.0 {
             self.entries.push((i, j, v));
         }
-    }
-
-    /// Number of raw (pre-compression) entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if no entries were pushed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Compresses into CSR form, summing duplicates.
@@ -83,20 +73,8 @@ impl Triplets {
 }
 
 /// A compressed-sparse-row matrix of `f64`.
-///
-/// # Examples
-///
-/// ```
-/// use mcnetkat_linalg::Triplets;
-/// let mut t = Triplets::new(2, 2);
-/// t.push(0, 0, 1.0);
-/// t.push(1, 0, 0.5);
-/// t.push(1, 1, 0.5);
-/// let m = t.to_csr();
-/// assert_eq!(m.matvec(&[1.0, 2.0]), vec![1.0, 1.5]);
-/// ```
 #[derive(Clone, Debug, PartialEq)]
-pub struct CsrMatrix {
+pub(crate) struct CsrMatrix {
     rows: usize,
     cols: usize,
     row_ptr: Vec<usize>,
@@ -116,6 +94,7 @@ impl CsrMatrix {
     }
 
     /// Number of stored non-zeros.
+    #[cfg(test)]
     pub fn nnz(&self) -> usize {
         self.values.len()
     }
@@ -131,6 +110,7 @@ impl CsrMatrix {
     }
 
     /// Reads entry `(i, j)` (zero if not stored).
+    #[cfg(test)]
     pub fn get(&self, i: usize, j: usize) -> f64 {
         self.row(i)
             .find_map(|(c, v)| (c == j).then_some(v))
@@ -142,55 +122,12 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics on dimension mismatch.
+    #[cfg(test)]
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         (0..self.rows)
             .map(|i| self.row(i).map(|(j, v)| v * x[j]).sum())
             .collect()
-    }
-
-    /// Transposed matrix–vector product `Aᵀ x`.
-    pub fn matvec_transpose(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "matvec_transpose dimension mismatch");
-        let mut out = vec![0.0; self.cols];
-        for (i, &xi) in x.iter().enumerate() {
-            for (j, v) in self.row(i) {
-                out[j] += v * xi;
-            }
-        }
-        out
-    }
-
-    /// Converts to column-major arrays `(col_ptr, row_ix, values)` — the
-    /// CSC view consumed by the sparse LU.
-    pub fn to_csc(&self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-        let mut counts = vec![0usize; self.cols + 1];
-        for &j in &self.col_ix {
-            counts[j + 1] += 1;
-        }
-        for j in 0..self.cols {
-            counts[j + 1] += counts[j];
-        }
-        let col_ptr = counts.clone();
-        let mut next = counts;
-        let mut row_ix = vec![0usize; self.nnz()];
-        let mut values = vec![0.0; self.nnz()];
-        for i in 0..self.rows {
-            for (j, v) in self.row(i) {
-                let slot = next[j];
-                row_ix[slot] = i;
-                values[slot] = v;
-                next[j] += 1;
-            }
-        }
-        (col_ptr, row_ix, values)
-    }
-
-    /// Maximum absolute row sum (the induced ∞-norm).
-    pub fn inf_norm(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| self.row(i).map(|(_, v)| v.abs()).sum::<f64>())
-            .fold(0.0, f64::max)
     }
 }
 
@@ -227,33 +164,5 @@ mod tests {
         t.push(1, 1, 3.0);
         let m = t.to_csr();
         assert_eq!(m.matvec(&[1.0, 1.0, 1.0]), vec![3.0, 3.0]);
-        assert_eq!(m.matvec_transpose(&[1.0, 1.0]), vec![1.0, 3.0, 2.0]);
-    }
-
-    #[test]
-    fn csc_round_trip() {
-        let mut t = Triplets::new(3, 3);
-        t.push(0, 0, 1.0);
-        t.push(1, 0, 2.0);
-        t.push(1, 2, 3.0);
-        t.push(2, 1, 4.0);
-        let m = t.to_csr();
-        let (col_ptr, row_ix, values) = m.to_csc();
-        // Column 0 holds rows {0, 1}.
-        assert_eq!(&row_ix[col_ptr[0]..col_ptr[1]], &[0, 1]);
-        assert_eq!(&values[col_ptr[0]..col_ptr[1]], &[1.0, 2.0]);
-        // Column 1 holds row {2}.
-        assert_eq!(&row_ix[col_ptr[1]..col_ptr[2]], &[2]);
-        assert_eq!(&values[col_ptr[1]..col_ptr[2]], &[4.0]);
-    }
-
-    #[test]
-    fn inf_norm_is_max_row_sum() {
-        let mut t = Triplets::new(2, 2);
-        t.push(0, 0, 0.5);
-        t.push(0, 1, 0.5);
-        t.push(1, 0, -2.0);
-        let m = t.to_csr();
-        assert_eq!(m.inf_norm(), 2.0);
     }
 }

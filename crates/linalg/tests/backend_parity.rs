@@ -1,19 +1,12 @@
-//! Table-driven backend parity: every [`SolverBackend`] must produce the
-//! same [`AbsorptionResult`] over a set of named fixtures chosen to
-//! exercise the structural corners — self-loops, disconnected transient
-//! islands with separate absorbing classes, and explicitly-added
-//! zero-probability edges. Probabilities must agree within 1e-9 and the
-//! absorbing-state sets must be identical; the exact dense solve is the
-//! reference.
+//! Table-driven solver parity: the sparse SCC solve (lumping off and on)
+//! and the float PRISM-approx reachability must reproduce the exact dense
+//! solve over a set of named fixtures chosen to exercise the structural
+//! corners — self-loops, disconnected transient islands with separate
+//! absorbing classes, and explicitly-added zero-probability edges. The
+//! sparse solve must agree by `Ratio` equality, PRISM-approx within 1e-9.
 
-use mcnetkat_linalg::{AbsorbingChain, SolverBackend};
+use mcnetkat_linalg::AbsorbingChain;
 use mcnetkat_num::Ratio;
-
-const BACKENDS: [SolverBackend; 3] = [
-    SolverBackend::SparseScc,
-    SolverBackend::SparseLu,
-    SolverBackend::GaussSeidel,
-];
 
 /// A lazy gambler's ruin: every transient state self-loops with ½ and
 /// otherwise moves one step towards ruin (3) or fortune (4).
@@ -91,6 +84,18 @@ fn fixtures() -> Vec<(&'static str, AbsorbingChain)> {
     ]
 }
 
+/// The exact answer for `(state, absorbing state)`, from `solve_exact`'s
+/// transient rows; in these fixtures the transient states are `0..nt`,
+/// so absorbing rows read back as point masses.
+fn exact_prob(exact: &[Vec<Ratio>], s: usize, a: usize) -> Ratio {
+    let nt = exact.len();
+    match exact.get(s) {
+        Some(row) => row[a - nt].clone(),
+        None if s == a => Ratio::one(),
+        None => Ratio::zero(),
+    }
+}
+
 #[test]
 fn every_backend_agrees_on_every_fixture() {
     for (name, chain) in fixtures() {
@@ -98,54 +103,75 @@ fn every_backend_agrees_on_every_fixture() {
             panic!("fixture {name}: exact solve failed: {e:?}");
         });
         let n = chain.len();
-        let nt = exact.len();
-        for backend in BACKENDS {
-            let result = chain
-                .solve(backend)
-                .unwrap_or_else(|e| panic!("fixture {name}: {backend:?} failed: {e:?}"));
+        let absorbing: Vec<usize> = (exact.len()..n).collect();
+        for lumping in [false, true] {
+            let sparse = chain
+                .solve_sparse_scc(lumping)
+                .unwrap_or_else(|e| panic!("fixture {name}: lumping={lumping} failed: {e:?}"));
             // Identical absorbing-state sets, in the same compact order.
-            let absorbing: Vec<usize> = (nt..n).collect();
             assert_eq!(
-                result.absorbing_states(),
+                sparse.absorbing_states(),
                 &absorbing[..],
-                "fixture {name}: {backend:?} absorbing set"
+                "fixture {name}: lumping={lumping} absorbing set"
             );
-            // Identical probabilities, for transient *and* absorbing rows
-            // (state ids, not row positions — absorbing rows have no
-            // `exact` entry and must read back as point masses).
+            assert_eq!(
+                sparse.to_dense(),
+                exact,
+                "fixture {name}: lumping={lumping}"
+            );
+            // State ids, not row positions: absorbing rows have no `exact`
+            // entry and must read back as point masses.
             for s in 0..n {
                 for &a in &absorbing {
-                    let want = match exact.get(s) {
-                        Some(row) => row[a - nt].to_f64(),
-                        None if s == a => 1.0,
-                        None => 0.0,
-                    };
-                    let got = result.prob(s, a);
-                    assert!(
-                        (want - got).abs() < 1e-9,
-                        "fixture {name}: {backend:?} prob({s}, {a}) = {got}, want {want}"
+                    assert_eq!(
+                        sparse.prob(s, a),
+                        exact_prob(&exact, s, a),
+                        "fixture {name}: lumping={lumping} prob({s}, {a})"
                     );
                 }
+            }
+        }
+        for &a in &absorbing {
+            let approx = chain
+                .reach_prob_approx(&[a])
+                .unwrap_or_else(|e| panic!("fixture {name}: approx failed: {e:?}"));
+            for (s, got) in approx.iter().enumerate() {
+                let want = exact_prob(&exact, s, a).to_f64();
+                assert!(
+                    (want - got).abs() < 1e-9,
+                    "fixture {name}: approx P[F {a}] from {s} = {got}, want {want}"
+                );
             }
         }
     }
 }
 
-/// Absorption is total on every fixture: each transient row of every
-/// backend sums to 1 (nothing is trapped, nothing leaks).
+/// Absorption is total on every fixture: each transient row of the
+/// sparse solve sums to exactly 1, and PRISM-approx reaches the set of
+/// all absorbing states with probability 1 (nothing is trapped, nothing
+/// leaks).
 #[test]
 fn every_backend_conserves_mass() {
     for (name, chain) in fixtures() {
-        for backend in BACKENDS {
-            let result = chain.solve(backend).unwrap();
-            let nt = chain.len() - result.absorbing_states().len();
-            for s in 0..nt {
-                let mass: f64 = result.row(s).iter().map(|(_, p)| p).sum();
-                assert!(
-                    (mass - 1.0).abs() < 1e-9,
-                    "fixture {name}: {backend:?} row {s} mass {mass}"
+        for lumping in [false, true] {
+            let sparse = chain.solve_sparse_scc(lumping).unwrap();
+            for t in 0..sparse.num_transient() {
+                let mass: Ratio = sparse.sparse_row(t).iter().map(|(_, p)| p).sum();
+                assert_eq!(
+                    mass,
+                    Ratio::one(),
+                    "fixture {name}: lumping={lumping} row {t}"
                 );
             }
+        }
+        let all: Vec<usize> = (0..chain.len())
+            .filter(|&s| chain.is_absorbing(s))
+            .collect();
+        for (s, mass) in chain.reach_prob_approx(&all).unwrap().iter().enumerate() {
+            assert!(
+                (mass - 1.0).abs() < 1e-9,
+                "fixture {name}: approx state {s} mass {mass}"
+            );
         }
     }
 }

@@ -1,10 +1,8 @@
-//! Property-based tests for the linear-algebra substrate: solver
-//! agreement across backends, absorption-probability invariants, and
-//! LU correctness on random systems.
+//! Property-based tests for the linear-algebra substrate: PRISM-approx
+//! agreement with the exact solve, absorption-probability invariants, and
+//! exactness of the dense elimination.
 
-use mcnetkat_linalg::{
-    gauss_seidel, AbsorbingChain, DenseMatrix, IterativeOptions, SolverBackend, SparseLu, Triplets,
-};
+use mcnetkat_linalg::{AbsorbingChain, DenseMatrix};
 use mcnetkat_num::Ratio;
 use proptest::prelude::*;
 
@@ -33,22 +31,21 @@ fn arb_chain() -> impl Strategy<Value = AbsorbingChain> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// All float backends agree with the exact rational solve.
+    /// PRISM-approx's float reachability agrees with the exact rational
+    /// solve, one absorbing target at a time.
     #[test]
     fn backends_agree_with_exact(chain in arb_chain()) {
         chain.validate().unwrap();
         let exact = chain.solve_exact().unwrap();
-        for backend in [SolverBackend::SparseLu, SolverBackend::GaussSeidel] {
-            let float = chain.solve(backend).unwrap();
-            let n = chain.len();
+        let n = chain.len();
+        for (col, &a) in [n - 2, n - 1].iter().enumerate() {
+            let float = chain.reach_prob_approx(&[a]).unwrap();
             // Transient states are 0..n-2, so state id and transient rank
             // coincide here.
             for (s, row) in exact.iter().enumerate().take(n - 2) {
-                for (col, &a) in [n - 2, n - 1].iter().enumerate() {
-                    let e = row[col].to_f64();
-                    let f = float.prob(s, a);
-                    prop_assert!((e - f).abs() < 1e-8, "{backend:?} s={s} a={a}: {e} vs {f}");
-                }
+                let e = row[col].to_f64();
+                let f = float[s];
+                prop_assert!((e - f).abs() < 1e-8, "s={s} a={a}: {e} vs {f}");
             }
         }
     }
@@ -67,59 +64,37 @@ proptest! {
         }
     }
 
-    /// Sparse LU solves random diagonally dominant systems to machine
-    /// precision (checked via the residual).
-    #[test]
-    fn sparse_lu_residual_is_small(
-        n in 2..12usize,
-        entries in proptest::collection::vec((-10i32..10, 0..144usize), 10..40),
-        rhs in proptest::collection::vec(-5.0f64..5.0, 12),
-    ) {
-        let mut t = Triplets::new(n, n);
-        let mut diag = vec![0.0f64; n];
-        for (v, pos) in entries {
-            let (i, j) = (pos / 12 % n, pos % n);
-            if i != j && v != 0 {
-                t.push(i, j, v as f64 / 10.0);
-                diag[i] += (v as f64 / 10.0).abs();
-            }
-        }
-        for (i, d) in diag.iter().enumerate() {
-            t.push(i, i, d + 1.0); // strict diagonal dominance
-        }
-        let a = t.to_csr();
-        let b = &rhs[..n];
-        let x = SparseLu::factor(&a).unwrap().solve(b);
-        let ax = a.matvec(&x);
-        for (l, r) in ax.iter().zip(b) {
-            prop_assert!((l - r).abs() < 1e-8);
-        }
-    }
-
-    /// Gauss–Seidel agrees with back-substitution on substochastic
-    /// forward chains.
+    /// PRISM-approx's Gauss–Seidel agrees with float back-substitution on
+    /// forward chains: state `i` steps to `i + 1` with `f_i`, hits the
+    /// target with `g_i` and is lost otherwise, so `x_i = g_i + f_i x_{i+1}`.
     #[test]
     fn iterative_methods_agree(
         n in 2..10usize,
         probs in proptest::collection::vec(0..9u32, 10),
     ) {
-        let mut t = Triplets::new(n, n);
+        let (target, lost) = (n, n + 1);
+        let mut chain = AbsorbingChain::new(n + 2);
+        chain.set_absorbing(target);
+        chain.set_absorbing(lost);
         let mut forward = vec![0.0f64; n];
-        for (i, p) in probs.iter().take(n).enumerate() {
-            // Row i: move forward with probability p/10 (leaky).
-            if *p > 0 && i + 1 < n {
-                forward[i] = *p as f64 / 10.0;
-                t.push(i, i + 1, forward[i]);
+        let mut hit = vec![0.0f64; n];
+        for (i, &p) in probs.iter().take(n).enumerate() {
+            let f = if i + 1 < n { Ratio::new(p as i64, 10) } else { Ratio::zero() };
+            let g = Ratio::new(10 - p as i64, 20);
+            let rest = &(&Ratio::one() - &f) - &g;
+            forward[i] = f.to_f64();
+            hit[i] = g.to_f64();
+            if !f.is_zero() {
+                chain.add(i, i + 1, f);
             }
+            chain.add(i, target, g);
+            chain.add(i, lost, rest);
         }
-        let q = t.to_csr();
-        let b = vec![1.0; n];
-        // x_i = b_i + q_i x_{i+1}, solved from the last state down.
         let mut want = vec![0.0f64; n];
         for i in (0..n).rev() {
-            want[i] = b[i] + forward[i] * want.get(i + 1).unwrap_or(&0.0);
+            want[i] = hit[i] + forward[i] * want.get(i + 1).unwrap_or(&0.0);
         }
-        let xg = gauss_seidel(&q, &b, IterativeOptions::default()).unwrap();
+        let xg = chain.reach_prob_approx(&[target]).unwrap();
         for (got, want) in xg.iter().zip(&want) {
             prop_assert!((got - want).abs() < 1e-8);
         }

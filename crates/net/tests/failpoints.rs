@@ -10,7 +10,7 @@
 #![cfg(feature = "failpoints")]
 
 use mcnetkat_fdd::failpoints::{self, FaultAction};
-use mcnetkat_fdd::{Budget, CompileError, CompileOptions, FallbackPolicy, LinalgError, Manager};
+use mcnetkat_fdd::{Budget, CompileError, CompileOptions, LinalgError, Manager};
 use mcnetkat_net::{
     compile_model_parallel, running_example, FailureSpec, NetworkModel, RoutingScheme,
 };
@@ -149,17 +149,15 @@ fn lump_site_failure_is_survived_by_the_unlumped_retry() {
 }
 
 #[test]
-fn strict_policy_turns_injected_singular_into_an_error() {
+fn exhausted_fallback_chain_is_a_typed_error() {
     let _guard = serial();
     failpoints::clear_all();
     let m = model();
     let mgr = Manager::new();
+    // All three rungs die: the lumped solve, the unlumped retry and the
+    // dense exact reference. The last rung's error is the compile's.
     failpoints::configure("fdd::loops::solve", FaultAction::Singular, 1, 3);
-    let opts = CompileOptions {
-        fallback: FallbackPolicy::strict(),
-        ..CompileOptions::default()
-    };
-    match compile_model_parallel(&mgr, &m, WORKERS, &opts) {
+    match compile_model_parallel(&mgr, &m, WORKERS, &Default::default()) {
         Err(CompileError::Solver(LinalgError::Singular(_))) => {}
         other => panic!("expected Solver(Singular), got {other:?}"),
     }

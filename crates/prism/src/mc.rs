@@ -8,7 +8,7 @@
 
 use crate::Automaton;
 use mcnetkat_core::{Packet, Pred};
-use mcnetkat_linalg::{AbsorbingChain, SolverBackend};
+use mcnetkat_linalg::AbsorbingChain;
 use mcnetkat_num::Ratio;
 use std::collections::HashMap;
 
@@ -136,7 +136,7 @@ pub fn check_reachability(
         }
     }
 
-    // 3. Sum absorption probabilities over accepting exit states.
+    // 3. The probability of absorbing in an accepting exit state.
     let accepting: Vec<usize> = (0..n)
         .filter(|&ix| {
             let (pc, pk) = &states[ix];
@@ -171,12 +171,11 @@ pub fn check_reachability(
             })
         }
         McMode::Approx => {
-            let sol = chain
-                .solve(SolverBackend::GaussSeidel)
+            let reach = chain
+                .reach_prob_approx(&accepting)
                 .map_err(|e| e.to_string())?;
-            let total: f64 = accepting.iter().map(|&a| sol.prob(start, a)).sum();
             Ok(McResult {
-                probability: total,
+                probability: reach[start],
                 exact: None,
                 states: n,
             })

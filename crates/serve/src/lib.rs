@@ -750,8 +750,7 @@ impl ModelEntry {
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
     /// Compile options for every compile the engine runs (loop state
-    /// limit, lumping, fallback policy, default budget for
-    /// loads/patches).
+    /// limit, lumping, default budget for loads/patches).
     pub opts: CompileOptions,
     /// When set, bound each of the manager's op caches to this many
     /// entries (clear-on-overflow; see [`Manager::set_cache_capacity`]).
@@ -771,9 +770,8 @@ pub struct EngineConfig {
     /// Unset means no gate (every caller thread runs).
     pub max_concurrent_queries: Option<usize>,
     /// When set, a query that trips its deadline is retried once with a
-    /// fresh budget of this duration (under the default solver fallback
-    /// chain) before the error surfaces — a late degraded answer beats
-    /// none. Salvaged queries count in
+    /// fresh budget of this duration before the error surfaces — a late
+    /// degraded answer beats none. Salvaged queries count in
     /// [`EngineStats::degraded_answers`]. Unset disables the retry.
     pub degraded_grace: Option<Duration>,
 }
@@ -1551,9 +1549,8 @@ impl Engine {
             (&result, self.degraded_grace)
         {
             // Degraded path: one bounded retry with a fresh deadline.
-            // The solver fallback chain (`CompileOptions::fallback`)
-            // already runs under `answer`, so the retry's only new
-            // allowance is time.
+            // The loop-solve fallback chain always runs under `answer`,
+            // so the retry's only new allowance is time.
             let retry = QueryRequest {
                 query: req.query.clone(),
                 budget: Budget::unlimited().with_deadline(grace),

@@ -70,7 +70,7 @@ mod tests {
         // One symbol per subsystem, so a broken re-export fails to build.
         let _ = crate::num::Ratio::new(1, 2);
         let _ = crate::core::Prog::skip();
-        let _ = crate::linalg::SolverBackend::SparseLu;
+        let _ = crate::linalg::AbsorbingChain::new(1);
         let _ = crate::fdd::Manager::new();
         let _ = crate::topo::chain(1);
         let _ = crate::prism::McMode::Exact;
