@@ -109,6 +109,14 @@ impl<K: Eq + Hash, V: Copy> Cache<K, V> {
         self.map.clear();
     }
 
+    /// Empties the table and zeroes its counters, keeping its capacity.
+    fn clear(&mut self) {
+        self.map.clear();
+        self.hits = 0;
+        self.misses = 0;
+        self.evictions = 0;
+    }
+
     fn stats(&self, name: &'static str) -> OpCacheEntry {
         OpCacheEntry {
             name,
@@ -661,6 +669,22 @@ impl Manager {
         inner.dist_scale_cache.reset();
         inner.dist_then_cache.reset();
         inner.while_cache.reset();
+    }
+
+    /// Drops every node, distribution, action, operation-cache entry,
+    /// `while`-cache entry and gauge, keeping the tables' allocated
+    /// capacity. Afterwards the manager behaves exactly like a fresh
+    /// [`Manager::new`] one with the same cache capacity: the same
+    /// operations hand out the same [`Fdd`] ids, the peak gauges read from
+    /// zero, and the op-cache counters restart. A governor installed by a
+    /// live [`GovernorGuard`] stays installed.
+    ///
+    /// Every [`Fdd`] handle taken before the call is invalidated. This is
+    /// the reset of a reused scratch manager: compiling many small
+    /// diagrams one after another in one cleared manager skips the table
+    /// growth a fresh manager pays for each.
+    pub fn clear(&self) {
+        self.inner.lock().clear();
     }
 
     /// Number of distinct nodes allocated so far.
@@ -1493,6 +1517,63 @@ impl Drop for GovernorGuard<'_> {
 }
 
 impl Inner {
+    /// See [`Manager::clear`]. Lists every field of `Inner` so that a new
+    /// table cannot be forgotten here without a compile error.
+    fn clear(&mut self) {
+        let Inner {
+            nodes,
+            predicate,
+            consed,
+            dists,
+            dist_ids,
+            dist_entries,
+            cache_capacity: _,
+            actions,
+            action_ids,
+            pass_leaf,
+            fail_leaf,
+            zero_leaf,
+            seq_cache,
+            sum_cache,
+            ite_cache,
+            restrict_eq_cache,
+            restrict_ne_cache,
+            scale_cache,
+            prepend_cache,
+            dist_sum_cache,
+            dist_scale_cache,
+            dist_then_cache,
+            while_cache,
+            loop_stats,
+            solve_report,
+            governor: _,
+        } = self;
+        nodes.clear();
+        predicate.clear();
+        consed.clear();
+        dists.clear();
+        dist_ids.clear();
+        *dist_entries = 0;
+        actions.clear();
+        action_ids.clear();
+        *pass_leaf = None;
+        *fail_leaf = None;
+        *zero_leaf = None;
+        seq_cache.clear();
+        sum_cache.clear();
+        ite_cache.clear();
+        restrict_eq_cache.clear();
+        restrict_ne_cache.clear();
+        scale_cache.clear();
+        prepend_cache.clear();
+        dist_sum_cache.clear();
+        dist_scale_cache.clear();
+        dist_then_cache.clear();
+        while_cache.clear();
+        *loop_stats = LoopSolveStats::default();
+        *solve_report = SolveReport::default();
+    }
+
     /// Governed checkpoint on op-cache miss paths. Returns `true` when
     /// the compile is aborting — the caller short-circuits to a cheap
     /// degenerate result (the fail leaf) so the recursion collapses in
@@ -1915,29 +1996,15 @@ impl Inner {
         }
         let nt = self.nodes[t.0 as usize];
         let result = match nt {
-            Node::Leaf(did) => {
-                let d = &self.dists[did.0 as usize];
-                if d.is_skip() {
-                    p
-                } else if d.is_drop() {
-                    q
-                } else {
-                    let why = guard_leaf_violation(d)
-                        .expect("leaf is neither pass nor drop, so the helper must explain");
-                    invariant_panic("ite deterministic guard", &why)
-                }
+            Node::Leaf(did) => self.ite_leaf(did, p, q),
+            Node::Branch { field, value, .. } if self.is_case_arm(t, p, q) => {
+                // `if f=v then p else q` where neither operand tests
+                // anything at or before `f=v`: the expansion below would
+                // rebuild exactly this node.
+                self.mk_branch(field, value, p, q)
             }
             Node::Branch { .. } => {
-                let vt = var_of(&nt);
-                let vp = var_of(&self.nodes[p.0 as usize]);
-                let vq = var_of(&self.nodes[q.0 as usize]);
-                let (f, v) = [vt, vp, vq].into_iter().flatten().min().unwrap();
-                let th = self.restrict_eq(t, f, v);
-                let ph = self.restrict_eq(p, f, v);
-                let qh = self.restrict_eq(q, f, v);
-                let tl = self.restrict_ne(t, f, v);
-                let pl = self.restrict_ne(p, f, v);
-                let ql = self.restrict_ne(q, f, v);
+                let (f, v, [th, ph, qh], [tl, pl, ql]) = self.ite_split(t, p, q);
                 let hi = self.ite(th, ph, qh);
                 let lo = self.ite(tl, pl, ql);
                 self.mk_branch(f, v, hi, lo)
@@ -1948,6 +2015,54 @@ impl Inner {
             self.ite_cache.insert(key, result, cap);
         }
         result
+    }
+
+    /// `ite` on a leaf guard: pass selects `p`, drop selects `q`.
+    fn ite_leaf(&self, did: DistId, p: Fdd, q: Fdd) -> Fdd {
+        let d = &self.dists[did.0 as usize];
+        if d.is_skip() {
+            p
+        } else if d.is_drop() {
+            q
+        } else {
+            let why = guard_leaf_violation(d)
+                .expect("leaf is neither pass nor drop, so the helper must explain");
+            invariant_panic("ite deterministic guard", &why)
+        }
+    }
+
+    /// Whether `ite(t, p, q)` is one arm of a `case` chain: `t` is the
+    /// single test `f=v ? pass : drop`, `p` tests only fields after `f`,
+    /// and `q` tests only variables after `(f, v)`. Then `f=v ? p : q` is
+    /// already an ordered diagram — the answer.
+    fn is_case_arm(&mut self, t: Fdd, p: Fdd, q: Fdd) -> bool {
+        let Node::Branch {
+            field,
+            value,
+            hi,
+            lo,
+        } = self.nodes[t.0 as usize]
+        else {
+            return false;
+        };
+        hi == self.leaf_pass()
+            && lo == self.leaf_fail()
+            && var_of(&self.nodes[p.0 as usize]).is_none_or(|(f, _)| f > field)
+            && var_of(&self.nodes[q.0 as usize]).is_none_or(|top| top > (field, value))
+    }
+
+    /// Shannon expansion of `ite(t, p, q)` on the smallest variable the
+    /// three diagrams test: that variable and the operands restricted to
+    /// its true and false sides.
+    fn ite_split(&mut self, t: Fdd, p: Fdd, q: Fdd) -> (Field, Value, [Fdd; 3], [Fdd; 3]) {
+        let (f, v) = [t, p, q]
+            .into_iter()
+            .filter_map(|x| var_of(&self.nodes[x.0 as usize]))
+            .min()
+            .expect("the guard is a branch");
+        let hi = [t, p, q].map(|x| self.restrict_eq(x, f, v));
+        let lo = [t, p, q].map(|x| self.restrict_ne(x, f, v));
+        (f, v, hi, lo)
     }
 
     /// Restricts `q` by the modifications of `mods` (partial evaluation),
@@ -2089,11 +2204,38 @@ impl Inner {
         memo.insert(p, result);
         result
     }
+
+    /// The general `ite` without the case-arm fast path, memoised per
+    /// call: the reference the fast path is differential-tested against.
+    #[cfg(test)]
+    fn ite_reference(
+        &mut self,
+        t: Fdd,
+        p: Fdd,
+        q: Fdd,
+        memo: &mut FxHashMap<(Fdd, Fdd, Fdd), Fdd>,
+    ) -> Fdd {
+        if let Some(&hit) = memo.get(&(t, p, q)) {
+            return hit;
+        }
+        let result = match self.nodes[t.0 as usize] {
+            Node::Leaf(did) => self.ite_leaf(did, p, q),
+            Node::Branch { .. } => {
+                let (f, v, [th, ph, qh], [tl, pl, ql]) = self.ite_split(t, p, q);
+                let hi = self.ite_reference(th, ph, qh, memo);
+                let lo = self.ite_reference(tl, pl, ql, memo);
+                self.mk_branch(f, v, hi, lo)
+            }
+        };
+        memo.insert((t, p, q), result);
+        result
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcnetkat_core::{Pred, Prog};
 
     fn fields() -> (Field, Field) {
         (Field::named("mgr_a"), Field::named("mgr_b"))
@@ -2457,6 +2599,127 @@ mod tests {
         assert_eq!(cons.entries, mgr.node_count());
     }
 
+    /// A hop-shaped program: a route choosing a port, then a `pt` case
+    /// whose arms test two scratch health flags, which are summed out.
+    fn hop_like() -> (Prog, Vec<ScratchField>) {
+        let pt = Field::named("mgr_hop_pt");
+        let up = [Field::named("mgr_hop_up1"), Field::named("mgr_hop_up2")];
+        let route = Prog::uniform(vec![Prog::assign(pt, 1), Prog::assign(pt, 2)]);
+        let arm = |i: usize, to: Value| {
+            Prog::ite(Pred::test(up[i], 1), Prog::assign(pt, to), Prog::drop())
+        };
+        let step = Prog::case(
+            vec![
+                (Pred::test(pt, 1), arm(0, 7)),
+                (Pred::test(pt, 2), arm(1, 8)),
+            ],
+            Prog::drop(),
+        );
+        let scratch = vec![
+            ScratchField::bernoulli(up[0], Ratio::new(9, 10)),
+            ScratchField::bernoulli(up[1], Ratio::new(3, 4)),
+        ];
+        (route.seq(step), scratch)
+    }
+
+    #[test]
+    fn clear_makes_a_reused_manager_indistinguishable_from_a_fresh_one() {
+        let (prog, scratch) = hop_like();
+        let hop = |mgr: &Manager| {
+            let compiled = mgr.compile(&prog).unwrap();
+            mgr.eliminate(compiled, &scratch)
+        };
+        let fresh = Manager::new();
+        let want = hop(&fresh);
+
+        let reused = Manager::new();
+        // A loop solve as well, so the `while` cache and the loop gauges
+        // have something to drop.
+        let (f, g) = fields();
+        let body = Prog::choice2(Prog::assign(f, 1), Ratio::new(1, 2), Prog::assign(g, 1));
+        let _ = reused
+            .compile(&Prog::while_(Pred::test(f, 0), body))
+            .unwrap();
+        let _ = hop(&reused);
+        assert!(reused.while_cache_stats().entries > 0);
+        reused.clear();
+        assert_eq!(reused.node_count(), 0);
+        assert_eq!(
+            (reused.peak_live_nodes(), reused.peak_dist_entries()),
+            (0, 0)
+        );
+        assert_eq!(reused.dist_table_stats(), (0, 0, 0));
+        assert_eq!(reused.while_cache_stats(), WhileCacheStats::default());
+        assert_eq!(reused.loop_solve_stats(), LoopSolveStats::default());
+        assert_eq!(
+            reused.op_cache_stats().caches,
+            Manager::new().op_cache_stats().caches
+        );
+
+        let got = hop(&reused);
+        assert_eq!(got, want, "the same ops hand out the same ids");
+        assert_eq!(
+            format!("{:?}", reused.export(got)),
+            format!("{:?}", fresh.export(want))
+        );
+        assert_eq!(reused.peak_live_nodes(), fresh.peak_live_nodes());
+        assert_eq!(reused.peak_dist_entries(), fresh.peak_dist_entries());
+        assert_eq!(
+            reused.op_cache_stats().caches,
+            fresh.op_cache_stats().caches
+        );
+        #[cfg(feature = "audit")]
+        reused.audit().assert_clean();
+    }
+
+    #[test]
+    fn clear_keeps_the_cache_capacity() {
+        let mgr = Manager::with_cache_capacity(2);
+        let (f, _) = fields();
+        for _ in 0..2 {
+            mgr.clear();
+            let mut p = mgr.pass();
+            for v in (1..=6u32).rev() {
+                p = mgr.branch(f, v, mgr.fail(), p);
+            }
+            for v in 1..=6u32 {
+                let _ = mgr.restrict_eq(p, f, v);
+            }
+            assert!(mgr.op_cache_stats().get("restrict_eq").unwrap().entries <= 2);
+        }
+    }
+
+    /// The two test fields in variable order (interning order depends on
+    /// which test runs first).
+    fn ordered_fields() -> (Field, Field) {
+        let (a, b) = fields();
+        (a.min(b), a.max(b))
+    }
+
+    #[test]
+    fn case_arm_ite_skips_the_shannon_expansion() {
+        let mgr = Manager::new();
+        let (f, g) = ordered_fields();
+        let assign = |v| mgr.leaf(ActionDist::dirac(Action::assign(g, v)));
+        let arms = [
+            assign(1),
+            mgr.branch(g, 5, assign(2), mgr.fail()),
+            assign(3),
+        ];
+        let mut chain = mgr.fail();
+        for (v, &arm) in (1u32..4).zip(&arms).rev() {
+            let t = mgr.branch(f, v, mgr.pass(), mgr.fail());
+            chain = mgr.ite(t, arm, chain);
+        }
+        let stats = mgr.op_cache_stats();
+        assert_eq!(stats.get("restrict_eq").unwrap().lookups(), 0);
+        assert_eq!(stats.get("restrict_ne").unwrap().lookups(), 0);
+        for (v, &arm) in (1u32..).zip(&arms) {
+            assert_eq!(mgr.restrict_eq(chain, f, v), arm);
+        }
+        assert_eq!(mgr.restrict_eq(chain, f, 9), mgr.fail());
+    }
+
     /// `seq`'s fast paths against [`Inner::seq_reference`], the general
     /// product with both fast paths off.
     mod fast_paths {
@@ -2512,6 +2775,21 @@ mod tests {
                 .seq_reference(p, q, &mut FxHashMap::default())
         }
 
+        fn ite_reference(mgr: &Manager, t: Fdd, p: Fdd, q: Fdd) -> Fdd {
+            mgr.inner
+                .lock()
+                .ite_reference(t, p, q, &mut FxHashMap::default())
+        }
+
+        /// `p` with every test on a field before `f` resolved (to 0), and
+        /// also `f` itself when `through` is set.
+        fn strip(mgr: &Manager, mut p: Fdd, f: Field, through: bool) -> Fdd {
+            for g in (0..3).map(field).filter(|&g| g < f || (through && g == f)) {
+                p = mgr.restrict_eq(p, g, 0);
+            }
+            p
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -2523,6 +2801,52 @@ mod tests {
                 let fq = mgr.compile(&q).unwrap();
                 let want = reference(&mgr, ft, fq);
                 prop_assert!(mgr.equiv(mgr.seq(ft, fq), want));
+            }
+
+            /// The case-arm `ite` builds the very diagram the general `ite`
+            /// builds. `p` is as compiled, free of tests up to `f`, or topped
+            /// by `f` (which must take the general path); `q` is as
+            /// compiled, or a case chain topped by `f` at a larger value.
+            #[test]
+            fn case_arm_ite_matches_general_ite(
+                var in (0..3usize, 0..=2u32, 1..=2u32),
+                progs in (arb_prog(), arb_prog(), arb_prog()),
+                shapes in (0..3usize, 0..2usize),
+                general in arb_pred(),
+            ) {
+                let ((fi, v, w), (p, q, r), (p_shape, q_shape)) = (var, progs, shapes);
+                let mgr = Manager::new();
+                let f = field(fi);
+                let t = mgr.branch(f, v, mgr.pass(), mgr.fail());
+                let (fp, fq, fr) = (
+                    mgr.compile(&p).unwrap(),
+                    mgr.compile(&q).unwrap(),
+                    mgr.compile(&r).unwrap(),
+                );
+                let fp = match p_shape {
+                    0 => fp,
+                    1 => strip(&mgr, fp, f, true),
+                    _ => {
+                        let test = mgr.branch(f, w, mgr.pass(), mgr.fail());
+                        let (a, b) = (strip(&mgr, fp, f, true), strip(&mgr, fr, f, false));
+                        mgr.ite(test, a, b)
+                    }
+                };
+                let fq = if q_shape == 0 {
+                    fq
+                } else {
+                    let mut rest = strip(&mgr, fq, f, false);
+                    for u in 0..=v + w {
+                        rest = mgr.restrict_ne(rest, f, u);
+                    }
+                    let test = mgr.branch(f, v + w, mgr.pass(), mgr.fail());
+                    mgr.ite(test, strip(&mgr, fr, f, true), rest)
+                };
+                let want = ite_reference(&mgr, t, fp, fq);
+                prop_assert_eq!(mgr.ite(t, fp, fq), want);
+                let general = mgr.compile_pred(&general);
+                let want = ite_reference(&mgr, general, fp, fq);
+                prop_assert_eq!(mgr.ite(general, fp, fq), want);
             }
 
             /// Leaf last: mapping the leaves builds the very diagram the

@@ -15,11 +15,15 @@
 //!
 //! ```text
 //!   per switch s:
-//!     hop_inputs(s)                                 — key
-//!   per missing hop (scratch manager; compile_hops):
+//!     hop_inputs(s)                                 — key; topo-step_s
+//!                                                     sliced to the ports
+//!                                                     scheme_s writes
+//!   per missing hop (compile_hops: one scratch manager per call or
+//!                    worker, reused):
 //!     draw_s ; scheme_s ; topo-step_s ; bump?      — compile
 //!     eliminate up_i / grp_j                        — Manager::eliminate
 //!     export → import                               — scratch-free, tiny
+//!     clear the scratch manager                     — Manager::clear
 //!   main manager:
 //!     case sw=s₁ … sw=sₙ chain of imported hops     — assemble_chain
 //!     while-solve                                   — assemble_model
@@ -38,6 +42,15 @@
 //! engine in `mcnetkat-serve` keys only the switches a delta touches and
 //! compiles only its hop-cache misses. [`compile_hops`] is the one place
 //! hop diagrams are made.
+//!
+//! A hop's result is tiny (a few nodes on a fat tree), so the hop compile
+//! is kept close to what that result costs. The topology step keeps only
+//! the `pt` arms the switch's route can take (see [`hop_inputs`]); every
+//! arm of a `case` chain — the `pt` case, and the `sw` chain of
+//! [`assemble_chain`] — is one node built by [`Manager::ite`]'s case-arm
+//! fast path; and [`compile_hops`] compiles every hop of a worker in one
+//! scratch manager, [cleared](Manager::clear) between hops, instead of
+//! growing a fresh manager's tables from empty for each.
 //!
 //! Peak live nodes now scale with the *largest single switch*, not the
 //! topology. Two elimination modes:
@@ -58,7 +71,7 @@
 use crate::model::bump_hop_counter;
 use crate::scheme::switch_program;
 use crate::NetworkModel;
-use mcnetkat_core::{Pred, Prog};
+use mcnetkat_core::{Field, Pred, Prog, Value};
 use mcnetkat_fdd::{
     CancelToken, CompileError, CompileOptions, Fdd, FddExport, Manager, ScratchField,
 };
@@ -137,6 +150,13 @@ impl HopInputs {
 /// Assembles switch `s`'s fused hop-compile inputs: `failure draw ;
 /// scheme ; topology step ; hop bump` plus the scratch fields to
 /// eliminate. Pure AST/spec work — no manager involved.
+///
+/// The topology step is sliced to the `pt` values the switch's route can
+/// leave on a forwarded packet, when every non-drop path of the route
+/// assigns `pt`; otherwise it keeps an arm for every switch-facing port.
+/// The slice is exact — a packet never reaches a dropped arm — and it
+/// depends only on `s`'s own route, so the inputs stay a sound
+/// per-switch key.
 pub fn hop_inputs(model: &NetworkModel, s: NodeId, sp: &ShortestPaths) -> HopInputs {
     let fields = &model.fields;
     let spec = &model.failure;
@@ -144,8 +164,12 @@ pub fn hop_inputs(model: &NetworkModel, s: NodeId, sp: &ShortestPaths) -> HopInp
     let sw_val = model.topo.sw_value(s);
 
     // The deterministic part of the hop: route, cross the link, count.
-    let mut route = switch_program(model.scheme_for(s), fields, &model.topo, sp, s, model.dst)
-        .seq(model.topology_step(s));
+    // The topology step keeps only the arms for the ports the route can
+    // write, when it always writes one: a core switch routes down one of
+    // its k ports, so the other arms are dead.
+    let forward = switch_program(model.scheme_for(s), fields, &model.topo, sp, s, model.dst);
+    let ports = assigned_values(&forward, fields.pt);
+    let mut route = forward.seq(model.topology_step_on(s, ports.as_ref()));
     if let Some(cap) = model.hop_cap {
         route = route.seq(bump_hop_counter(fields, cap));
     }
@@ -213,9 +237,50 @@ pub fn hop_inputs(model: &NetworkModel, s: NodeId, sp: &ShortestPaths) -> HopInp
     HopInputs { prog, scratch }
 }
 
+/// The values `prog` leaves in `field` on every packet it does not drop,
+/// or `None` when some such packet may keep the value it came in with.
+/// `Some(∅)` means `prog` drops everything. Loops and locals are not
+/// looked into (`None`), and filters are assumed to pass, so the set may
+/// hold a value no packet carries — never miss one that a packet does.
+fn assigned_values(prog: &Prog, field: Field) -> Option<BTreeSet<Value>> {
+    type Values = Option<BTreeSet<Value>>;
+    fn join(a: Values, b: Values) -> Values {
+        let (mut a, b) = (a?, b?);
+        a.extend(b);
+        Some(a)
+    }
+    /// The values after `p`, given those before it.
+    fn after(p: &Prog, field: Field, before: Values) -> Values {
+        match p {
+            Prog::Filter(Pred::False) => Some(BTreeSet::new()),
+            Prog::Filter(_) => before,
+            Prog::Assign(f, v) if *f == field => match before {
+                Some(none) if none.is_empty() => Some(none),
+                _ => Some(BTreeSet::from([*v])),
+            },
+            Prog::Assign(..) => before,
+            Prog::Seq(a, b) => after(b, field, after(a, field, before)),
+            Prog::If(_, a, b) | Prog::Union(a, b) => {
+                join(after(a, field, before.clone()), after(b, field, before))
+            }
+            Prog::Choice(branches) => branches
+                .iter()
+                .map(|(b, _)| after(b, field, before.clone()))
+                .fold(Some(BTreeSet::new()), join),
+            Prog::Star(_) | Prog::While(..) | Prog::Local(..) => None,
+        }
+    }
+    after(prog, field, None)
+}
+
 /// Compiles one hop's [`HopInputs`] in a fresh scratch manager, eliminates
 /// the scratch fields, and imports the (tiny, scratch-free) result into
 /// `target`. `stats` records the scratch manager's peak size.
+///
+/// A one-off: [`compile_hops`] runs the same steps in one scratch manager
+/// per worker, cleared between hops, which skips the table growth a fresh
+/// manager pays for every hop. Both give the same diagram and the same
+/// gauges.
 ///
 /// # Errors
 ///
@@ -226,11 +291,26 @@ pub fn compile_hop_import(
     opts: &CompileOptions,
     stats: &mut FusedStats,
 ) -> Result<Fdd, CompileError> {
-    let scratch = Manager::new();
-    let hop = scratch.compile_with(&inputs.prog, opts)?;
-    let fdd = scratch.eliminate(hop, &inputs.scratch);
-    stats.absorb_scratch(&scratch);
-    Ok(target.import(&scratch.export(fdd)))
+    compile_hop_in(&Manager::new(), target, inputs, opts, stats)
+}
+
+/// [`compile_hop_import`] in the caller's scratch manager, which is
+/// [cleared](Manager::clear) afterwards, on success and failure alike, so
+/// it is ready for the next hop and `stats` sees this hop's peaks alone.
+fn compile_hop_in(
+    scratch: &Manager,
+    target: &Manager,
+    inputs: &HopInputs,
+    opts: &CompileOptions,
+    stats: &mut FusedStats,
+) -> Result<Fdd, CompileError> {
+    let result = scratch.compile_with(&inputs.prog, opts).map(|hop| {
+        let fdd = scratch.eliminate(hop, &inputs.scratch);
+        stats.absorb_scratch(scratch);
+        target.import(&scratch.export(fdd))
+    });
+    scratch.clear();
+    result
 }
 
 /// Folds per-switch hop diagrams into the global `sw`-case chain, in
@@ -265,15 +345,17 @@ pub fn assemble_chain(
 /// imports it into `mgr`, returning the diagrams in input order. `stats`
 /// gains one switch per input.
 ///
-/// With `workers <= 1` the hops compile inline, one scratch manager at a
-/// time. Otherwise the inputs split into contiguous chunks on
-/// `std::thread::scope` workers, each importing its hops into a private
-/// manager and shipping them back as one multi-root [`FddExport`]; `mgr`
-/// imports the chunks in order. A worker panic becomes
-/// [`CompileError::WorkerPanicked`], and any worker failure cancels its
-/// siblings through a child of the caller's [`CancelToken`] (the
-/// caller's own token never fires). Every worker is joined before this
-/// returns.
+/// With `workers <= 1` the hops compile inline in one scratch manager,
+/// [cleared](Manager::clear) after every hop. Otherwise the inputs split
+/// into contiguous chunks on `std::thread::scope` workers, each compiling
+/// its hops in its own cleared-and-reused scratch manager, importing them
+/// into a private manager and shipping them back as one multi-root
+/// [`FddExport`]; `mgr` imports the chunks in order. Either way `stats`
+/// records per-switch peaks, as with [`compile_hop_import`]. A worker
+/// panic becomes [`CompileError::WorkerPanicked`], and any worker failure
+/// cancels its siblings through a child of the caller's [`CancelToken`]
+/// (the caller's own token never fires). Every worker is joined before
+/// this returns.
 ///
 /// # Errors
 ///
@@ -287,6 +369,7 @@ pub fn compile_hops(
     stats: &mut FusedStats,
 ) -> Result<Vec<Fdd>, CompileError> {
     if workers <= 1 || inputs.is_empty() {
+        let scratch = Manager::new();
         return inputs
             .iter()
             .map(|inp| {
@@ -294,7 +377,7 @@ pub fn compile_hops(
                 // land at switch granularity even before the per-op
                 // governor notices.
                 opts.budget.check_external()?;
-                compile_hop_import(mgr, inp, opts, stats)
+                compile_hop_in(&scratch, mgr, inp, opts, stats)
             })
             .collect();
     }
@@ -362,13 +445,14 @@ fn compile_chunk(
     opts: &CompileOptions,
 ) -> Result<(FddExport, FusedStats), CompileError> {
     let local = Manager::new();
+    let scratch = Manager::new();
     let mut stats = FusedStats::default();
     let mut hops = Vec::with_capacity(work.len());
     for inp in work {
         #[cfg(feature = "failpoints")]
         mcnetkat_fdd::failpoints::check_compile("net::parallel::worker")?;
         opts.budget.check_external()?;
-        hops.push(compile_hop_import(&local, inp, opts, &mut stats)?);
+        hops.push(compile_hop_in(&scratch, &local, inp, opts, &mut stats)?);
     }
     Ok((local.export_all(&hops), stats))
 }
@@ -650,8 +734,9 @@ mod tests {
             RoutingScheme::Ecmp,
             FailureSpec::independent(Ratio::new(1, 1000)),
         );
+        let opts = CompileOptions::default();
         let mgr = Manager::new();
-        let (fdd, stats) = compile_model_fused(&mgr, &m, 1, &CompileOptions::default()).unwrap();
+        let (fdd, stats) = compile_model_fused(&mgr, &m, 1, &opts).unwrap();
         assert_eq!(stats.switches, m.topo.switches().len());
         assert!(stats.max_scratch_nodes > 0);
         // The compiled diagram mentions no scratch field.
@@ -659,5 +744,110 @@ mod tests {
         for up in m.fields.ups() {
             assert!(!dom.tested.contains_key(up));
         }
+        // The reused scratch manager is cleared between switches, so its
+        // peaks are the largest single switch's: the same as from a fresh
+        // manager per switch, inline or on workers.
+        let sp = ShortestPaths::towards(&m.topo, m.dst);
+        let (mut nodes, mut dists) = (0, 0);
+        for &s in m.topo.switches() {
+            let mut one = FusedStats::default();
+            compile_hop_import(&Manager::new(), &hop_inputs(&m, s, &sp), &opts, &mut one).unwrap();
+            nodes = nodes.max(one.max_scratch_nodes);
+            dists = dists.max(one.max_scratch_dist_entries);
+        }
+        assert_eq!(stats.max_scratch_nodes, nodes);
+        assert_eq!(stats.max_scratch_dist_entries, dists);
+        let (_, pooled) = compile_model_fused(&Manager::new(), &m, 2, &opts).unwrap();
+        assert_eq!(pooled.max_scratch_nodes, nodes);
+        assert_eq!(pooled.max_scratch_dist_entries, dists);
+    }
+
+    #[test]
+    fn a_failed_hop_leaves_the_reused_scratch_manager_clear() {
+        let m = mk(
+            RoutingScheme::F10_3,
+            FailureSpec::independent(Ratio::new(1, 10)),
+        );
+        let sp = ShortestPaths::towards(&m.topo, m.dst);
+        let inputs = hop_inputs(&m, m.topo.switches()[0], &sp);
+        let scratch = Manager::new();
+        let cancelled = CompileOptions {
+            budget: mcnetkat_fdd::Budget::unlimited().with_cancel({
+                let token = CancelToken::new();
+                token.cancel();
+                token
+            }),
+            ..CompileOptions::default()
+        };
+        let target = Manager::new();
+        let mut stats = FusedStats::default();
+        assert!(compile_hop_in(&scratch, &target, &inputs, &cancelled, &mut stats).is_err());
+        assert_eq!(scratch.node_count(), 0);
+        assert_eq!(stats.switches, 0);
+        let opts = CompileOptions::default();
+        let got = compile_hop_in(&scratch, &target, &inputs, &opts, &mut stats).unwrap();
+        let want = compile_hop_import(&target, &inputs, &opts, &mut FusedStats::default());
+        assert_eq!(got, want.unwrap());
+        assert_eq!(scratch.node_count(), 0);
+    }
+
+    #[test]
+    fn assigned_values_tracks_every_forwarding_path() {
+        let (f, g) = (Field::named("fused_av_f"), Field::named("fused_av_g"));
+        let set = |vs: &[Value]| Some(vs.iter().copied().collect::<BTreeSet<_>>());
+        let pick = |v| Prog::assign(f, v);
+        assert_eq!(assigned_values(&Prog::drop(), f), set(&[]));
+        assert_eq!(assigned_values(&Prog::skip(), f), None);
+        assert_eq!(assigned_values(&pick(3), f), set(&[3]));
+        assert_eq!(assigned_values(&Prog::assign(g, 3), f), None);
+        // The last write wins; a write after a drop forwards nothing.
+        assert_eq!(assigned_values(&pick(1).seq(pick(2)), f), set(&[2]));
+        assert_eq!(
+            assigned_values(&Prog::Seq(Prog::drop().into(), pick(2).into()), f),
+            set(&[])
+        );
+        let test = Pred::test(g, 1);
+        let uniform = Prog::uniform(vec![pick(1), pick(4)]);
+        let branchy = Prog::ite(test.clone(), uniform.clone(), pick(2));
+        assert_eq!(assigned_values(&branchy, f), set(&[1, 2, 4]));
+        // A dropping branch adds nothing; a passing one loses the set.
+        let partial = Prog::ite(test.clone(), uniform.clone(), Prog::drop());
+        assert_eq!(assigned_values(&partial, f), set(&[1, 4]));
+        let leaky = Prog::ite(test.clone(), uniform.clone(), Prog::assign(g, 0));
+        assert_eq!(assigned_values(&leaky, f), None);
+        // Filters are assumed to pass; loops and locals are not looked into.
+        assert_eq!(
+            assigned_values(&Prog::filter(test.clone()).seq(pick(5)), f),
+            set(&[5])
+        );
+        assert_eq!(assigned_values(&Prog::while_(test, pick(1)), f), None);
+        assert_eq!(assigned_values(&Prog::local(g, 1, pick(1)), f), None);
+        // An assignment after an opaque part still fixes the value.
+        assert_eq!(
+            assigned_values(&Prog::local(g, 1, pick(1)).seq(pick(6)), f),
+            set(&[6])
+        );
+    }
+
+    #[test]
+    fn hop_inputs_keep_only_the_topology_arms_the_route_can_take() {
+        let m = mk(
+            RoutingScheme::Ecmp,
+            FailureSpec::independent(Ratio::new(1, 10)),
+        );
+        let sp = ShortestPaths::towards(&m.topo, m.dst);
+        let core = m.topo.find("core0").unwrap();
+        let forward = switch_program(m.scheme, &m.fields, &m.topo, &sp, core, m.dst);
+        let ports = assigned_values(&forward, m.fields.pt).unwrap();
+        assert_eq!(ports.len(), 1, "a core switch routes down one port");
+        assert_ne!(
+            m.topology_step_on(core, Some(&ports)),
+            m.topology_step(core)
+        );
+        // The destination's route is `drop`: no arm survives.
+        let at_dst = switch_program(m.scheme, &m.fields, &m.topo, &sp, m.dst, m.dst);
+        let none = assigned_values(&at_dst, m.fields.pt).unwrap();
+        assert!(none.is_empty());
+        assert_eq!(m.topology_step_on(m.dst, Some(&none)), Prog::drop());
     }
 }

@@ -14,10 +14,10 @@
 use crate::fused::compile_model_fused;
 use crate::scheme::{down_ports, switch_program};
 use crate::{FailureSpec, NetFields, RoutingScheme};
-use mcnetkat_core::{Pred, Prog};
+use mcnetkat_core::{Pred, Prog, Value};
 use mcnetkat_fdd::{CompileError, CompileOptions, Fdd, Manager};
 use mcnetkat_topo::{Level, NodeId, ShortestPaths, Topology};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A complete network verification model.
 #[derive(Clone, Debug)]
@@ -212,10 +212,20 @@ impl NetworkModel {
     /// fused per-switch pipeline composes this with `s`'s routing program,
     /// where `sw = s` is established by the surrounding case chain.
     pub fn topology_step(&self, s: NodeId) -> Prog {
+        self.topology_step_on(s, None)
+    }
+
+    /// [`NetworkModel::topology_step`] with only the arms for `ports`
+    /// (every arm when `None`); a packet on any other port drops, as on
+    /// an unknown one. Exact after a route that only ever leaves `pt` in
+    /// `ports`.
+    pub(crate) fn topology_step_on(&self, s: NodeId, ports: Option<&BTreeSet<Value>>) -> Prog {
         let prone = self.prone_ports(s);
         let mut branches = Vec::new();
         for pp in self.topo.ports(s) {
-            if self.topo.info(pp.peer).level == Level::Host {
+            if self.topo.info(pp.peer).level == Level::Host
+                || ports.is_some_and(|keep| !keep.contains(&pp.port))
+            {
                 continue;
             }
             branches.push((
@@ -282,8 +292,9 @@ impl NetworkModel {
 
     /// Compiles the model to its big-step FDD through the fused
     /// per-switch pipeline: each switch's hop program (`failure draw ;
-    /// scheme ; topology step ; hop bump`) is compiled in its own scratch
-    /// manager, its `up_i`/`grp_j` scratch fields are eliminated
+    /// scheme ; topology step ; hop bump`) is compiled in a scratch
+    /// manager that is cleared before the next switch, its `up_i`/`grp_j`
+    /// scratch fields are eliminated
     /// immediately ([`Manager::eliminate`]), and only then is the global
     /// `sw`-case chain assembled — so peak diagram size scales with the
     /// largest single switch, not the whole topology. The result mentions

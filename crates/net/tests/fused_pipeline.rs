@@ -13,12 +13,13 @@
 
 use mcnetkat_core::{Packet, Pred, Prog};
 use mcnetkat_fdd::{CompileOptions, Manager, ScratchField};
-use mcnetkat_net::fused::assemble_tail;
+use mcnetkat_net::fused::{assemble_tail, compile_hop_import, hop_inputs, HopInputs};
 use mcnetkat_net::{
-    compile_model_parallel, running_example, FailureSpec, NetworkModel, RoutingScheme, Srlg,
+    compile_model_parallel, running_example, FailureSpec, FusedStats, NetworkModel, RoutingScheme,
+    Srlg,
 };
 use mcnetkat_num::Ratio;
-use mcnetkat_topo::{ab_fattree, fattree, Level, Topology};
+use mcnetkat_topo::{ab_fattree, fattree, Level, ShortestPaths, Topology};
 
 /// Pins fused ≡ legacy (and ≤ both ways) for one model, sequentially and
 /// through the parallel backend.
@@ -61,6 +62,73 @@ fn sec2_example_hop_eliminates_to_the_drawn_hop() {
     );
     assert!(mgr.equiv(eliminated, drawn));
     assert!(mgr.less_eq(eliminated, drawn) && mgr.less_eq(drawn, eliminated));
+}
+
+/// `hop_inputs` keeps only the `pt` arms of the topology step that the
+/// switch's route can take. Every switch's sliced hop must import to the
+/// very diagram of the unsliced one: the draw compiled in
+/// (`switch_policy`), then the full `topology_step(s)`, with every
+/// scratch field then write-only. The destination switch, whose route is
+/// `drop`, is among the switches.
+#[test]
+fn sliced_hops_import_to_the_unsliced_diagram() {
+    let pr = Ratio::new(1, 10);
+    for k in [4, 6] {
+        let topo = ab_fattree(k);
+        let dst = topo.find("edge0_0").unwrap();
+        let encodings = [
+            ("independent", FailureSpec::independent(pr.clone())),
+            (
+                "line-card SRLG",
+                FailureSpec::independent(Ratio::zero())
+                    .with_groups(Srlg::linecards(&topo, &Ratio::new(1, 20))),
+            ),
+            ("bounded k=1", FailureSpec::bounded(pr.clone(), 1)),
+        ];
+        for (encoding, spec) in encodings {
+            for scheme in [
+                RoutingScheme::Ecmp,
+                RoutingScheme::F10_3,
+                RoutingScheme::F10_3_5,
+            ] {
+                let m = NetworkModel::new(topo.clone(), dst, scheme, spec.clone());
+                let sliced = assert_sliced_hops_match(&m);
+                let what = format!("fattree({k}), {scheme:?}, {encoding}");
+                if encoding == "bounded k=1" {
+                    // Only the topology step tells the two programs apart.
+                    assert!(sliced > 0, "{what}: no switch was sliced");
+                }
+            }
+        }
+    }
+}
+
+/// Checks every switch of `model` (see
+/// [`sliced_hops_import_to_the_unsliced_diagram`]) and returns how many
+/// switches' programs differ from the unsliced one.
+fn assert_sliced_hops_match(model: &NetworkModel) -> usize {
+    assert!(model.hop_cap.is_none());
+    let sp = ShortestPaths::towards(&model.topo, model.dst);
+    let mgr = Manager::new();
+    let opts = CompileOptions::default();
+    let mut differ = 0;
+    for &s in model.topo.switches() {
+        let sliced = hop_inputs(model, s, &sp);
+        let full = HopInputs {
+            prog: model.switch_policy(s, &sp).seq(model.topology_step(s)),
+            scratch: sliced
+                .scratch
+                .iter()
+                .map(|f| ScratchField::write_only(f.field))
+                .collect(),
+        };
+        differ += usize::from(sliced.prog != full.prog);
+        let mut stats = FusedStats::default();
+        let got = compile_hop_import(&mgr, &sliced, &opts, &mut stats).unwrap();
+        let want = compile_hop_import(&mgr, &full, &opts, &mut stats).unwrap();
+        assert_eq!(got, want, "switch {}", model.topo.info(s).name);
+    }
+    differ
 }
 
 #[test]

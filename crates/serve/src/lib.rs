@@ -716,6 +716,12 @@ struct ModelEntry {
     model: NetworkModel,
     fdd: Fdd,
     hops: SwitchHops,
+    /// `model`'s compiled teleport specification
+    /// ([`NetworkModel::teleport`]), filled by the first
+    /// [`Query::EquivTeleport`] whose compile succeeds and emptied
+    /// whenever `model` changes. Like `fdd` it is a handle into the
+    /// engine's manager, so a manager compaction must remap it too.
+    teleport: OnceLock<Fdd>,
 }
 
 /// What [`Engine::compile_incremental`] built.
@@ -737,6 +743,7 @@ impl ModelEntry {
             model,
             fdd: patch.fdd,
             hops: patch.rekeyed,
+            teleport: OnceLock::new(),
         }
     }
 
@@ -1333,6 +1340,7 @@ impl Engine {
         entry.model = next;
         entry.fdd = patch.fdd;
         entry.hops = hops;
+        entry.teleport = OnceLock::new();
 
         if full_rebuild {
             self.full_rebuilds += 1;
@@ -1539,7 +1547,8 @@ impl Engine {
     ///
     /// [`EngineError::Overloaded`], [`EngineError::UnknownModel`], a
     /// budget-trip [`CompileError`], or a propagated compile failure
-    /// (the teleport check compiles its specification on first use).
+    /// (the teleport check compiles its specification on first use,
+    /// under the query's budget).
     pub fn query(&self, req: &QueryRequest) -> Result<Answer, EngineError> {
         let start = Instant::now();
         self.queries.fetch_add(1, Ordering::Relaxed);
@@ -1625,11 +1634,31 @@ impl Engine {
                 Ok(Answer::Bool(self.mgr.equiv(l, r)))
             }
             Query::EquivTeleport { model } => {
-                let q = queries(*model)?;
+                let entry = self
+                    .models
+                    .get(model)
+                    .ok_or(EngineError::UnknownModel(*model))?;
                 self.mgr.check_budget(&req.budget)?;
-                Ok(Answer::Bool(q.equiv_teleport()?))
+                let teleport = self.teleport(entry, &req.budget)?;
+                Ok(Answer::Bool(self.mgr.equiv(entry.fdd, teleport)))
             }
         }
+    }
+
+    /// `entry`'s compiled teleport specification: compiled under `budget`
+    /// on first use and cached in the entry only once the compile
+    /// succeeds, so a tripped budget never leaves a truncated diagram
+    /// behind.
+    fn teleport(&self, entry: &ModelEntry, budget: &Budget) -> Result<Fdd, CompileError> {
+        if let Some(&fdd) = entry.teleport.get() {
+            return Ok(fdd);
+        }
+        let opts = CompileOptions {
+            budget: budget.clone(),
+            ..self.opts.clone()
+        };
+        let fdd = self.mgr.compile_with(&entry.model.teleport(), &opts)?;
+        Ok(*entry.teleport.get_or_init(|| fdd))
     }
 
     /// Snapshot of every engine gauge: cache effectiveness, patch
@@ -1838,6 +1867,89 @@ mod tests {
         assert_eq!(report.rekey, Rekey::Structural);
         assert!(engine.stats().full_rebuilds == 1);
         assert!(engine.verify_against_cold(id).unwrap());
+    }
+
+    /// The engine's `EquivTeleport` answer for `id`, under `budget`.
+    fn equiv_teleport(engine: &Engine, id: ModelId, budget: Budget) -> Result<Answer, EngineError> {
+        engine.query(&QueryRequest {
+            query: Query::EquivTeleport { model: id },
+            budget,
+        })
+    }
+
+    /// `Queries::equiv_teleport` on a cold compile of `model`.
+    fn cold_equiv_teleport(model: &NetworkModel) -> Answer {
+        let mgr = Manager::new();
+        Answer::Bool(Queries::new(&mgr, model).unwrap().equiv_teleport().unwrap())
+    }
+
+    #[test]
+    fn cached_teleport_answers_track_deltas_to_the_spec() {
+        let topo = ab_fattree(4);
+        let dst = topo.find("edge0_0").unwrap();
+        let other = topo.find("edge1_0").unwrap();
+        let spec = FailureSpec::independent(Ratio::new(1, 10));
+        let mut engine = Engine::default();
+        let id = engine
+            .load(NetworkModel::new(topo, dst, RoutingScheme::F10_3_5, spec))
+            .unwrap();
+        let mut answers = Vec::new();
+        // The budget adds the `fl` local to the spec (and makes the
+        // model resilient); the new destination moves the ingresses.
+        for delta in [
+            None,
+            Some(Delta::SetBudget(Some(1))),
+            Some(Delta::SetDst(other)),
+        ] {
+            if let Some(delta) = delta {
+                engine.apply(id, delta).unwrap();
+                assert!(
+                    engine.models[&id].teleport.get().is_none(),
+                    "reset on apply"
+                );
+            }
+            let want = cold_equiv_teleport(engine.model(id).unwrap());
+            for _ in 0..2 {
+                // The first call compiles and caches, the second reads it.
+                let got = equiv_teleport(&engine, id, Budget::unlimited()).unwrap();
+                assert_eq!(got, want);
+                assert!(engine.models[&id].teleport.get().is_some());
+            }
+            answers.push(want);
+        }
+        assert_eq!(
+            answers,
+            [Answer::Bool(false), Answer::Bool(true), Answer::Bool(true)]
+        );
+    }
+
+    #[test]
+    fn a_tripped_teleport_compile_is_not_cached() {
+        let topo = ab_fattree(4);
+        let dst = topo.find("edge0_0").unwrap();
+        let model = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureSpec::none());
+        let want = cold_equiv_teleport(&model);
+        let mut engine = Engine::default();
+        let id = engine.load(model).unwrap();
+        // Past its deadline: rejected before the compile.
+        let expired = Budget::unlimited().with_deadline_at(Instant::now());
+        assert!(matches!(
+            equiv_teleport(&engine, id, expired),
+            Err(EngineError::Compile(CompileError::DeadlineExceeded))
+        ));
+        assert!(engine.models[&id].teleport.get().is_none());
+        // A node ceiling at today's table size trips inside the compile.
+        let full = Budget::unlimited().with_max_live_nodes(engine.mgr.node_count());
+        assert!(matches!(
+            equiv_teleport(&engine, id, full),
+            Err(EngineError::Compile(CompileError::ResourceExhausted { .. }))
+        ));
+        assert!(engine.models[&id].teleport.get().is_none());
+        assert_eq!(
+            equiv_teleport(&engine, id, Budget::unlimited()).unwrap(),
+            want
+        );
+        assert_eq!(want, Answer::Bool(true));
     }
 
     #[test]
