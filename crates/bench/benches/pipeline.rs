@@ -68,7 +68,7 @@ fn bench_fattree_compile(c: &mut Criterion) {
             })
         });
     }
-    // The scale unlocked by the sparse SCC solve with symmetry lumping:
+    // The scale unlocked by the sparse SCC loop solve:
     // p = 16 *with* failures, whose loop chain (thousands of transient
     // states) the dense while-loop solve could not touch.
     {
@@ -174,8 +174,8 @@ fn bench_solver_backends(c: &mut Criterion) {
     // The exact sparse SCC solve is deliberately absent: this chain is a
     // single 400-state SCC — the one shape where exact elimination is
     // hopeless (seconds, not microseconds; the entries grow into huge
-    // rationals). Its regime — many small SCCs and lumped symmetric
-    // blocks — is what `loop_solving/sparse_scc` and the
+    // rationals). Its regime — many small SCCs, most of them
+    // singletons — is what `loop_solving/sparse_scc` and the
     // `fattree_compile` benchmarks measure.
     group.bench_function("GaussSeidel", |b| {
         b.iter(|| chain.reach_prob_approx(&[n]).unwrap())
@@ -183,7 +183,7 @@ fn bench_solver_backends(c: &mut Criterion) {
     group.finish();
 }
 
-/// The compiler's loop solve (sparse SCC, lumping on) on a 3-hop chain.
+/// The compiler's loop solve (sparse SCC) on a 3-hop chain.
 fn bench_loop_solving(c: &mut Criterion) {
     assert_audit_off();
     let mut group = c.benchmark_group("loop_solving");

@@ -8,19 +8,14 @@ use std::fmt;
 
 /// Options controlling compilation.
 ///
-/// Every `while` loop is solved exactly, by the sparse SCC solve with a
-/// fixed ladder of exact fallback rungs behind it (see
-/// [`crate::SolveReport`]); these options bound and steer that solve but
-/// never trade exactness for speed.
+/// Every `while` loop is solved exactly, by the sparse SCC solve with the
+/// dense exact reference as its one fallback rung (see
+/// [`crate::SolveReport`]); these options bound that solve but never
+/// trade exactness for speed.
 #[derive(Clone, Debug)]
 pub struct CompileOptions {
     /// Upper bound on the symbolic state space explored per loop.
     pub state_limit: usize,
-    /// Quotient each loop's chain by its coarsest exact ordinary lumping
-    /// before solving, collapsing symmetric states (isomorphic fat-tree
-    /// pods) to one representative. Exact — never changes the result,
-    /// only the work.
-    pub lumping: bool,
     /// Resource limits for this compile (deadline, cancellation,
     /// table-size ceilings). Unlimited by default; deliberately *not*
     /// part of the `while`-cache key — a budget never changes a
@@ -32,7 +27,6 @@ impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             state_limit: 4_000_000,
-            lumping: true,
             budget: Budget::default(),
         }
     }
@@ -42,26 +36,21 @@ impl Default for CompileOptions {
 /// compiled diagram — the key of the manager's loop-solution cache.
 ///
 /// Every solver-configuration field must appear here: `state_limit`
-/// decides whether a loop compiles at all, and `lumping` selects the
-/// quotienting strategy. Lumping is semantically invisible, but keying on
-/// it anyway keeps the rule auditable — *any* field that steers the solve
-/// is part of the key — so a future inexact quotient can't silently share
-/// cache entries with the unquotiented path. Leaving a field out would
-/// let a solution computed under one configuration answer a query made
-/// under another. The [`Budget`] is the one options field *not* in the
-/// key: it decides whether a compile finishes, never what a finished
-/// compile produces, and aborted compiles are never cached.
+/// decides whether a loop compiles at all. Leaving a field out would let
+/// a solution computed under one configuration answer a query made under
+/// another, so any field added to steer the solve joins the key. The
+/// [`Budget`] is the one options field *not* in the key: it decides
+/// whether a compile finishes, never what a finished compile produces,
+/// and aborted compiles are never cached.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct OptsKey {
     state_limit: usize,
-    lumping: bool,
 }
 
 impl From<&CompileOptions> for OptsKey {
     fn from(opts: &CompileOptions) -> OptsKey {
         OptsKey {
             state_limit: opts.state_limit,
-            lumping: opts.lumping,
         }
     }
 }
@@ -375,10 +364,10 @@ mod tests {
         assert_eq!(a, b);
         let s2 = mgr.while_cache_stats();
         assert_eq!((s2.hits, s2.misses), (1, 1));
-        // Different options form a different key: the unlumped solve must
-        // not be answered by the lumped solution.
+        // Different options form a different key: a solve under another
+        // state limit must not be answered by the default's solution.
         let opts = CompileOptions {
-            lumping: false,
+            state_limit: 1_000,
             ..CompileOptions::default()
         };
         mgr.compile_with(&prog, &opts).unwrap();
@@ -390,21 +379,21 @@ mod tests {
     #[test]
     fn while_cache_keys_on_solver_configuration() {
         // Regression: the cache key must cover every solver-configuration
-        // field. A solution computed under one lumping / state-limit
-        // setting must never answer a query made under another —
-        // each distinct configuration is its own miss and its own entry.
+        // field. A solution computed under one state-limit setting must
+        // never answer a query made under another — each distinct
+        // configuration is its own miss and its own entry.
         let mgr = Manager::new();
         let f = Field::named("cmp_wk");
         let body = Prog::choice2(Prog::assign(f, 1), Ratio::new(1, 3), Prog::skip());
         let prog = Prog::while_(Pred::test(f, 0), body);
         let configs = [
-            CompileOptions::default(), // lumping on
+            CompileOptions::default(),
             CompileOptions {
-                lumping: false,
+                state_limit: 1_000,
                 ..CompileOptions::default()
             },
             CompileOptions {
-                state_limit: 1_000,
+                state_limit: 2_000,
                 ..CompileOptions::default()
             },
         ];

@@ -3,15 +3,14 @@
 //! Only compiled under the `failpoints` feature (asserted off in release
 //! benches, mirroring [`crate::AUDIT_ENABLED`]). The compiler registers
 //! *named sites* at the seams where real-world failures strike — loop-state
-//! interning, the lumping partition, the structured solver, parallel hop
-//! workers — and a test arms a site with a
-//! [`FaultAction`] that fires deterministically on the Nth hit:
+//! interning, the structured solver, parallel hop workers — and a test
+//! arms a site with a [`FaultAction`] that fires deterministically on the
+//! Nth hit:
 //!
 //! ```text
 //! site                     seam                              sensible actions
 //! fdd::intern              loop-state interning              Panic, Delay, Cancel
 //! fdd::loops::solve        every loop-solver rung            Singular, Panic, Delay, Cancel
-//! linalg::lump             the lumping partition rung        Singular, Panic, Delay, Cancel
 //! net::parallel::worker    per-hop compile on a pool worker  Panic, Delay, Cancel
 //! serve::journal::append   write-ahead journal append        Singular (= torn write), Cancel, Panic, Delay
 //! serve::apply::patch      each re-keyed switch of a patch   Singular, Panic, Delay, Cancel
@@ -19,18 +18,14 @@
 //! ```
 //!
 //! `fdd::loops::solve` is checked once on each rung of the loop-solve
-//! fallback chain (sparse, unlumped sparse when lumping is on, dense
-//! exact), so under the default options a `Singular` armed for three
-//! consecutive hits exhausts the chain.
+//! fallback chain (sparse SCC, then dense exact), so a `Singular` armed
+//! for two consecutive hits exhausts the chain.
 //!
-//! (`linalg::lump` is a *logical* name: the registry lives here because
-//! `mcnetkat-linalg` sits below this crate, so `fdd::loops` checks the
-//! site just before entering the lumped solver rung. The `serve::*`
-//! sites are registered by `mcnetkat-serve`, which sits above; at
-//! `serve::journal::append`, `Singular` is repurposed to simulate a
-//! *torn write* — a strict prefix of the record reaches the file and
-//! the writer poisons itself — so recovery's truncation rule can be
-//! exercised deterministically.)
+//! (The `serve::*` sites are registered by `mcnetkat-serve`, which sits
+//! above this crate; at `serve::journal::append`, `Singular` is
+//! repurposed to simulate a *torn write* — a strict prefix of the record
+//! reaches the file and the writer poisons itself — so recovery's
+//! truncation rule can be exercised deterministically.)
 //!
 //! The registry is process-global, so tests that arm faults must
 //! serialize (the harness uses a static mutex) and clear the registry

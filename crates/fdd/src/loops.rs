@@ -46,10 +46,9 @@ fn rung_failpoint(site: &str) -> Result<Option<LinalgError>, CompileError> {
 
 /// The outcome of one successful absorbing-chain solve, whichever rung
 /// produced it: sparse absorption rows indexed by transient rank, plus
-/// the structure gauges for [`crate::LoopSolveStats`].
+/// the SCC count for [`crate::LoopSolveStats`] (0 from the dense rung).
 struct SolveOutcome {
     rows: Vec<Vec<(usize, Ratio)>>,
-    blocks: usize,
     sccs: usize,
 }
 
@@ -67,33 +66,25 @@ fn sparsify(dense: Vec<Vec<Ratio>>) -> Vec<Vec<(usize, Ratio)>> {
         .collect()
 }
 
-/// One sparse-SCC solver rung. The outer `Result` carries budget aborts
+/// The sparse-SCC solver rung. The outer `Result` carries budget aborts
 /// (propagate immediately); the inner one carries solver failures (the
 /// fallback chain decides what happens next).
 fn sparse_rung(
     chain: &AbsorbingChain,
-    nt: usize,
-    lumping: bool,
     budget: &Budget,
 ) -> Result<Result<SolveOutcome, LinalgError>, CompileError> {
     if let Some(e) = rung_failpoint("fdd::loops::solve")? {
         return Ok(Err(e));
     }
-    if lumping {
-        // `linalg::lump` is a logical site name: the registry lives in
-        // this crate (linalg sits below it), so the lumped rung's fault
-        // is injected here, just before the partition refinement runs.
-        if let Some(e) = rung_failpoint("linalg::lump")? {
-            return Ok(Err(e));
-        }
-    }
     let mut stop = || budget.check_external().is_err();
-    match chain.solve_sparse_scc_interruptible(lumping, &mut stop) {
-        Ok(sol) => Ok(Ok(SolveOutcome {
-            rows: (0..nt).map(|t| sol.sparse_row(t).to_vec()).collect(),
-            blocks: sol.lumped_blocks(),
-            sccs: sol.scc_count(),
-        })),
+    match chain.solve_sparse_scc_interruptible(&mut stop) {
+        Ok(sol) => {
+            let sccs = sol.scc_count();
+            Ok(Ok(SolveOutcome {
+                rows: sol.into_rows(),
+                sccs,
+            }))
+        }
         // The solver stopped because our budget check fired: re-evaluate
         // the budget for the typed error. Deadlines stay expired and
         // tokens stay cancelled, so the fallback arm is unreachable.
@@ -105,42 +96,26 @@ fn sparse_rung(
     }
 }
 
-/// Runs the solver fallback chain: (1) sparse SCC with the configured
-/// lumping, (2) when lumping is on, the same solve without it, (3) the
+/// Runs the solver fallback chain: (1) the sparse SCC solve, (2) the
 /// dense exact reference. Every transition is recorded on the manager's
-/// [`crate::SolveReport`]. All three rungs are exact, so a fallback
-/// changes how the answer is computed, never the answer.
+/// [`crate::SolveReport`]. Both rungs are exact, so a fallback changes
+/// how the answer is computed, never the answer.
 fn solve_with_fallback(
     mgr: &Manager,
     chain: &AbsorbingChain,
-    nt: usize,
-    opts: &CompileOptions,
+    budget: &Budget,
 ) -> Result<SolveOutcome, CompileError> {
     let mut events: Vec<String> = Vec::new();
 
-    match sparse_rung(chain, nt, opts.lumping, &opts.budget)? {
+    match sparse_rung(chain, budget)? {
         Ok(out) => {
-            mgr.record_solve_rungs(false, false, false, events);
+            mgr.record_solve_rungs(false, false, events);
             return Ok(out);
         }
-        Err(e) => events.push(format!(
-            "sparse SCC solve (lumping={}) failed: {e}",
-            opts.lumping
-        )),
+        Err(e) => events.push(format!("sparse SCC solve failed: {e}")),
     }
 
-    if opts.lumping {
-        match sparse_rung(chain, nt, false, &opts.budget)? {
-            Ok(out) => {
-                events.push("retry without lumping succeeded".to_string());
-                mgr.record_solve_rungs(true, false, false, events);
-                return Ok(out);
-            }
-            Err(e) => events.push(format!("retry without lumping failed: {e}")),
-        }
-    }
-
-    opts.budget.check_external()?;
+    budget.check_external()?;
     let dense = match rung_failpoint("fdd::loops::solve")? {
         Some(e) => Err(e),
         None => chain.solve_exact(),
@@ -148,17 +123,16 @@ fn solve_with_fallback(
     match dense {
         Ok(rows) => {
             events.push("dense exact reference succeeded".to_string());
-            mgr.record_solve_rungs(opts.lumping, true, false, events);
+            mgr.record_solve_rungs(true, false, events);
             Ok(SolveOutcome {
                 rows: sparsify(rows),
-                blocks: nt,
                 sccs: 0,
             })
         }
         Err(e) => {
             events.push(format!("dense exact reference failed: {e}"));
             events.push("fallback chain exhausted".to_string());
-            mgr.record_solve_rungs(opts.lumping, true, true, events);
+            mgr.record_solve_rungs(true, true, events);
             Err(CompileError::Solver(e))
         }
     }
@@ -325,10 +299,10 @@ pub fn compile_while(
 
     // Absorption probabilities as *sparse* exact rows, `(absorbing rank,
     // probability)` with zero entries never materialised: SCC-decomposed
-    // back-substitution over rationals, degrading through the exact
-    // fallback rungs instead of failing outright.
-    let out = solve_with_fallback(mgr, &chain, nt, opts)?;
-    mgr.record_loop_solve(nt, out.blocks, out.sccs);
+    // back-substitution over rationals, degrading to the dense exact
+    // reference instead of failing outright.
+    let out = solve_with_fallback(mgr, &chain, budget)?;
+    mgr.record_loop_solve(nt, out.sccs);
 
     // 5. Build the leaf distribution for each input class.
     let mut class_dists: HashMap<SymPkt, ActionDist> = HashMap::new();

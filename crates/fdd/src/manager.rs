@@ -170,9 +170,9 @@ struct Inner {
     dist_then_cache: Cache<(ActId, DistId), DistId>,
     // Memoised `while`-loop solutions (see `Manager::while_loop`). The key
     // must include every solver-configuration option: `state_limit` bounds
-    // which loops solve at all and `lumping` selects the quotienting
-    // strategy, so the same (guard, body) can legitimately yield different
-    // outcomes under different options. See `OptsKey` for the full rule.
+    // which loops solve at all, so the same (guard, body) can legitimately
+    // yield different outcomes under different options. See `OptsKey` for
+    // the full rule.
     while_cache: Cache<(Fdd, Fdd, OptsKey), Fdd>,
     /// Cumulative absorbing-chain solve gauges (see `LoopSolveStats`).
     loop_stats: LoopSolveStats,
@@ -318,37 +318,35 @@ impl Walker<'_> {
 /// Cumulative gauges over every absorbing-chain solve this manager ran
 /// (cache hits don't count — they skip the solve).
 ///
-/// `lumped_blocks < transient_states` measures how much symmetry lumping
-/// collapsed the chains; `sccs` counts components of the condensed
-/// transient graphs (only the `SparseScc` backend reports blocks/SCCs —
-/// other backends count each transient state as its own block).
+/// `sccs` counts components of the condensed transient graphs; a solve
+/// answered by the dense fallback rung adds none.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoopSolveStats {
     /// Absorbing chains actually solved.
     pub solves: u64,
     /// Total transient states across all solves.
     pub transient_states: u64,
-    /// Total states after symmetry lumping.
+    /// Always equal to `transient_states`: the loop solve runs on the raw
+    /// chain. Kept only because the benchmark harness reads it.
     pub lumped_blocks: u64,
-    /// Total SCCs of the (quotiented) transient graphs.
+    /// Total SCCs of the transient graphs.
     pub sccs: u64,
     /// Largest single chain solved (transient states).
     pub max_transient: usize,
-    /// Solves that needed a no-lumping retry (fallback rung 2; see
-    /// [`SolveReport`]).
+    /// Always 0: the fallback ladder has no retry rung. Kept only because
+    /// the benchmark harness reads it.
     pub fallback_retries: u64,
-    /// Solves that fell back to the dense exact reference (rung 3).
+    /// Solves that fell back to the dense exact reference (rung 2; see
+    /// [`SolveReport`]).
     pub dense_fallbacks: u64,
 }
 
 /// Cumulative record of which loop-solver fallback rungs fired and why.
 ///
 /// Every `while`-loop solve climbs the same ladder, stopping at the first
-/// rung that succeeds: (1) the sparse SCC solve with the configured
-/// lumping, (2) when lumping is on, the same solve without it (a lumping
-/// edge case cannot then mask a solvable chain), (3) the dense exact
-/// reference solver. All three rungs are exact, so a fallback changes how
-/// the answer is computed, never the answer.
+/// rung that succeeds: (1) the sparse SCC solve, (2) the dense exact
+/// reference solver. Both rungs are exact, so a fallback changes how the
+/// answer is computed, never the answer.
 ///
 /// Returned by [`Manager::solve_report`]. A clean fat-tree compile takes
 /// no fallback (pinned by `net/tests/fused_pipeline.rs`), so a silent
@@ -358,10 +356,7 @@ pub struct LoopSolveStats {
 pub struct SolveReport {
     /// Solves answered by the first-choice solver, no fallback needed.
     pub primary: u64,
-    /// Solves that retried without lumping (rung 2) after the lumped
-    /// sparse solve failed.
-    pub lumping_retries: u64,
-    /// Solves that reached the dense exact reference solver (rung 3).
+    /// Solves that reached the dense exact reference solver (rung 2).
     pub dense_fallbacks: u64,
     /// Solves where every rung failed — the error the caller saw is the
     /// last rung's.
@@ -369,13 +364,6 @@ pub struct SolveReport {
     /// Bounded log (most recent solves dropped once full) of why each
     /// fallback rung fired.
     pub events: Vec<String>,
-}
-
-impl SolveReport {
-    /// Total solves that degraded past the first-choice solver.
-    pub fn total_fallbacks(&self) -> u64 {
-        self.lumping_retries + self.dense_fallbacks
-    }
 }
 
 /// A scratch field to existentially eliminate from a diagram, together
@@ -939,12 +927,12 @@ impl Manager {
     }
 
     /// Accumulates one absorbing-chain solve into [`LoopSolveStats`].
-    pub(crate) fn record_loop_solve(&self, transient: usize, blocks: usize, sccs: usize) {
+    pub(crate) fn record_loop_solve(&self, transient: usize, sccs: usize) {
         let mut inner = self.inner.lock();
         let s = &mut inner.loop_stats;
         s.solves += 1;
         s.transient_states += transient as u64;
-        s.lumped_blocks += blocks as u64;
+        s.lumped_blocks += transient as u64;
         s.sccs += sccs as u64;
         s.max_transient = s.max_transient.max(transient);
     }
@@ -960,7 +948,6 @@ impl Manager {
     /// fired; the report keeps a bounded number of them.
     pub(crate) fn record_solve_rungs(
         &self,
-        retried_without_lumping: bool,
         fell_back_to_dense: bool,
         exhausted: bool,
         events: Vec<String>,
@@ -968,11 +955,8 @@ impl Manager {
         const MAX_EVENTS: usize = 32;
         let mut inner = self.inner.lock();
         let r = &mut inner.solve_report;
-        if !retried_without_lumping && !fell_back_to_dense && !exhausted {
+        if !fell_back_to_dense && !exhausted {
             r.primary += 1;
-        }
-        if retried_without_lumping {
-            r.lumping_retries += 1;
         }
         if fell_back_to_dense {
             r.dense_fallbacks += 1;
@@ -986,7 +970,6 @@ impl Manager {
             }
             r.events.push(e);
         }
-        inner.loop_stats.fallback_retries += u64::from(retried_without_lumping);
         inner.loop_stats.dense_fallbacks += u64::from(fell_back_to_dense);
     }
 

@@ -17,7 +17,6 @@
 //! reachability probability `(I − Q)^{-1} R · 1_targets` the PRISM model
 //! checker iterates for, computed by Gauss–Seidel.
 
-use crate::lump::{refine, Partition};
 use crate::scc::condense;
 use crate::{gauss_seidel, DenseMatrix, IterativeOptions, LinalgError, Triplets};
 use mcnetkat_num::Ratio;
@@ -44,7 +43,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// chain.set_absorbing(2);
 /// chain.add(1, 0, Ratio::new(1, 2));
 /// chain.add(1, 2, Ratio::new(1, 2));
-/// let sol = chain.solve_sparse_scc(true).unwrap();
+/// let sol = chain.solve_sparse_scc().unwrap();
 /// assert_eq!(sol.prob(1, 0), Ratio::new(1, 2));
 /// let approx = chain.reach_prob_approx(&[0]).unwrap();
 /// assert!((approx[1] - 0.5).abs() < 1e-12);
@@ -197,27 +196,20 @@ impl AbsorbingChain {
     /// Zero entries are never materialised: rows are sparse maps from
     /// reachable absorbing states only.
     ///
-    /// With `lumping` set, the chain is first quotiented by its coarsest
-    /// ordinary lumping ([`crate::lump::refine`], absorbing states kept as
-    /// external symbols): states with symmetric futures — isomorphic
-    /// fat-tree pods — collapse to one representative before any linear
-    /// algebra runs, and the solved rows are shared back to all members.
-    /// Lumping is exact, so the result is identical either way.
-    ///
     /// # Errors
     ///
     /// [`LinalgError::Singular`] when some component has no outflow at all
     /// (its states are trapped and the chain is not absorbing); the same
     /// condition [`AbsorbingChain::solve_exact`] reports, detected
     /// per-component instead of at a global pivot.
-    pub fn solve_sparse_scc(&self, lumping: bool) -> Result<SparseAbsorption, LinalgError> {
-        self.solve_sparse_scc_impl(lumping, None, &mut || false)
+    pub fn solve_sparse_scc(&self) -> Result<SparseAbsorption, LinalgError> {
+        self.solve_sparse_scc_interruptible(&mut || false)
     }
 
     /// [`AbsorbingChain::solve_sparse_scc`] with a cooperative
-    /// interruption check, polled once per SCC of the (quotiented)
-    /// transient graph — the unit of solver work, so a deadline or
-    /// cancellation is honoured within one component's elimination.
+    /// interruption check, polled once per SCC of the transient graph —
+    /// the unit of solver work, so a deadline or cancellation is honoured
+    /// within one component's elimination.
     ///
     /// # Errors
     ///
@@ -225,46 +217,12 @@ impl AbsorbingChain {
     /// `true`; otherwise as [`AbsorbingChain::solve_sparse_scc`].
     pub fn solve_sparse_scc_interruptible(
         &self,
-        lumping: bool,
-        should_stop: &mut dyn FnMut() -> bool,
-    ) -> Result<SparseAbsorption, LinalgError> {
-        self.solve_sparse_scc_impl(lumping, None, should_stop)
-    }
-
-    /// [`AbsorbingChain::solve_sparse_scc`] with an explicit lumping seed
-    /// partition over the *transient ranks* (states in chain order, minus
-    /// the absorbing ones). The seed is refined to stability, so any seed
-    /// yields exactly the same probabilities — a finer seed only reduces
-    /// how much the chain collapses. `None` seeds the trivial partition
-    /// (maximal lumping).
-    ///
-    /// # Errors
-    ///
-    /// See [`AbsorbingChain::solve_sparse_scc`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a seed is provided whose length is not the number of
-    /// transient states.
-    pub fn solve_sparse_scc_seeded(
-        &self,
-        lumping: bool,
-        seed: Option<&Partition>,
-    ) -> Result<SparseAbsorption, LinalgError> {
-        self.solve_sparse_scc_impl(lumping, seed, &mut || false)
-    }
-
-    fn solve_sparse_scc_impl(
-        &self,
-        lumping: bool,
-        seed: Option<&Partition>,
         should_stop: &mut dyn FnMut() -> bool,
     ) -> Result<SparseAbsorption, LinalgError> {
         let (transient_ix, absorbing_ix, transients, absorbing_states) = self.partition();
         let nt = transients.len();
         // Sparse exact rows over compact ids: targets < nt are transient
-        // ranks, nt + a is absorbing rank a (an "external symbol" to the
-        // lumping — absorbing states are never merged).
+        // ranks, nt + a is absorbing rank a.
         let mut rows: Vec<Vec<(usize, Ratio)>> = vec![Vec::new(); nt];
         for (from, to, p) in &self.transitions {
             let t = transient_ix[*from];
@@ -279,70 +237,36 @@ impl AbsorbingChain {
             merge_row(row);
         }
 
-        // Optional symmetry quotient.
-        let part = if lumping {
-            match seed {
-                Some(s) => refine(&rows, s),
-                None => refine(&rows, &Partition::trivial(nt)),
-            }
-        } else {
-            Partition::discrete(nt)
-        };
-        let nb = part.num_blocks;
-        let mut rep = vec![usize::MAX; nb];
-        for t in (0..nt).rev() {
-            rep[part.block_of[t]] = t;
-        }
-        let qrows: Vec<Vec<(usize, Ratio)>> = (0..nb)
-            .map(|b| {
-                let mut row: Vec<(usize, Ratio)> = rows[rep[b]]
-                    .iter()
-                    .map(|(t, p)| {
-                        let target = if *t < nt {
-                            part.block_of[*t]
-                        } else {
-                            nb + (*t - nt)
-                        };
-                        (target, p.clone())
-                    })
-                    .collect();
-                merge_row(&mut row);
-                row
-            })
-            .collect();
-
-        // Condense the (quotient) transient graph and solve per component
-        // in emission order — reverse topological, so every external
+        // Condense the transient graph and solve per component in
+        // emission order — reverse topological, so every external
         // transient target is already solved.
-        let succ: Vec<Vec<usize>> = qrows
+        let succ: Vec<Vec<usize>> = rows
             .iter()
             .map(|row| {
                 row.iter()
-                    .filter(|(t, _)| *t < nb)
+                    .filter(|(t, _)| *t < nt)
                     .map(|(t, _)| *t)
                     .collect()
             })
             .collect();
-        let cond = condense(nb, &succ);
-        let mut solved: Vec<Option<Vec<(usize, Ratio)>>> = vec![None; nb];
+        let cond = condense(nt, &succ);
+        let mut solved: Vec<Option<Vec<(usize, Ratio)>>> = vec![None; nt];
         for comp in &cond.components {
             if should_stop() {
                 return Err(LinalgError::Interrupted);
             }
-            solve_component(comp, &qrows, nb, &mut solved)?;
+            solve_component(comp, &rows, &mut solved)?;
         }
 
-        // Share each block's row back to all members.
-        let rows = (0..nt)
-            .map(|t| solved[part.block_of[t]].clone().expect("component solved"))
-            .collect();
         Ok(SparseAbsorption {
             n: self.n,
             transient_ix,
             absorbing_ix,
             absorbing_states,
-            rows,
-            lumped_blocks: nb,
+            rows: solved
+                .into_iter()
+                .map(|row| row.expect("component solved"))
+                .collect(),
             scc_count: cond.len(),
         })
     }
@@ -379,16 +303,16 @@ fn merge_row(row: &mut Vec<(usize, Ratio)>) {
     *row = out;
 }
 
-/// Solves one SCC of the (quotient) transient graph, writing each member's
-/// sparse absorption row into `solved`. `comp`'s external transient
-/// successors are already solved (reverse topological processing order);
-/// targets `>= nb` in `qrows` are absorbing ranks.
+/// Solves one SCC of the transient graph, writing each member's sparse
+/// absorption row into `solved`. `comp`'s external transient successors
+/// are already solved (reverse topological processing order); targets
+/// `>= rows.len()` are absorbing ranks.
 fn solve_component(
     comp: &[usize],
-    qrows: &[Vec<(usize, Ratio)>],
-    nb: usize,
+    rows: &[Vec<(usize, Ratio)>],
     solved: &mut [Option<Vec<(usize, Ratio)>>],
 ) -> Result<(), LinalgError> {
+    let nt = rows.len();
     if let [s] = comp {
         // Singleton (the overwhelmingly common case on routing chains —
         // shortest-path forwarding is a DAG): fold already-solved
@@ -397,11 +321,11 @@ fn solve_component(
         let s = *s;
         let mut selfp = Ratio::zero();
         let mut base: BTreeMap<usize, Ratio> = BTreeMap::new();
-        for (t, p) in &qrows[s] {
+        for (t, p) in &rows[s] {
             if *t == s {
                 selfp += p;
-            } else if *t >= nb {
-                *base.entry(*t - nb).or_insert_with(Ratio::zero) += p;
+            } else if *t >= nt {
+                *base.entry(*t - nt).or_insert_with(Ratio::zero) += p;
             } else {
                 let srow = solved[*t].as_ref().expect("successor SCC solved first");
                 for (a, q) in srow {
@@ -433,9 +357,9 @@ fn solve_component(
     let mut a = DenseMatrix::identity(k);
     let mut bases: Vec<BTreeMap<usize, Ratio>> = vec![BTreeMap::new(); k];
     for (li, &s) in comp.iter().enumerate() {
-        for (t, p) in &qrows[s] {
-            if *t >= nb {
-                *bases[li].entry(*t - nb).or_insert_with(Ratio::zero) += p;
+        for (t, p) in &rows[s] {
+            if *t >= nt {
+                *bases[li].entry(*t - nt).or_insert_with(Ratio::zero) += p;
             } else if let Some(&lj) = pos.get(t) {
                 let cur = a.get(li, lj).clone();
                 a.set(li, lj, &cur - p);
@@ -491,7 +415,6 @@ pub struct SparseAbsorption {
     /// `rows[t]`: sorted `(absorbing rank, probability)` pairs, zero
     /// entries omitted.
     rows: Vec<Vec<(usize, Ratio)>>,
-    lumped_blocks: usize,
     scc_count: usize,
 }
 
@@ -524,6 +447,12 @@ impl SparseAbsorption {
         &self.rows[t]
     }
 
+    /// Every transient rank's sparse row, in rank order, moved out of the
+    /// solution.
+    pub fn into_rows(self) -> Vec<Vec<(usize, Ratio)>> {
+        self.rows
+    }
+
     /// The absorbing states (original ids) in rank order.
     pub fn absorbing_states(&self) -> &[usize] {
         &self.absorbing_states
@@ -539,20 +468,14 @@ impl SparseAbsorption {
         self.rows.iter().map(Vec::len).sum()
     }
 
-    /// Blocks after symmetry lumping (equals the transient count when
-    /// lumping was off or found no symmetry).
-    pub fn lumped_blocks(&self) -> usize {
-        self.lumped_blocks
-    }
-
-    /// Components of the (quotiented) transient SCC DAG.
+    /// Components of the transient SCC DAG.
     pub fn scc_count(&self) -> usize {
         self.scc_count
     }
 
     /// Densifies into the `transient rank × absorbing rank` matrix of
     /// [`AbsorbingChain::solve_exact`] — for differential tests; the
-    /// production path consumes [`SparseAbsorption::sparse_row`] directly.
+    /// production path consumes [`SparseAbsorption::into_rows`] directly.
     pub fn to_dense(&self) -> Vec<Vec<Ratio>> {
         let na = self.absorbing_states.len();
         self.rows
@@ -582,11 +505,8 @@ mod tests {
         chain.add(1, 3, Ratio::one());
         chain.add(2, 0, Ratio::new(1, 2));
         chain.add(2, 3, Ratio::new(1, 2));
-        let exact = chain.solve_exact().unwrap();
-        for lumping in [false, true] {
-            let sparse = chain.solve_sparse_scc(lumping).unwrap();
-            assert_eq!(sparse.to_dense(), exact, "lumping={lumping}");
-        }
+        let sparse = chain.solve_sparse_scc().unwrap();
+        assert_eq!(sparse.to_dense(), chain.solve_exact().unwrap());
     }
 
     #[test]
@@ -597,7 +517,7 @@ mod tests {
         chain.add(0, 1, Ratio::one());
         chain.add(1, 0, Ratio::one());
         assert!(matches!(
-            chain.solve_sparse_scc(false),
+            chain.solve_sparse_scc(),
             Err(LinalgError::Singular(_))
         ));
         // Self-loop with probability 1 is the singleton flavour.
@@ -605,7 +525,7 @@ mod tests {
         chain.set_absorbing(1);
         chain.add(0, 0, Ratio::one());
         assert!(matches!(
-            chain.solve_sparse_scc(false),
+            chain.solve_sparse_scc(),
             Err(LinalgError::Singular(_))
         ));
     }
@@ -617,32 +537,12 @@ mod tests {
         chain.add(0, 1, Ratio::one());
         chain.add(1, 2, Ratio::one());
         assert!(matches!(
-            chain.solve_sparse_scc_interruptible(false, &mut || true),
+            chain.solve_sparse_scc_interruptible(&mut || true),
             Err(LinalgError::Interrupted)
         ));
         // A check that never fires leaves the solve untouched.
-        let sol = chain
-            .solve_sparse_scc_interruptible(false, &mut || false)
-            .unwrap();
+        let sol = chain.solve_sparse_scc_interruptible(&mut || false).unwrap();
         assert_eq!(sol.prob(0, 2), Ratio::one());
-    }
-
-    #[test]
-    fn lumping_collapses_symmetric_branches() {
-        // Two isomorphic branches from a fork: 1 and 2 lump.
-        let mut chain = AbsorbingChain::new(4);
-        chain.set_absorbing(3);
-        chain.add(0, 1, Ratio::new(1, 2));
-        chain.add(0, 2, Ratio::new(1, 2));
-        chain.add(1, 3, Ratio::one());
-        chain.add(2, 3, Ratio::one());
-        let sparse = chain.solve_sparse_scc(true).unwrap();
-        assert!(
-            sparse.lumped_blocks() < 3,
-            "expected symmetric states to lump"
-        );
-        assert_eq!(sparse.prob(0, 3), Ratio::one());
-        assert_eq!(sparse.to_dense(), chain.solve_exact().unwrap());
     }
 
     #[test]
@@ -658,14 +558,12 @@ mod tests {
         }
         chain.validate().unwrap();
         let exact = chain.solve_exact().unwrap();
-        for lumping in [false, true] {
-            let sol = chain.solve_sparse_scc(lumping).unwrap();
-            for i in 1..4 {
-                assert_eq!(sol.prob(i, 4), Ratio::new(i as i64, 4), "start {i}");
-                assert_eq!(sol.prob(i, 0), Ratio::new(4 - i as i64, 4));
-            }
-            assert_eq!(sol.to_dense(), exact, "lumping={lumping}");
+        let sol = chain.solve_sparse_scc().unwrap();
+        for i in 1..4 {
+            assert_eq!(sol.prob(i, 4), Ratio::new(i as i64, 4), "start {i}");
+            assert_eq!(sol.prob(i, 0), Ratio::new(4 - i as i64, 4));
         }
+        assert_eq!(sol.to_dense(), exact);
         let approx = chain.reach_prob_approx(&[4]).unwrap();
         for (i, p) in approx.iter().enumerate() {
             assert!((p - i as f64 / 4.0).abs() < 1e-9, "start {i}");
@@ -699,10 +597,8 @@ mod tests {
         chain.set_absorbing(1);
         chain.add(0, 0, Ratio::new(1, 2));
         chain.add(0, 1, Ratio::new(1, 2));
-        for lumping in [false, true] {
-            let sol = chain.solve_sparse_scc(lumping).unwrap();
-            assert_eq!(sol.prob(0, 1), Ratio::one(), "lumping={lumping}");
-        }
+        let sol = chain.solve_sparse_scc().unwrap();
+        assert_eq!(sol.prob(0, 1), Ratio::one());
         assert!((chain.reach_prob_approx(&[1]).unwrap()[0] - 1.0).abs() < 1e-9);
         assert_eq!(chain.solve_exact().unwrap()[0][0], Ratio::one());
     }
@@ -715,7 +611,7 @@ mod tests {
         chain.set_absorbing(2);
         chain.add(0, 1, Ratio::new(1, 4));
         chain.add(0, 2, Ratio::new(3, 4));
-        let sol = chain.solve_sparse_scc(false).unwrap();
+        let sol = chain.solve_sparse_scc().unwrap();
         assert_eq!(sol.prob(0, 1), Ratio::new(1, 4));
         assert_eq!(sol.prob(0, 2), Ratio::new(3, 4));
         assert!((chain.reach_prob_approx(&[1]).unwrap()[0] - 0.25).abs() < 1e-12);
@@ -729,7 +625,7 @@ mod tests {
         let mut chain = AbsorbingChain::new(2);
         chain.set_absorbing(0);
         chain.set_absorbing(1);
-        let sol = chain.solve_sparse_scc(false).unwrap();
+        let sol = chain.solve_sparse_scc().unwrap();
         assert_eq!(sol.prob(0, 0), Ratio::one());
         assert_eq!(sol.prob(0, 1), Ratio::zero());
         assert_eq!(chain.reach_prob_approx(&[0]).unwrap(), vec![1.0, 0.0]);
@@ -762,7 +658,7 @@ mod tests {
                 }
             }
             chain.validate().unwrap();
-            let sol = chain.solve_sparse_scc(true).unwrap();
+            let sol = chain.solve_sparse_scc().unwrap();
             for s in 0..n - 1 {
                 let sum: Ratio = sol.sparse_row(s).iter().map(|(_, p)| p).sum();
                 assert_eq!(sum, Ratio::one(), "row {s}");

@@ -6,8 +6,7 @@
 //! over [`mcnetkat_num::Ratio`]:
 //!
 //! * [`AbsorbingChain::solve_sparse_scc`] condenses the transient graph
-//!   into its SCC DAG ([`scc`]), optionally quotients it by its coarsest
-//!   exact lumping ([`lump`]), and solves one component at a time — the
+//!   into its SCC DAG ([`scc`]) and solves one component at a time — the
 //!   solve behind every compiled `while` loop;
 //! * [`AbsorbingChain::solve_exact`] is dense Gaussian elimination over
 //!   [`DenseMatrix`], the reference the sparse solve is tested against
@@ -22,14 +21,12 @@
 pub mod absorbing;
 mod dense;
 mod iterative;
-pub mod lump;
 pub mod scc;
 mod sparse;
 
 pub use absorbing::{AbsorbingChain, SparseAbsorption};
 pub use dense::DenseMatrix;
 use iterative::{gauss_seidel, IterativeOptions};
-pub use lump::{is_lumpable, refine, Partition};
 pub use scc::{condense, Condensation};
 use sparse::{CsrMatrix, Triplets};
 

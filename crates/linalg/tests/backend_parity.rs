@@ -1,5 +1,4 @@
-//! Table-driven solver parity: the sparse SCC solve (lumping off and on)
-//! and the float PRISM-approx reachability must reproduce the exact dense
+//! Table-driven solver parity: the sparse SCC solve and the float PRISM-approx reachability must reproduce the exact dense
 //! solve over a set of named fixtures chosen to exercise the structural
 //! corners — self-loops, disconnected transient islands with separate
 //! absorbing classes, and explicitly-added zero-probability edges. The
@@ -104,31 +103,25 @@ fn every_backend_agrees_on_every_fixture() {
         });
         let n = chain.len();
         let absorbing: Vec<usize> = (exact.len()..n).collect();
-        for lumping in [false, true] {
-            let sparse = chain
-                .solve_sparse_scc(lumping)
-                .unwrap_or_else(|e| panic!("fixture {name}: lumping={lumping} failed: {e:?}"));
-            // Identical absorbing-state sets, in the same compact order.
-            assert_eq!(
-                sparse.absorbing_states(),
-                &absorbing[..],
-                "fixture {name}: lumping={lumping} absorbing set"
-            );
-            assert_eq!(
-                sparse.to_dense(),
-                exact,
-                "fixture {name}: lumping={lumping}"
-            );
-            // State ids, not row positions: absorbing rows have no `exact`
-            // entry and must read back as point masses.
-            for s in 0..n {
-                for &a in &absorbing {
-                    assert_eq!(
-                        sparse.prob(s, a),
-                        exact_prob(&exact, s, a),
-                        "fixture {name}: lumping={lumping} prob({s}, {a})"
-                    );
-                }
+        let sparse = chain
+            .solve_sparse_scc()
+            .unwrap_or_else(|e| panic!("fixture {name}: sparse solve failed: {e:?}"));
+        // Identical absorbing-state sets, in the same compact order.
+        assert_eq!(
+            sparse.absorbing_states(),
+            &absorbing[..],
+            "fixture {name}: absorbing set"
+        );
+        assert_eq!(sparse.to_dense(), exact, "fixture {name}");
+        // State ids, not row positions: absorbing rows have no `exact`
+        // entry and must read back as point masses.
+        for s in 0..n {
+            for &a in &absorbing {
+                assert_eq!(
+                    sparse.prob(s, a),
+                    exact_prob(&exact, s, a),
+                    "fixture {name}: prob({s}, {a})"
+                );
             }
         }
         for &a in &absorbing {
@@ -153,16 +146,10 @@ fn every_backend_agrees_on_every_fixture() {
 #[test]
 fn every_backend_conserves_mass() {
     for (name, chain) in fixtures() {
-        for lumping in [false, true] {
-            let sparse = chain.solve_sparse_scc(lumping).unwrap();
-            for t in 0..sparse.num_transient() {
-                let mass: Ratio = sparse.sparse_row(t).iter().map(|(_, p)| p).sum();
-                assert_eq!(
-                    mass,
-                    Ratio::one(),
-                    "fixture {name}: lumping={lumping} row {t}"
-                );
-            }
+        let sparse = chain.solve_sparse_scc().unwrap();
+        for t in 0..sparse.num_transient() {
+            let mass: Ratio = sparse.sparse_row(t).iter().map(|(_, p)| p).sum();
+            assert_eq!(mass, Ratio::one(), "fixture {name}: row {t}");
         }
         let all: Vec<usize> = (0..chain.len())
             .filter(|&s| chain.is_absorbing(s))

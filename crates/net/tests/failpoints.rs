@@ -99,52 +99,21 @@ fn worker_panic_is_contained_and_typed() {
 }
 
 #[test]
-fn singular_solver_degrades_through_lumping_retry() {
-    let _guard = serial();
-    failpoints::clear_all();
-    let m = model();
-    let mgr = Manager::new();
-    // First sparse rung dies; the default policy retries without lumping
-    // and the compile still produces the exact answer.
-    failpoints::configure("fdd::loops::solve", FaultAction::Singular, 1, 1);
-    let fdd = compile_model_parallel(&mgr, &m, WORKERS, &Default::default()).unwrap();
-    assert_eq!(&delivery(&mgr, &m, fdd), reference_prob(&m));
-    let report = mgr.solve_report();
-    assert!(
-        report.lumping_retries >= 1,
-        "expected a recorded lumping retry: {report:?}"
-    );
-    assert_eq!(report.dense_fallbacks, 0);
-    assert_recovers(&mgr, &m);
-}
-
-#[test]
 fn singular_solver_degrades_to_dense_reference() {
     let _guard = serial();
     failpoints::clear_all();
     let m = model();
     let mgr = Manager::new();
-    // Both sparse rungs die; the dense exact rung rescues the compile.
-    failpoints::configure("fdd::loops::solve", FaultAction::Singular, 1, 2);
+    // The sparse SCC rung dies; the dense exact rung rescues the compile
+    // with exactly the clean compile's answer.
+    failpoints::configure("fdd::loops::solve", FaultAction::Singular, 1, 1);
     let fdd = compile_model_parallel(&mgr, &m, WORKERS, &Default::default()).unwrap();
     assert_eq!(&delivery(&mgr, &m, fdd), reference_prob(&m));
     let report = mgr.solve_report();
     assert!(report.dense_fallbacks >= 1, "{report:?}");
+    assert_eq!(report.exhausted, 0, "{report:?}");
     let stats = mgr.loop_solve_stats();
     assert!(stats.dense_fallbacks >= 1, "mirrored into LoopSolveStats");
-    assert_recovers(&mgr, &m);
-}
-
-#[test]
-fn lump_site_failure_is_survived_by_the_unlumped_retry() {
-    let _guard = serial();
-    failpoints::clear_all();
-    let m = model();
-    let mgr = Manager::new();
-    failpoints::configure("linalg::lump", FaultAction::Singular, 1, 1);
-    let fdd = compile_model_parallel(&mgr, &m, WORKERS, &Default::default()).unwrap();
-    assert_eq!(&delivery(&mgr, &m, fdd), reference_prob(&m));
-    assert!(mgr.solve_report().lumping_retries >= 1);
     assert_recovers(&mgr, &m);
 }
 
@@ -154,9 +123,9 @@ fn exhausted_fallback_chain_is_a_typed_error() {
     failpoints::clear_all();
     let m = model();
     let mgr = Manager::new();
-    // All three rungs die: the lumped solve, the unlumped retry and the
-    // dense exact reference. The last rung's error is the compile's.
-    failpoints::configure("fdd::loops::solve", FaultAction::Singular, 1, 3);
+    // Both rungs die: the sparse SCC solve and the dense exact
+    // reference. The last rung's error is the compile's.
+    failpoints::configure("fdd::loops::solve", FaultAction::Singular, 1, 2);
     match compile_model_parallel(&mgr, &m, WORKERS, &Default::default()) {
         Err(CompileError::Solver(LinalgError::Singular(_))) => {}
         other => panic!("expected Solver(Singular), got {other:?}"),
@@ -216,12 +185,7 @@ struct Schedule {
 /// the storm only arms `Panic` here.
 const PANIC_SITE: &str = "net::parallel::worker";
 /// All sites reachable from the parallel fattree(4) compile.
-const ALL_SITES: [&str; 4] = [
-    "fdd::intern",
-    "fdd::loops::solve",
-    "linalg::lump",
-    "net::parallel::worker",
-];
+const ALL_SITES: [&str; 3] = ["fdd::intern", "fdd::loops::solve", "net::parallel::worker"];
 
 fn arb_schedule() -> impl Strategy<Value = Schedule> {
     (0..4u8, 0..8u8, 1..=6u64, 1..=3u64).prop_map(|(kind, site_sel, nth, times)| match kind {
@@ -295,14 +259,14 @@ proptest! {
     /// succeeds, and after clearing, always.
     #[test]
     fn storm_sequential_sec2_example(
-        site_sel in 0..3u8,
+        site_sel in 0..2u8,
         kind in 0..3u8,
         nth in 1..=4u64,
         times in 1..=3u64,
     ) {
         let _guard = serial();
         failpoints::clear_all();
-        let sites = ["fdd::intern", "fdd::loops::solve", "linalg::lump"];
+        let sites = ["fdd::intern", "fdd::loops::solve"];
         let site = sites[site_sel as usize % sites.len()];
         let action = match kind {
             0 => FaultAction::Singular,

@@ -757,7 +757,7 @@ impl ModelEntry {
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
     /// Compile options for every compile the engine runs (loop state
-    /// limit, lumping, default budget for loads/patches).
+    /// limit, default budget for loads/patches).
     pub opts: CompileOptions,
     /// When set, bound each of the manager's op caches to this many
     /// entries (clear-on-overflow; see [`Manager::set_cache_capacity`]).
