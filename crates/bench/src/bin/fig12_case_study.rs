@@ -43,7 +43,7 @@ fn main() {
             );
             let mgr = Manager::new();
             let q = Queries::new(&mgr, &model).expect("compile");
-            row.push(format!("{:.4}", q.delivery_avg()));
+            row.push(format!("{:.4}", q.delivery_avg().to_f64()));
         }
         ta.row(row);
     }
@@ -69,7 +69,7 @@ fn main() {
     for hops in 2..=(HOP_CAP as usize) {
         let mut row = vec![hops.to_string()];
         for stats in &cdfs {
-            row.push(format!("{:.4}", stats.cdf[hops].1));
+            row.push(format!("{:.4}", stats.cdf[hops].1.to_f64()));
         }
         tb.row(row);
     }
@@ -91,7 +91,7 @@ fn main() {
             .with_hop_cap(HOP_CAP);
             let mgr = Manager::new();
             let q = Queries::new(&mgr, &model).expect("compile");
-            row.push(format!("{:.3}", q.hop_stats_avg().expected_hops));
+            row.push(format!("{:.3}", q.hop_stats_avg().expected_hops.to_f64()));
         }
         tc.row(row);
     }

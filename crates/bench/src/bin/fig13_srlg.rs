@@ -58,7 +58,7 @@ fn main() {
         table.row(vec![
             name.into(),
             format!("{:.6}", q.min_delivery().to_f64()),
-            format!("{:.6}", q.delivery_avg()),
+            format!("{:.6}", q.delivery_avg().to_f64()),
             secs(t),
         ]);
     }

@@ -27,6 +27,18 @@ pub enum Pred {
     Not(Arc<Pred>),
 }
 
+/// The disjunction of `preds` as a balanced tree (`drop` if empty).
+fn any_balanced(preds: &[Pred]) -> Pred {
+    match preds {
+        [] => Pred::False,
+        [p] => p.clone(),
+        _ => {
+            let (l, r) = preds.split_at(preds.len() / 2);
+            any_balanced(l).or(any_balanced(r))
+        }
+    }
+}
+
 impl Pred {
     /// The always-false predicate `drop`.
     pub fn f() -> Pred {
@@ -77,9 +89,12 @@ impl Pred {
         }
     }
 
-    /// Disjunction of a list of predicates (false if empty).
+    /// Disjunction of a list of predicates (false if empty), as a
+    /// balanced tree: compiling it merges diagrams of equal size, so a
+    /// disjunction of `n` disjoint tests builds O(n log n) nodes where a
+    /// left fold rebuilds the growing chain `n` times.
     pub fn any<I: IntoIterator<Item = Pred>>(preds: I) -> Pred {
-        preds.into_iter().fold(Pred::False, Pred::or)
+        any_balanced(&preds.into_iter().collect::<Vec<_>>())
     }
 
     /// Conjunction of a list of predicates (true if empty).

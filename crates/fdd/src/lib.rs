@@ -59,7 +59,7 @@ pub use matrix::BigStepMatrix;
 // Re-exported because `CompileError::Solver` carries it: downstream
 // crates can match on solver failures without a direct linalg dependency.
 pub use mcnetkat_linalg::LinalgError;
-pub use query::{OutputDist, SymOutputDist};
+pub use query::{CaseIndex, OutputDist, SymOutputDist};
 pub use sympkt::{step, Domain, SymPkt};
 
 /// Whether this build was compiled with the `audit` feature (and thus

@@ -12,7 +12,10 @@
 //! The state space uses *dynamic domain reduction* (§5.1): input classes
 //! are the product, over fields tested by the guard or body, of the tested
 //! values plus a wildcard; exploration then closes the set under the body's
-//! modifications.
+//! modifications. The guard's and body's case spines are indexed once per
+//! loop, so a state's step starts at its switch's arm rather than at the
+//! root (`fdd::query`, "The case-spine index"): a network body is an
+//! `sw`-case chain with one arm per switch.
 
 use crate::{Action, ActionDist, Budget, CompileError, CompileOptions, Fdd, Manager, SymPkt};
 use mcnetkat_core::{Field, Value};
@@ -212,9 +215,15 @@ pub fn compile_while(
     // hash iteration order.
     let mut rows: Vec<Vec<(usize, Ratio)>> = Vec::new();
     let mut absorbing: Vec<usize> = vec![DROP_STATE];
+    // The body is typically the model's `sw`-case chain: index the guard's
+    // and the body's case spines once and start each state at its arm
+    // instead of walking the chain from the root. One lock covers the
+    // exploration; nothing in it calls back into the manager.
+    let walk = mgr.walker();
+    let (guard_spine, body_spine) = (walk.case_index(guard), walk.case_index(body));
     while let Some(ix) = worklist.pop() {
         let pk = states[ix - 1].clone();
-        let gd = mgr.eval_sym_shared(guard, &pk);
+        let gd = walk.eval_sym_at(&guard_spine, &pk);
         if gd.is_drop() {
             absorbing.push(ix);
             continue;
@@ -222,7 +231,7 @@ pub fn compile_while(
         if !gd.is_skip() {
             return Err(CompileError::ProbabilisticGuard);
         }
-        let dist = mgr.eval_sym_shared(body, &pk);
+        let dist = walk.eval_sym_at(&body_spine, &pk);
         let mut row = Vec::with_capacity(dist.support_size());
         for (action, r) in dist.iter() {
             let target = match pk.apply(action) {
@@ -236,6 +245,7 @@ pub fn compile_while(
         }
         rows[ix] = row;
     }
+    drop(walk);
     let n = states.len() + 1;
     rows.resize(n, Vec::new());
 

@@ -236,8 +236,9 @@ impl Default for Inner {
 
 /// A read-only view of the node and leaf tables under one lock
 /// acquisition: what the pair descent behind [`Manager::equiv`] and
-/// [`Manager::less_eq`] walks, and the reachability walks. It only
-/// follows existing edges, so a query never builds a node.
+/// [`Manager::less_eq`] walks, the case-spine index
+/// ([`Manager::case_index`]), evaluation and the reachability walks. It
+/// only follows existing edges, so a query never builds a node.
 pub(crate) struct Walker<'a>(parking_lot::MutexGuard<'a, Inner>);
 
 impl Walker<'_> {
@@ -256,6 +257,27 @@ impl Walker<'_> {
             Node::Leaf(did) => (did, &self.0.dists[did.0 as usize]),
             Node::Branch { .. } => panic!("{p:?} is not a leaf"),
         }
+    }
+
+    /// The leaf `p` reaches on a packet that passes exactly the tests
+    /// `passes` accepts.
+    pub(crate) fn descend(&self, mut p: Fdd, passes: impl Fn(Field, Value) -> bool) -> Fdd {
+        while let Node::Branch {
+            field,
+            value,
+            hi,
+            lo,
+        } = self.0.nodes[p.0 as usize]
+        {
+            p = if passes(field, value) { hi } else { lo };
+        }
+        p
+    }
+
+    /// The interned distribution at leaf `p`, shared rather than cloned.
+    fn leaf_shared(&self, p: Fdd) -> Arc<ActionDist> {
+        let (did, _) = self.leaf(p);
+        self.0.dists[did.0 as usize].clone()
     }
 
     /// Every node reachable from `roots`, each once.
@@ -815,21 +837,8 @@ impl Manager {
     /// Evaluates on a concrete packet, returning the interned distribution
     /// without deep-cloning it (the lock is released before returning).
     pub(crate) fn eval_shared(&self, p: Fdd, pk: &Packet) -> Arc<ActionDist> {
-        let inner = self.inner.lock();
-        let mut cur = p;
-        loop {
-            match inner.nodes[cur.0 as usize] {
-                Node::Leaf(did) => return inner.dists[did.0 as usize].clone(),
-                Node::Branch {
-                    field,
-                    value,
-                    hi,
-                    lo,
-                } => {
-                    cur = if pk.matches(field, value) { hi } else { lo };
-                }
-            }
-        }
+        let walk = self.walker();
+        walk.leaf_shared(walk.descend(p, |f, v| pk.matches(f, v)))
     }
 
     /// Evaluates the FDD on a symbolic packet (wildcards fail all tests).
@@ -841,21 +850,8 @@ impl Manager {
     /// Evaluates on a symbolic packet, returning the interned distribution
     /// without deep-cloning it (the lock is released before returning).
     pub(crate) fn eval_sym_shared(&self, p: Fdd, pk: &SymPkt) -> Arc<ActionDist> {
-        let inner = self.inner.lock();
-        let mut cur = p;
-        loop {
-            match inner.nodes[cur.0 as usize] {
-                Node::Leaf(did) => return inner.dists[did.0 as usize].clone(),
-                Node::Branch {
-                    field,
-                    value,
-                    hi,
-                    lo,
-                } => {
-                    cur = if pk.test(field, value) { hi } else { lo };
-                }
-            }
-        }
+        let walk = self.walker();
+        walk.leaf_shared(walk.descend(p, |f, v| pk.test(f, v)))
     }
 
     /// Collects the tested fields/values of the diagram into a [`Domain`].

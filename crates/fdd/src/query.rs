@@ -35,8 +35,24 @@
 //! merging. The paths partition the input classes, so the descent
 //! agrees with comparing every class (Corollary 3.2 specialised to single
 //! packets) — the enumeration the differential tests keep as an oracle.
+//!
+//! # The case-spine index
+//!
+//! A network model compiles to a diagram whose top is a case on the
+//! switch field: one `sw = v` test per switch along the false edges.
+//! [`Manager::case_index`] walks that spine once and maps each tested
+//! value to its true child (its *arm*); the node where the spine ends is
+//! `rest`. A packet whose value has an arm starts evaluation there, any
+//! other value (or a wildcard) starts at `rest`, and the leaf it reaches
+//! is the one a walk from the root reaches: on an ordered diagram every
+//! other spine test fails for that packet, and nothing below an arm or at
+//! `rest` tests the field again. [`Manager::summarise_each`] answers a
+//! list of packets `{field = v}` this way under one lock, summarising
+//! each distinct leaf once; the aggregate network queries (minimum and
+//! mean delivery, hop-count statistics) are built on it, and the `while`
+//! loop exploration (`loops::compile_while`) starts each state at its arm.
 
-use crate::manager::Walker;
+use crate::manager::{DistId, Walker};
 use crate::{Action, ActionDist, Fdd, Manager, SymPkt};
 use fxhash::{FxHashMap, FxHashSet};
 use mcnetkat_core::{Field, Packet, Value};
@@ -92,6 +108,57 @@ impl Manager {
             .sum()
     }
 
+    /// The probability that `p` delivers the packet `{field = v}` (every
+    /// other field 0), for each `v` in `values`: [`Manager::prob_delivery`]
+    /// on each, in one walk (see [`Manager::summarise_each`]).
+    pub fn prob_delivery_each(
+        &self,
+        p: Fdd,
+        field: Field,
+        values: impl IntoIterator<Item = Value>,
+    ) -> Vec<Ratio> {
+        self.summarise_each(p, field, values, |d| {
+            d.iter()
+                .filter(|(a, _)| **a != Action::Drop)
+                .map(|(_, r)| r)
+                .sum()
+        })
+    }
+
+    /// `summary` of the leaf distribution `p` yields on the packet
+    /// `{field = v}` (every other field 0), for each `v` in `values`.
+    ///
+    /// One lock and one walk: the case spine of `p` is indexed once, each
+    /// packet starts at its arm (module docs), and `summary` runs once per
+    /// distinct leaf. It sees the leaf's actions, not the packet, so it
+    /// must not depend on `field`'s input value.
+    pub fn summarise_each<T: Clone>(
+        &self,
+        p: Fdd,
+        field: Field,
+        values: impl IntoIterator<Item = Value>,
+        mut summary: impl FnMut(&ActionDist) -> T,
+    ) -> Vec<T> {
+        let walk = self.walker();
+        let index = walk.case_index(p);
+        let mut memo: FxHashMap<DistId, T> = FxHashMap::default();
+        let mut pk = Packet::new();
+        values
+            .into_iter()
+            .map(|v| {
+                pk.set(field, v);
+                let (id, d) = walk.leaf(walk.descend(index.start(&pk), |f, w| pk.matches(f, w)));
+                memo.entry(id).or_insert_with(|| summary(d)).clone()
+            })
+            .collect()
+    }
+
+    /// Indexes the case spine at the top of `p` in one walk along its
+    /// false edges (module docs).
+    pub fn case_index(&self, p: Fdd) -> CaseIndex {
+        self.walker().case_index(p)
+    }
+
     /// Expected value of `f` over the output distribution on `pk`.
     pub fn expectation(&self, p: Fdd, pk: &Packet, f: impl Fn(Option<&Packet>) -> f64) -> f64 {
         self.output_dist(p, pk)
@@ -127,6 +194,77 @@ impl Manager {
         let mut descent = Descent::new(self.walker(), p, q, relation, want);
         descent.pair(p, q, 0);
         descent.verdict
+    }
+}
+
+/// The case spine at the top of a diagram (module docs): the `field = v`
+/// tests along the false edges from the root, where `field` is the root's
+/// top field, each mapped to its true child.
+#[derive(Clone, Debug)]
+pub struct CaseIndex {
+    /// The root's top field; `None` when the root is a leaf.
+    field: Option<Field>,
+    /// `(v, true child of the test field = v)`, ascending in `v` (the order
+    /// the false edges visit them in).
+    arms: Vec<(Value, Fdd)>,
+    /// The first node along the spine that does not test `field`.
+    rest: Fdd,
+}
+
+impl CaseIndex {
+    /// The field the spine tests (`None` for a leaf root).
+    pub fn field(&self) -> Option<Field> {
+        self.field
+    }
+
+    /// The true child of the spine's `field = v` test, if it has one.
+    pub fn arm(&self, v: Value) -> Option<Fdd> {
+        self.arms
+            .binary_search_by_key(&v, |&(w, _)| w)
+            .ok()
+            .map(|ix| self.arms[ix].1)
+    }
+
+    /// Where the spine ends: the start for every value without an arm.
+    pub fn rest(&self) -> Fdd {
+        self.rest
+    }
+
+    /// The node at which evaluating on the concrete packet `pk` can start:
+    /// it reaches the leaf a walk from the root reaches.
+    pub fn start(&self, pk: &Packet) -> Fdd {
+        self.start_at(self.field.map(|f| pk.get(f)))
+    }
+
+    /// [`CaseIndex::start`] for a symbolic packet: a wildcard starts at
+    /// [`CaseIndex::rest`], since it fails every test.
+    pub fn start_sym(&self, pk: &SymPkt) -> Fdd {
+        self.start_at(self.field.and_then(|f| pk.get(f)))
+    }
+
+    fn start_at(&self, v: Option<Value>) -> Fdd {
+        v.and_then(|v| self.arm(v)).unwrap_or(self.rest)
+    }
+}
+
+impl Walker<'_> {
+    /// One walk along the false edges of `p` while they test its top field.
+    pub(crate) fn case_index(&self, p: Fdd) -> CaseIndex {
+        let field = self.top(p).map(|(f, _)| f);
+        let mut arms = Vec::new();
+        let mut rest = p;
+        while let Some((f, v)) = self.top(rest).filter(|&(f, _)| Some(f) == field) {
+            arms.push((v, self.cofactor_eq(rest, f, v)));
+            rest = self.cofactor_ne(rest, f, v);
+        }
+        CaseIndex { field, arms, rest }
+    }
+
+    /// The leaf distribution the symbolic packet `pk` reaches, starting at
+    /// its arm of `spine`.
+    pub(crate) fn eval_sym_at(&self, spine: &CaseIndex, pk: &SymPkt) -> &ActionDist {
+        self.leaf(self.descend(spine.start_sym(pk), |f, v| pk.test(f, v)))
+            .1
     }
 }
 

@@ -424,6 +424,27 @@ mod tests {
         }
     }
 
+    /// The ingress predicate is a disjunction of one `sw` test per edge
+    /// switch. Folded balanced it compiles in O(n log n) nodes, at most 8×
+    /// the result's here; a left fold rebuilds the growing chain once per
+    /// ingress, O(n²) nodes.
+    #[test]
+    fn ingress_predicate_compiles_in_near_linear_nodes() {
+        for k in [16, 24] {
+            let topo = mcnetkat_topo::fattree(k);
+            let dst = topo.find("edge0_0").unwrap();
+            let model = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, FailureSpec::none());
+            let mgr = Manager::new();
+            let pred = mgr.compile_pred(&model.ingress_pred());
+            let (peak, size) = (mgr.peak_live_nodes(), mgr.reachable_size(pred));
+            assert!(size > model.ingresses().len(), "one arm per ingress");
+            assert!(
+                peak <= 8 * size,
+                "fattree({k}): peak {peak} nodes for a {size}-node predicate"
+            );
+        }
+    }
+
     #[test]
     fn failure_free_model_equals_teleport() {
         let topo = ab_fattree(4);

@@ -2,6 +2,9 @@
 //! probability, resilience (equivalence with teleport), refinement between
 //! schemes, and hop-count statistics (Figure 12).
 //!
+//! The aggregates over all ingresses are exact, from one walk that starts
+//! each ingress at its arm of the `sw` case ([`Manager::summarise_each`]).
+//!
 //! All queries are failure-model agnostic: the Figure 11b k-resilience
 //! check and the refinement order run unchanged under the correlated
 //! shared-risk-group specs of [`crate::FailureSpec`] — the compiled
@@ -10,7 +13,7 @@
 
 use crate::NetworkModel;
 use mcnetkat_core::Packet;
-use mcnetkat_fdd::{CompileError, CompileOptions, Fdd, Manager};
+use mcnetkat_fdd::{Action, ActionDist, CompileError, CompileOptions, Fdd, Manager};
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::NodeId;
 
@@ -21,15 +24,15 @@ pub struct Queries<'a> {
     fdd: Fdd,
 }
 
-/// Hop-count statistics for one ingress (Figure 12 b/c).
-#[derive(Clone, Debug)]
+/// Exact hop-count statistics for one or more ingresses (Figure 12 b/c).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HopStats {
     /// `P(delivered ∧ hops ≤ x)` for each x up to the cap.
-    pub cdf: Vec<(u32, f64)>,
+    pub cdf: Vec<(u32, Ratio)>,
     /// Overall delivery probability.
-    pub delivery: f64,
-    /// `E[hops | delivered]`.
-    pub expected_hops: f64,
+    pub delivery: Ratio,
+    /// `E[hops | delivered]` (0 when nothing is delivered).
+    pub expected_hops: Ratio,
 }
 
 impl<'a> Queries<'a> {
@@ -84,13 +87,19 @@ impl<'a> Queries<'a> {
         self.mgr.prob_delivery(self.fdd, &self.ingress_packet(src))
     }
 
+    /// Delivery probability from each ingress, in one walk.
+    fn ingress_deliveries(&self) -> Vec<Ratio> {
+        let ingresses = self.model.ingresses();
+        let values = ingresses.iter().map(|&s| self.model.topo.sw_value(s));
+        self.mgr
+            .prob_delivery_each(self.fdd, self.model.fields.sw, values)
+    }
+
     /// Minimum delivery probability over all ingresses — the worst-case
     /// SLA number.
     pub fn min_delivery(&self) -> Ratio {
-        self.model
-            .ingresses()
+        self.ingress_deliveries()
             .into_iter()
-            .map(|s| self.delivery_prob(s))
             .min()
             .unwrap_or_else(Ratio::zero)
     }
@@ -130,14 +139,10 @@ impl<'a> Queries<'a> {
 
     /// Mean delivery probability over all ingresses (packets enter the
     /// fabric uniformly at random, as in the paper's aggregate plots).
-    pub fn delivery_avg(&self) -> f64 {
-        let sources = self.model.ingresses();
-        let n = sources.len() as f64;
-        sources
-            .into_iter()
-            .map(|s| self.delivery_prob(s).to_f64())
-            .sum::<f64>()
-            / n
+    pub fn delivery_avg(&self) -> Ratio {
+        let each = self.ingress_deliveries();
+        let n = Ratio::from_integer(each.len() as i64);
+        each.into_iter().sum::<Ratio>() / n
     }
 
     /// Hop-count statistics from `src`. The model must have been built
@@ -166,35 +171,30 @@ impl<'a> Queries<'a> {
             .model
             .hop_cap
             .expect("hop_stats requires a model with a hop cap");
-        let cnt = self.model.fields.cnt;
-        let weight = 1.0 / sources.len() as f64;
-        let mut by_hops = vec![0.0f64; cap as usize + 1];
-        let mut delivery = 0.0f64;
-        for &src in sources {
-            let out = self.mgr.output_dist(self.fdd, &self.ingress_packet(src));
-            for (o, r) in out {
-                if let Some(pk) = o {
-                    let hops = pk.get(cnt).min(cap) as usize;
-                    by_hops[hops] += weight * r.to_f64();
-                    delivery += weight * r.to_f64();
-                }
+        // Delivered mass by hop count. An ingress packet sets only `sw`, so
+        // a delivered output's count is the one its action writes, or 0.
+        let mut by_hops = vec![Ratio::zero(); cap as usize + 1];
+        let values = sources.iter().map(|&s| self.model.topo.sw_value(s));
+        let sw = self.model.fields.sw;
+        for d in self
+            .mgr
+            .summarise_each(self.fdd, sw, values, ActionDist::clone)
+        {
+            for (a, r) in d.iter().filter(|(a, _)| **a != Action::Drop) {
+                by_hops[a.lookup(self.model.fields.cnt).unwrap_or(0).min(cap) as usize] += r;
             }
         }
-        let mut cdf = Vec::with_capacity(cap as usize + 1);
-        let mut acc = 0.0;
-        for (hops, p) in by_hops.iter().enumerate() {
-            acc += p;
-            cdf.push((hops as u32, acc));
+        let n = Ratio::from_integer(sources.len() as i64);
+        let (mut delivery, mut weighted, mut cdf) = (Ratio::zero(), Ratio::zero(), Vec::new());
+        for (hops, mass) in by_hops.iter().enumerate() {
+            delivery += &(mass / &n);
+            weighted += &(Ratio::from_integer(hops as i64) * mass);
+            cdf.push((hops as u32, delivery.clone()));
         }
-        let expected_hops = if delivery > 0.0 {
-            by_hops
-                .iter()
-                .enumerate()
-                .map(|(h, p)| h as f64 * p)
-                .sum::<f64>()
-                / delivery
+        let expected_hops = if delivery.is_zero() {
+            Ratio::zero()
         } else {
-            0.0
+            weighted / n / &delivery
         };
         HopStats {
             cdf,
@@ -301,10 +301,10 @@ mod tests {
         let q = Queries::new(&mgr, &m).unwrap();
         let src = m.topo.find("edge1_0").unwrap();
         let stats = q.hop_stats(src);
-        assert!((stats.delivery - 1.0).abs() < 1e-9);
+        assert_eq!(stats.delivery, Ratio::one());
         // Cross-pod shortest paths are 4 hops.
-        assert!((stats.expected_hops - 4.0).abs() < 1e-9);
-        assert!(stats.cdf[3].1 < 1e-9);
-        assert!((stats.cdf[4].1 - 1.0).abs() < 1e-9);
+        assert_eq!(stats.expected_hops, Ratio::from_integer(4));
+        assert_eq!(stats.cdf[3].1, Ratio::zero());
+        assert_eq!(stats.cdf[4].1, Ratio::one());
     }
 }

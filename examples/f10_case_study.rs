@@ -61,8 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  {:8} P[deliver] = {:.4}   E[hops | delivered] = {:.3}",
             scheme.name(),
-            stats.delivery,
-            stats.expected_hops
+            stats.delivery.to_f64(),
+            stats.expected_hops.to_f64()
         );
     }
     Ok(())

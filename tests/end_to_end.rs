@@ -214,11 +214,12 @@ fn hop_count_cdf_sane() {
     let mgr = Manager::new();
     let q = Queries::new(&mgr, &model).unwrap();
     let stats = q.hop_stats_avg();
-    let mut prev = 0.0;
-    for &(_, p) in &stats.cdf {
-        assert!(p >= prev - 1e-12, "CDF must be monotone");
-        prev = p;
+    let mut prev = Ratio::zero();
+    for (_, p) in &stats.cdf {
+        assert!(*p >= prev, "CDF must be monotone");
+        prev = p.clone();
     }
-    assert!(stats.delivery > 0.9);
-    assert!(stats.expected_hops >= 2.0);
+    assert_eq!(stats.cdf.last().unwrap().1, stats.delivery);
+    assert!(stats.delivery > Ratio::new(9, 10));
+    assert!(stats.expected_hops >= Ratio::from_integer(2));
 }
