@@ -8,10 +8,8 @@ use std::fmt;
 
 /// Options controlling compilation.
 ///
-/// Every `while` loop is solved exactly, by the sparse SCC solve with the
-/// dense exact reference as its one fallback rung (see
-/// [`crate::SolveReport`]); these options bound that solve but never
-/// trade exactness for speed.
+/// Every `while` loop is solved exactly, by one sparse SCC solve; these
+/// options bound that solve but never trade exactness for speed.
 #[derive(Clone, Debug)]
 pub struct CompileOptions {
     /// Upper bound on the symbolic state space explored per loop.
@@ -67,8 +65,7 @@ pub enum CompileError {
         /// The configured limit.
         limit: usize,
     },
-    /// The linear solver failed on every rung of the loop-solve fallback
-    /// chain.
+    /// The loop solve failed: the absorbing chain was singular.
     Solver(LinalgError),
     /// A loop guard compiled to a probabilistic diagram.
     ProbabilisticGuard,

@@ -10,16 +10,16 @@
 //! ```text
 //! site                     seam                              sensible actions
 //! fdd::intern              loop-state interning              Panic, Delay, Cancel
-//! fdd::loops::solve        every loop-solver rung            Singular, Panic, Delay, Cancel
+//! fdd::loops::solve        each loop solve                   Singular, Panic, Delay, Cancel
 //! net::parallel::worker    per-hop compile on a pool worker  Panic, Delay, Cancel
 //! serve::journal::append   write-ahead journal append        Singular (= torn write), Cancel, Panic, Delay
 //! serve::apply::patch      each re-keyed switch of a patch   Singular, Panic, Delay, Cancel
 //! serve::apply::assemble   post-patch model assembly         Singular, Panic, Delay, Cancel
 //! ```
 //!
-//! `fdd::loops::solve` is checked once on each rung of the loop-solve
-//! fallback chain (sparse SCC, then dense exact), so a `Singular` armed
-//! for two consecutive hits exhausts the chain.
+//! `fdd::loops::solve` is checked once per loop solve; a `Singular` there
+//! fails the compile with the typed solver error, as a singular chain
+//! would.
 //!
 //! (The `serve::*` sites are registered by `mcnetkat-serve`, which sits
 //! above this crate; at `serve::journal::append`, `Singular` is
@@ -41,8 +41,8 @@ use std::time::Duration;
 pub enum FaultAction {
     /// Panic with this message — exercises panic containment.
     Panic(String),
-    /// Report a singular linear system — exercises the solver fallback
-    /// chain. Only meaningful at solver sites; elsewhere it surfaces as
+    /// Report a singular linear system — exercises the typed solver
+    /// error. Only meaningful at solver sites; elsewhere it surfaces as
     /// the site's generic injected failure.
     Singular,
     /// Sleep this long before continuing — exercises deadline budgets.
@@ -67,7 +67,7 @@ struct Site {
     /// 1-based hit count on which the fault first fires.
     trigger_at: u64,
     /// How many consecutive hits fire, starting at `trigger_at`. Lets a
-    /// test fail several rungs of the fallback chain in a row.
+    /// test fail several hits of one site in a row.
     times: u64,
     hits: u64,
     fired: u64,
@@ -148,9 +148,9 @@ pub fn check(site: &str) -> Option<InjectedFault> {
     }
 }
 
-/// [`check`] at a seam with no solver fallback behind it: `Cancel`
-/// surfaces as [`CompileError::Cancelled`], and `Singular` as the generic
-/// injected failure, a singular-system solver error.
+/// [`check`] mapped onto the compile's error type: `Cancel` surfaces as
+/// [`CompileError::Cancelled`], and `Singular` as a singular-system
+/// solver error.
 ///
 /// # Errors
 ///

@@ -53,7 +53,7 @@ pub(crate) use manager::Node;
 pub use manager::{AuditReport, AuditViolation};
 pub use manager::{
     Fdd, GovernorGuard, LoopSolveStats, Manager, OpCacheEntry, OpCacheStats, ScratchField,
-    SolveReport, WhileCacheStats,
+    WhileCacheStats,
 };
 pub use matrix::BigStepMatrix;
 // Re-exported because `CompileError::Solver` carries it: downstream

@@ -17,7 +17,7 @@
 //! root (`fdd::query`, "The case-spine index"): a network body is an
 //! `sw`-case chain with one arm per switch.
 
-use crate::{Action, ActionDist, Budget, CompileError, CompileOptions, Fdd, Manager, SymPkt};
+use crate::{Action, ActionDist, CompileError, CompileOptions, Fdd, Manager, SymPkt};
 use mcnetkat_core::{Field, Value};
 use mcnetkat_linalg::{AbsorbingChain, LinalgError};
 use mcnetkat_num::Ratio;
@@ -25,121 +25,6 @@ use std::collections::HashMap;
 
 /// Index of the distinguished `∅` (dropped) state.
 const DROP_STATE: usize = 0;
-
-/// Polls a named failpoint, translating an injected fault either into a
-/// solver error (which joins the fallback chain like a real one) or a
-/// budget-style abort (which propagates). Compiles to `Ok(None)` without
-/// the `failpoints` feature.
-fn rung_failpoint(site: &str) -> Result<Option<LinalgError>, CompileError> {
-    #[cfg(feature = "failpoints")]
-    {
-        use crate::failpoints::{check, InjectedFault};
-        match check(site) {
-            None => Ok(None),
-            Some(InjectedFault::Singular) => Ok(Some(LinalgError::Singular(0))),
-            Some(InjectedFault::Cancelled) => Err(CompileError::Cancelled),
-        }
-    }
-    #[cfg(not(feature = "failpoints"))]
-    {
-        let _ = site;
-        Ok(None)
-    }
-}
-
-/// The outcome of one successful absorbing-chain solve, whichever rung
-/// produced it: sparse absorption rows indexed by transient rank, plus
-/// the SCC count for [`crate::LoopSolveStats`] (0 from the dense rung).
-struct SolveOutcome {
-    rows: Vec<Vec<(usize, Ratio)>>,
-    sccs: usize,
-}
-
-/// Converts dense `transient rank × absorbing rank` exact rows into the
-/// sparse form the rest of the pipeline consumes.
-fn sparsify(dense: Vec<Vec<Ratio>>) -> Vec<Vec<(usize, Ratio)>> {
-    dense
-        .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .enumerate()
-                .filter(|(_, p)| !p.is_zero())
-                .collect()
-        })
-        .collect()
-}
-
-/// The sparse-SCC solver rung. The outer `Result` carries budget aborts
-/// (propagate immediately); the inner one carries solver failures (the
-/// fallback chain decides what happens next).
-fn sparse_rung(
-    chain: &AbsorbingChain,
-    budget: &Budget,
-) -> Result<Result<SolveOutcome, LinalgError>, CompileError> {
-    if let Some(e) = rung_failpoint("fdd::loops::solve")? {
-        return Ok(Err(e));
-    }
-    let mut stop = || budget.check_external().is_err();
-    match chain.solve_sparse_scc_interruptible(&mut stop) {
-        Ok(sol) => {
-            let sccs = sol.scc_count();
-            Ok(Ok(SolveOutcome {
-                rows: sol.into_rows(),
-                sccs,
-            }))
-        }
-        // The solver stopped because our budget check fired: re-evaluate
-        // the budget for the typed error. Deadlines stay expired and
-        // tokens stay cancelled, so the fallback arm is unreachable.
-        Err(LinalgError::Interrupted) => Err(budget
-            .check_external()
-            .err()
-            .unwrap_or(CompileError::DeadlineExceeded)),
-        Err(e) => Ok(Err(e)),
-    }
-}
-
-/// Runs the solver fallback chain: (1) the sparse SCC solve, (2) the
-/// dense exact reference. Every transition is recorded on the manager's
-/// [`crate::SolveReport`]. Both rungs are exact, so a fallback changes
-/// how the answer is computed, never the answer.
-fn solve_with_fallback(
-    mgr: &Manager,
-    chain: &AbsorbingChain,
-    budget: &Budget,
-) -> Result<SolveOutcome, CompileError> {
-    let mut events: Vec<String> = Vec::new();
-
-    match sparse_rung(chain, budget)? {
-        Ok(out) => {
-            mgr.record_solve_rungs(false, false, events);
-            return Ok(out);
-        }
-        Err(e) => events.push(format!("sparse SCC solve failed: {e}")),
-    }
-
-    budget.check_external()?;
-    let dense = match rung_failpoint("fdd::loops::solve")? {
-        Some(e) => Err(e),
-        None => chain.solve_exact(),
-    };
-    match dense {
-        Ok(rows) => {
-            events.push("dense exact reference succeeded".to_string());
-            mgr.record_solve_rungs(true, false, events);
-            Ok(SolveOutcome {
-                rows: sparsify(rows),
-                sccs: 0,
-            })
-        }
-        Err(e) => {
-            events.push(format!("dense exact reference failed: {e}"));
-            events.push("fallback chain exhausted".to_string());
-            mgr.record_solve_rungs(true, true, events);
-            Err(CompileError::Solver(e))
-        }
-    }
-}
 
 /// Compiles `while guard do body` given compiled guard and body FDDs.
 ///
@@ -180,9 +65,8 @@ pub fn compile_while(
                       states: &mut Vec<SymPkt>,
                       worklist: &mut Vec<usize>|
      -> Result<usize, CompileError> {
-        if let Some(e) = rung_failpoint("fdd::intern")? {
-            return Err(CompileError::Solver(e));
-        }
+        #[cfg(feature = "failpoints")]
+        crate::failpoints::check_compile("fdd::intern")?;
         if let Some(&ix) = index.get(&pk) {
             return Ok(ix);
         }
@@ -309,10 +193,27 @@ pub fn compile_while(
 
     // Absorption probabilities as *sparse* exact rows, `(absorbing rank,
     // probability)` with zero entries never materialised: SCC-decomposed
-    // back-substitution over rationals, degrading to the dense exact
-    // reference instead of failing outright.
-    let out = solve_with_fallback(mgr, &chain, budget)?;
-    mgr.record_loop_solve(nt, out.sccs);
+    // back-substitution over rationals, polling the budget once per
+    // component. The solve fails only on a singular chain, and step 3
+    // leaves none: every trapped state was sent to ∅.
+    #[cfg(feature = "failpoints")]
+    crate::failpoints::check_compile("fdd::loops::solve")?;
+    let mut stop = || budget.check_external().is_err();
+    let sol = match chain.solve_sparse_scc_interruptible(&mut stop) {
+        Ok(sol) => sol,
+        // The solver stopped because our budget check fired: re-evaluate
+        // the budget for the typed error. Deadlines stay expired and
+        // tokens stay cancelled, so the default is unreachable.
+        Err(LinalgError::Interrupted) => {
+            return Err(budget
+                .check_external()
+                .err()
+                .unwrap_or(CompileError::DeadlineExceeded))
+        }
+        Err(e) => return Err(CompileError::Solver(e)),
+    };
+    mgr.record_loop_solve(nt, sol.scc_count());
+    let solved = sol.into_rows();
 
     // 5. Build the leaf distribution for each input class.
     let mut class_dists: HashMap<SymPkt, ActionDist> = HashMap::new();
@@ -328,7 +229,7 @@ pub fn compile_while(
         } else {
             let mut d = ActionDist::zero();
             let mut total = Ratio::zero();
-            let row = &out.rows[transient_rank[ix]];
+            let row = &solved[transient_rank[ix]];
             for (a_rank, pr) in row {
                 if pr.is_zero() || pr.is_negative() {
                     continue;
@@ -439,6 +340,24 @@ mod tests {
         let fdd = mgr.compile(&prog).unwrap();
         assert!(mgr.eval(fdd, &Packet::new()).is_drop());
         assert!(mgr.eval(fdd, &Packet::new().with(f, 1)).is_skip());
+    }
+
+    #[test]
+    fn nonterminating_cycle_is_drop() {
+        let mgr = Manager::new();
+        let f = field("lp_f8");
+        let g = field("lp_g8");
+        // while f=0 do (g<-0 ⊕½ g<-1): on f=0 the chain closes the cycle
+        // g=0 ↔ g=1 and never absorbs. Step 3 must send the whole cycle to
+        // ∅, not hand the solver a trapped component.
+        let body = Prog::choice2(Prog::assign(g, 0), Ratio::new(1, 2), Prog::assign(g, 1));
+        let prog = Prog::while_(Pred::test(f, 0), body);
+        let fdd = mgr.compile(&prog).unwrap();
+        for input in [Packet::new(), Packet::new().with(g, 0), Packet::new().with(g, 7)] {
+            assert!(mgr.eval(fdd, &input).is_drop(), "{input:?}");
+        }
+        assert!(mgr.eval(fdd, &Packet::new().with(f, 1)).is_skip());
+        assert!(mgr.eval(fdd, &Packet::new().with(f, 1).with(g, 1)).is_skip());
     }
 
     #[test]

@@ -176,8 +176,6 @@ struct Inner {
     while_cache: Cache<(Fdd, Fdd, OptsKey), Fdd>,
     /// Cumulative absorbing-chain solve gauges (see `LoopSolveStats`).
     loop_stats: LoopSolveStats,
-    /// Cumulative solver fallback-rung record (see `SolveReport`).
-    solve_report: SolveReport,
     /// The installed resource governor, present only while a governed
     /// compile is in flight (see `Manager::govern`).
     governor: Option<Governor>,
@@ -228,7 +226,6 @@ impl Default for Inner {
             dist_then_cache: Cache::default(),
             while_cache: Cache::default(),
             loop_stats: LoopSolveStats::default(),
-            solve_report: SolveReport::default(),
             governor: None,
         }
     }
@@ -340,8 +337,7 @@ impl Walker<'_> {
 /// Cumulative gauges over every absorbing-chain solve this manager ran
 /// (cache hits don't count — they skip the solve).
 ///
-/// `sccs` counts components of the condensed transient graphs; a solve
-/// answered by the dense fallback rung adds none.
+/// `sccs` counts components of the condensed transient graphs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoopSolveStats {
     /// Absorbing chains actually solved.
@@ -355,37 +351,12 @@ pub struct LoopSolveStats {
     pub sccs: u64,
     /// Largest single chain solved (transient states).
     pub max_transient: usize,
-    /// Always 0: the fallback ladder has no retry rung. Kept only because
-    /// the benchmark harness reads it.
+    /// Always 0: the loop solve has no retry. Kept only because the
+    /// benchmark harness reads it.
     pub fallback_retries: u64,
-    /// Solves that fell back to the dense exact reference (rung 2; see
-    /// [`SolveReport`]).
+    /// Always 0: the loop solve has no dense fallback. Kept only because
+    /// the benchmark harness reads it.
     pub dense_fallbacks: u64,
-}
-
-/// Cumulative record of which loop-solver fallback rungs fired and why.
-///
-/// Every `while`-loop solve climbs the same ladder, stopping at the first
-/// rung that succeeds: (1) the sparse SCC solve, (2) the dense exact
-/// reference solver. Both rungs are exact, so a fallback changes how the
-/// answer is computed, never the answer.
-///
-/// Returned by [`Manager::solve_report`]. A clean fat-tree compile takes
-/// no fallback (pinned by `net/tests/fused_pipeline.rs`), so a silent
-/// degradation to the dense solver fails a test rather than hiding inside
-/// a green timing number.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SolveReport {
-    /// Solves answered by the first-choice solver, no fallback needed.
-    pub primary: u64,
-    /// Solves that reached the dense exact reference solver (rung 2).
-    pub dense_fallbacks: u64,
-    /// Solves where every rung failed — the error the caller saw is the
-    /// last rung's.
-    pub exhausted: u64,
-    /// Bounded log (most recent solves dropped once full) of why each
-    /// fallback rung fired.
-    pub events: Vec<String>,
 }
 
 /// A scratch field to existentially eliminate from a diagram, together
@@ -931,42 +902,6 @@ impl Manager {
         s.lumped_blocks += transient as u64;
         s.sccs += sccs as u64;
         s.max_transient = s.max_transient.max(transient);
-    }
-
-    /// Cumulative solver fallback record (see [`SolveReport`]).
-    pub fn solve_report(&self) -> SolveReport {
-        self.inner.lock().solve_report.clone()
-    }
-
-    /// Accumulates one loop solve's fallback outcome into the
-    /// [`SolveReport`] (and mirrors the counters into
-    /// [`LoopSolveStats`]). `events` carries one "why" line per rung that
-    /// fired; the report keeps a bounded number of them.
-    pub(crate) fn record_solve_rungs(
-        &self,
-        fell_back_to_dense: bool,
-        exhausted: bool,
-        events: Vec<String>,
-    ) {
-        const MAX_EVENTS: usize = 32;
-        let mut inner = self.inner.lock();
-        let r = &mut inner.solve_report;
-        if !fell_back_to_dense && !exhausted {
-            r.primary += 1;
-        }
-        if fell_back_to_dense {
-            r.dense_fallbacks += 1;
-        }
-        if exhausted {
-            r.exhausted += 1;
-        }
-        for e in events {
-            if r.events.len() >= MAX_EVENTS {
-                break;
-            }
-            r.events.push(e);
-        }
-        inner.loop_stats.dense_fallbacks += u64::from(fell_back_to_dense);
     }
 
     /// Installs `budget` as this manager's resource governor for the
@@ -1524,7 +1459,6 @@ impl Inner {
             dist_then_cache,
             while_cache,
             loop_stats,
-            solve_report,
             governor: _,
         } = self;
         nodes.clear();
@@ -1550,7 +1484,6 @@ impl Inner {
         dist_then_cache.clear();
         while_cache.clear();
         *loop_stats = LoopSolveStats::default();
-        *solve_report = SolveReport::default();
     }
 
     /// Governed checkpoint on op-cache miss paths. Returns `true` when

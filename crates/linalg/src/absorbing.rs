@@ -26,10 +26,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 ///
 /// States are `0..n`. Mark absorbing states with [`set_absorbing`]
 /// (they implicitly self-loop with probability 1); add transitions out of
-/// transient states with [`add`]. Rows of transient states must sum to 1.
+/// transient states with [`add`]. Rows of transient states should sum to
+/// 1 (see [`validate`]); the exact solves also take sub-stochastic rows,
+/// whose missing mass absorbs nowhere.
 ///
 /// [`set_absorbing`]: AbsorbingChain::set_absorbing
 /// [`add`]: AbsorbingChain::add
+/// [`validate`]: AbsorbingChain::validate
 ///
 /// # Examples
 ///
@@ -158,12 +161,12 @@ impl AbsorbingChain {
     /// dense Gaussian elimination. Far slower than
     /// [`solve_sparse_scc`](AbsorbingChain::solve_sparse_scc) on routing
     /// chains: the reference the sparse SCC solve is differential-tested
-    /// against, and the loop compiler's last rung.
+    /// against.
     ///
     /// # Errors
     ///
-    /// [`LinalgError::Singular`] when some transient state cannot reach
-    /// any absorbing state (the chain is not actually absorbing).
+    /// [`LinalgError::Singular`] when some set of transient states keeps
+    /// all of its mass forever (the chain is not actually absorbing).
     pub fn solve_exact(&self) -> Result<Vec<Vec<Ratio>>, LinalgError> {
         let (transient_ix, absorbing_ix, transients, absorbing_states) = self.partition();
         let nt = transients.len();
@@ -198,10 +201,11 @@ impl AbsorbingChain {
     ///
     /// # Errors
     ///
-    /// [`LinalgError::Singular`] when some component has no outflow at all
-    /// (its states are trapped and the chain is not absorbing); the same
-    /// condition [`AbsorbingChain::solve_exact`] reports, detected
-    /// per-component instead of at a global pivot.
+    /// [`LinalgError::Singular`] when some component keeps all of its mass
+    /// (its states are trapped and the chain is not absorbing): exactly
+    /// when [`AbsorbingChain::solve_exact`] fails, detected per component
+    /// instead of at a global pivot. A component that reaches no absorbing
+    /// state but leaks mass is not trapped; its rows are empty.
     pub fn solve_sparse_scc(&self) -> Result<SparseAbsorption, LinalgError> {
         self.solve_sparse_scc_interruptible(&mut || false)
     }
@@ -351,7 +355,11 @@ fn solve_component(
 
     // A genuine cycle cluster: solve (I − Q_C) X = B_C exactly, with
     // columns only for the absorbing states the component actually
-    // reaches.
+    // reaches. A component that reaches none has no columns, and the
+    // elimination alone decides: `I − Q_C` is singular when every member
+    // keeps all of its mass (trapped states), and otherwise (some member
+    // leaks into a dead end or out of a sub-stochastic row) every row is
+    // empty, as in `solve_exact`.
     let k = comp.len();
     let pos: HashMap<usize, usize> = comp.iter().enumerate().map(|(i, &s)| (s, i)).collect();
     let mut a = DenseMatrix::identity(k);
@@ -377,10 +385,6 @@ fn solve_component(
         .collect::<BTreeSet<usize>>()
         .into_iter()
         .collect();
-    if cols.is_empty() {
-        // The component reaches nothing outside itself: trapped, singular.
-        return Err(LinalgError::Singular(comp[0]));
-    }
     let col_ix: HashMap<usize, usize> = cols.iter().enumerate().map(|(i, &c)| (c, i)).collect();
     let mut rhs = DenseMatrix::zeros(k, cols.len());
     for (li, base) in bases.iter().enumerate() {

@@ -9,8 +9,8 @@
 //!   into its SCC DAG ([`scc`]) and solves one component at a time — the
 //!   solve behind every compiled `while` loop;
 //! * [`AbsorbingChain::solve_exact`] is dense Gaussian elimination over
-//!   [`DenseMatrix`], the reference the sparse solve is tested against
-//!   and the loop compiler's last fallback rung.
+//!   [`DenseMatrix`], the reference the sparse solve is tested against;
+//!   the two fail on exactly the same (singular) chains.
 //!
 //! The one float computation is [`AbsorbingChain::reach_prob_approx`]: a
 //! Gauss–Seidel iteration, the engine of the PRISM model checker that the

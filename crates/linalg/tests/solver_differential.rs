@@ -54,8 +54,68 @@ fn arb_structured_chain() -> impl Strategy<Value = AbsorbingChain> {
         })
 }
 
+/// A random chain that need not absorb: each transient row is a dead end
+/// (no transitions), a row over transient states only (so closed, trapped
+/// islands and probability-1 self-loops form), a sub-stochastic row that
+/// loses some of its mass, or a stochastic row over every state. Unlike
+/// [`arb_structured_chain`], this reaches the singular chains and the
+/// chains that leak without absorbing.
+fn arb_leaky_chain() -> impl Strategy<Value = AbsorbingChain> {
+    (
+        1..9usize,
+        1..4usize,
+        proptest::collection::vec(0..8u32, 300),
+    )
+        .prop_map(|(nt, na, weights)| {
+            let n = nt + na;
+            let mut chain = AbsorbingChain::new(n);
+            for a in nt..n {
+                chain.set_absorbing(a);
+            }
+            let mut w = weights.into_iter().cycle();
+            for s in 0..nt {
+                let kind = w.next().unwrap() % 4;
+                if kind == 0 {
+                    continue;
+                }
+                let targets = if kind == 1 { nt } else { n };
+                let row: Vec<u32> = (0..targets)
+                    .map(|_| {
+                        let weight = w.next().unwrap();
+                        if w.next().unwrap() < 5 {
+                            0
+                        } else {
+                            weight
+                        }
+                    })
+                    .collect();
+                let lost = if kind == 2 { 1 + w.next().unwrap() } else { 0 };
+                let total: u32 = row.iter().sum::<u32>() + lost;
+                for (t, &weight) in row.iter().enumerate() {
+                    if weight > 0 {
+                        chain.add(s, t, Ratio::new(weight as i64, total as i64));
+                    }
+                }
+            }
+            chain
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The sparse solve fails exactly when the dense one does, and agrees
+    /// with it `Ratio`-exactly otherwise: no chain the sparse solve
+    /// rejects has an answer the dense elimination could give instead.
+    #[test]
+    fn sparse_scc_fails_exactly_when_solve_exact_does(chain in arb_leaky_chain()) {
+        let exact = chain.solve_exact();
+        let sparse = chain.solve_sparse_scc();
+        prop_assert_eq!(sparse.is_err(), exact.is_err(), "{:?} vs {:?}", sparse, exact);
+        if let (Ok(sparse), Ok(exact)) = (sparse, exact) {
+            prop_assert_eq!(sparse.to_dense(), exact);
+        }
+    }
 
     /// The tentpole invariant: SparseScc ≡ solve_exact, *exactly*. Not a
     /// tolerance check — `Ratio` equality.
@@ -142,4 +202,26 @@ fn empty_transient_rows_absorb_nowhere() {
     assert_eq!(sparse.to_dense(), exact);
     assert_eq!(sparse.prob(1, 2), Ratio::zero());
     assert!(sparse.sparse_row(1).is_empty());
+}
+
+/// A cycle that leaks mass only into a transient dead end reaches no
+/// absorbing state, yet `I − Q` is nonsingular: the cycle keeps less than
+/// all of its mass, and the dead end has no transitions at all. The dense
+/// solve gives every transient state an all-zero row; the sparse solve
+/// must too, not report the cycle as trapped.
+#[test]
+fn cycle_leaking_into_a_dead_end_absorbs_nowhere() {
+    let mut chain = AbsorbingChain::new(4);
+    chain.set_absorbing(3);
+    // 1 ↔ 2, each half back to the other and half into dead end 0.
+    chain.add(1, 2, Ratio::new(1, 2));
+    chain.add(1, 0, Ratio::new(1, 2));
+    chain.add(2, 1, Ratio::new(1, 2));
+    chain.add(2, 0, Ratio::new(1, 2));
+    let exact = chain.solve_exact().unwrap();
+    let sparse = chain.solve_sparse_scc().unwrap();
+    assert_eq!(sparse.to_dense(), exact);
+    for t in 0..sparse.num_transient() {
+        assert!(sparse.sparse_row(t).is_empty(), "row {t}");
+    }
 }

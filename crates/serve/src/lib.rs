@@ -1558,8 +1558,8 @@ impl Engine {
             (&result, self.degraded_grace)
         {
             // Degraded path: one bounded retry with a fresh deadline.
-            // The loop-solve fallback chain always runs under `answer`,
-            // so the retry's only new allowance is time.
+            // The retry runs the same exact solve, so its only new
+            // allowance is time.
             let retry = QueryRequest {
                 query: req.query.clone(),
                 budget: Budget::unlimited().with_deadline(grace),
