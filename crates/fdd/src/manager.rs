@@ -1021,8 +1021,8 @@ impl Manager {
     /// Sound whenever the scratch fields' entry values are independent of
     /// each other and of every non-scratch field the diagram tests (true
     /// for fresh per-hop Bernoulli draws; *not* true for budget-coupled
-    /// draws, which must be compiled into the diagram before write-only
-    /// elimination).
+    /// draws, which `mcnetkat-net` sums out per budget state with
+    /// [`Manager::restrict_eq`], [`Manager::scale`] and [`Manager::sum`]).
     ///
     /// # Panics
     ///

@@ -20,10 +20,15 @@
 //! `up_i` from it (`if grp_j=1 then up_i<-1 else up_i<-0`). Group fields
 //! are erased at the end of every hop together with the `up_i` flags (see
 //! [`FailureSpec::erase_program`]), so loop states never carry them, and
-//! the compiled model projects them out entirely with
+//! the legacy whole-body compile projects them out entirely with
 //! [`mcnetkat_fdd::Manager::forget`] — a spec whose groups are all
 //! singletons therefore compiles to a diagram *equivalent* to the plain
 //! independent model's.
+//!
+//! The fused pipeline never compiles that program: it takes a switch's
+//! draws as [`FailureEvent`]s (`FailureSpec::hop_events`) — a group's
+//! members there are one event — and sums them out of the route diagram
+//! (see `crate::fused`), so no group field ever exists in it.
 
 use crate::scheme::down_ports;
 use crate::NetFields;
@@ -103,13 +108,32 @@ impl Srlg {
 
     /// The member ports this group contributes on switch `sw`, filtered to
     /// the given candidate ports (in candidate order).
+    ///
+    /// O(1) for a group that lives on another switch: a validated group
+    /// ([`FailureSpec::validate`]) has every member on one switch, so its
+    /// first member names that switch.
     pub(crate) fn ports_on(&self, sw: u32, ports: &[u32]) -> Vec<u32> {
-        ports
-            .iter()
-            .copied()
-            .filter(|&p| self.members.contains(&(sw, p)))
-            .collect()
+        match self.members.first() {
+            Some(&(home, _)) if home == sw => ports
+                .iter()
+                .copied()
+                .filter(|&p| self.members.contains(&(sw, p)))
+                .collect(),
+            _ => Vec::new(),
+        }
     }
+}
+
+/// One failure event of a switch-hop: with probability `pr` it takes down
+/// every health flag in `ups` at once. An ungrouped port's independent
+/// draw is an event with one flag; a shared-risk group's members on the
+/// switch are one event, charging a failure budget once.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct FailureEvent {
+    /// Probability that the event happens at a hop.
+    pub pr: Ratio,
+    /// The `up` flags it takes down.
+    pub ups: Vec<Field>,
 }
 
 /// A composite failure specification: the generalisation of the paper's
@@ -314,6 +338,39 @@ impl FailureSpec {
         Prog::seq_all(steps)
     }
 
+    /// The events [`FailureSpec::hop_program`] draws for the failure-prone
+    /// `ports` of switch `sw`, in its draw order: groups with members on
+    /// the switch (declaration order), then the ungrouped ports (in
+    /// `ports` order). A failure-free spec never fails a link, so every
+    /// event then has probability zero.
+    pub(crate) fn hop_events(
+        &self,
+        fields: &NetFields,
+        sw: u32,
+        ports: &[u32],
+    ) -> Vec<FailureEvent> {
+        let free = self.is_failure_free();
+        let event = |pr: &Ratio, ports: &[u32]| FailureEvent {
+            pr: if free { Ratio::zero() } else { pr.clone() },
+            ups: ports.iter().map(|&p| fields.up(p)).collect(),
+        };
+        let mut events = Vec::new();
+        let mut grouped: BTreeSet<u32> = BTreeSet::new();
+        for group in &self.groups {
+            let members = group.ports_on(sw, ports);
+            if !members.is_empty() {
+                grouped.extend(&members);
+                events.push(event(&group.pr, &members));
+            }
+        }
+        for &p in ports {
+            if !grouped.contains(&p) {
+                events.push(event(self.port_pr(p), &[p]));
+            }
+        }
+        events
+    }
+
     /// One budget-guarded Bernoulli draw into `health` (an `up_i` flag or
     /// a group field): down with probability `pr` — charging one budget
     /// unit — and up otherwise. An exhausted budget forces the draw up,
@@ -347,16 +404,6 @@ impl FailureSpec {
     /// Number of declared shared-risk groups.
     pub fn group_count(&self) -> usize {
         self.groups.len()
-    }
-
-    /// Whether the per-hop draws factor into *independent* Bernoullis —
-    /// true exactly when no failure budget couples them (`k = None`).
-    /// Factorable specs let the fused pipeline skip compiling the draw
-    /// program entirely and sum link health out of the routing diagram
-    /// with [`mcnetkat_fdd::Manager::eliminate`]; budget-bounded specs
-    /// must compile the draw (the budget guard sequences the Bernoullis).
-    pub fn is_factorable(&self) -> bool {
-        self.k.is_none()
     }
 }
 
@@ -546,6 +593,40 @@ mod tests {
         let prog = spec.hop_program(&f, 1, &[1]);
         let d = Interp::new().eval_packet(&prog, &Packet::new());
         assert_eq!(d.prob(&Packet::new().with(f.up(1), 1)), Ratio::one());
+    }
+
+    #[test]
+    fn hop_events_follow_the_draw_order() {
+        let f = NetFields::with_groups(4, 3);
+        let r = Ratio::new;
+        let spec = FailureSpec::bounded(r(1, 5), 2)
+            .with_link_pr(3, r(1, 2))
+            .with_group(Srlg::new("a", r(1, 7), vec![(1, 2)]))
+            .with_group(Srlg::new("elsewhere", r(1, 9), vec![(2, 1)]))
+            .with_group(Srlg::new("b", r(1, 3), vec![(1, 4), (1, 1)]));
+        let event = |pr: Ratio, ports: &[u32]| FailureEvent {
+            pr,
+            ups: ports.iter().map(|&p| f.up(p)).collect(),
+        };
+        // Groups on this switch in declaration order (members in port
+        // order), then the ungrouped ports.
+        assert_eq!(
+            spec.hop_events(&f, 1, &[1, 2, 3, 4]),
+            vec![
+                event(r(1, 7), &[2]),
+                event(r(1, 3), &[1, 4]),
+                event(r(1, 2), &[3]),
+            ]
+        );
+        // A failure-free spec draws the same events, none of which fails.
+        let free = FailureSpec { k: Some(0), ..spec };
+        assert!(free
+            .hop_events(&f, 1, &[1, 2, 3, 4])
+            .iter()
+            .all(|e| e.pr.is_zero()));
+        // A group on another switch contributes nothing here.
+        assert!(free.groups[1].ports_on(1, &[1, 2, 3, 4]).is_empty());
+        assert_eq!(free.groups[1].ports_on(2, &[1, 2]), vec![1]);
     }
 
     #[test]

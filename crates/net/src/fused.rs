@@ -15,13 +15,14 @@
 //!
 //! ```text
 //!   per switch s:
-//!     hop_inputs(s)                                 — key; topo-step_s
+//!     hop_inputs(s)                                 — key: route_s (topo-step
 //!                                                     sliced to the ports
-//!                                                     scheme_s writes
+//!                                                     scheme_s writes),
+//!                                                     failure events, budget
 //!   per missing hop (compile_hops: one scratch manager per call or
 //!                    worker, reused):
-//!     draw_s ; scheme_s ; topo-step_s ; bump?      — compile
-//!     eliminate up_i / grp_j                        — Manager::eliminate
+//!     scheme_s ; topo-step_s ; bump?                — compile the route
+//!     sum the failure events out                    — scenario sum
 //!     export → import                               — scratch-free, tiny
 //!     clear the scratch manager                     — Manager::clear
 //!   main manager:
@@ -53,27 +54,37 @@
 //! growing a fresh manager's tables from empty for each.
 //!
 //! Peak live nodes now scale with the *largest single switch*, not the
-//! topology. Two elimination modes:
+//! topology.
 //!
-//! * **Factored** (`FailureSpec::is_factorable`, i.e. no failure budget):
-//!   the draw program is never compiled at all. The routing diagram tests
-//!   `up_i`/`grp_j` directly, and [`Manager::eliminate`] convex-sums each
-//!   test with the corresponding Bernoulli weight — the factored
-//!   failure-draw representation the ROADMAP called for.
-//! * **Budget-coupled** (`k = Some(_)`): the budget guard sequences the
-//!   draws, so the draw program is compiled into the hop first; the
-//!   scratch fields are then write-only and stripped by elimination.
+//! # The scenario sum
 //!
-//! Both modes produce per-switch diagrams that mention no scratch field,
-//! so the global body, the loop solve, and the final diagram never see
-//! them — no per-hop erasure, no final [`Manager::forget`] projection.
+//! No draw program is ever compiled. The route tests `up_i` flags and
+//! never writes them, so it already says everything that depends on link
+//! health; the switch's [failure events](FailureEvent) are summed out of
+//! it exactly, on the diagram:
+//!
+//! * **Unbounded** (`k = None`): each event is a two-way mix,
+//!   `(1−pr)·restrict(X, ups=1) + pr·restrict(X, ups=0)`; the single-port
+//!   events together are one [`Manager::eliminate`] pass.
+//! * **Under a budget** (`k = Some(_)`): the hop is a case on `fl`. For a
+//!   start `fl = v < k`, a mix over the events indexed by the failures so
+//!   far, where an exhausted budget forces later events up and a failing
+//!   scenario appends `fl ← v + failures`; for `fl = k`, every flag up;
+//!   for any other `fl`, the unbounded mix with no bump, as the draw's
+//!   budget bump leaves such values alone.
+//!
+//! Either way the result is exactly the legacy `draw ; route` with the
+//! scratch fields projected out (pinned diagram-for-diagram by
+//! `crates/net/tests/hop_scenarios.rs`), and it mentions no scratch
+//! field, so the global body, the loop solve, and the final diagram never
+//! see one — no per-hop erasure, no final [`Manager::forget`] projection.
 
 use crate::model::bump_hop_counter;
-use crate::scheme::switch_program;
-use crate::NetworkModel;
+use crate::{FailureEvent, NetworkModel};
 use mcnetkat_core::{Field, Pred, Prog, Value};
 use mcnetkat_fdd::{
-    CancelToken, CompileError, CompileOptions, Fdd, FddExport, Manager, ScratchField,
+    Action, ActionDist, CancelToken, CompileError, CompileOptions, Fdd, FddExport, Manager,
+    ScratchField,
 };
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::{NodeId, ShortestPaths};
@@ -115,24 +126,29 @@ impl FusedStats {
 }
 
 /// The complete, self-contained inputs of one switch's fused hop compile:
-/// the program to compile (draw prefix + route + topology step + hop
-/// bump) and the scratch-field specification to eliminate afterwards.
+/// the route to compile (scheme + topology step + hop bump) and the
+/// failure events to sum out of it afterwards.
 ///
 /// Everything the compiled hop diagram depends on is in here — the
-/// routing scheme (via the expanded program), the topology slice, the
-/// hop cap, and the failure-spec slice relevant to this switch (group
-/// membership, Bernoulli weights, budget coupling). `Eq`/`Hash` are
-/// structural, so two switches — or the same switch before and after a
-/// model delta — compile to identical diagrams **iff** their `HopInputs`
-/// compare equal. That makes [`HopInputs::cache_key`] a sound
-/// invalidation key for incremental recompilation (`mcnetkat-serve`
-/// builds its per-switch diagram cache on exactly this).
+/// routing scheme (via the expanded route), the topology slice, the hop
+/// cap, and the failure-spec slice relevant to this switch (its events'
+/// probabilities and flags, the budget). `Eq`/`Hash` are structural, so
+/// two switches — or the same switch before and after a model delta —
+/// compile to identical diagrams **iff** their `HopInputs` compare equal.
+/// That makes [`HopInputs::cache_key`] a sound invalidation key for
+/// incremental recompilation (`mcnetkat-serve` builds its per-switch
+/// diagram cache on exactly this).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct HopInputs {
-    /// The hop program compiled in the scratch manager.
-    pub prog: Prog,
-    /// Scratch fields eliminated from the compiled hop, in order.
-    pub scratch: Vec<ScratchField>,
+    /// `forward ; sliced topology step ; hop bump`: tests `up` flags,
+    /// never writes them.
+    pub route: Prog,
+    /// The switch's failure events, in [`crate::FailureSpec::hop_program`]'s
+    /// draw order.
+    pub draws: Vec<FailureEvent>,
+    /// The budget counter and its bound `(fl, k)`, on a switch that draws
+    /// something under a failure budget.
+    pub budget: Option<(Field, u32)>,
 }
 
 impl HopInputs {
@@ -147,9 +163,9 @@ impl HopInputs {
     }
 }
 
-/// Assembles switch `s`'s fused hop-compile inputs: `failure draw ;
-/// scheme ; topology step ; hop bump` plus the scratch fields to
-/// eliminate. Pure AST/spec work — no manager involved.
+/// Assembles switch `s`'s fused hop-compile inputs: `scheme ; topology
+/// step ; hop bump` plus the failure events to sum out of it. Pure
+/// AST/spec work — no manager involved.
 ///
 /// The topology step is sliced to the `pt` values the switch's route can
 /// leave on a forwarded packet, when every non-drop path of the route
@@ -160,81 +176,31 @@ impl HopInputs {
 pub fn hop_inputs(model: &NetworkModel, s: NodeId, sp: &ShortestPaths) -> HopInputs {
     let fields = &model.fields;
     let spec = &model.failure;
-    let prone = model.prone_ports(s);
-    let sw_val = model.topo.sw_value(s);
 
     // The deterministic part of the hop: route, cross the link, count.
     // The topology step keeps only the arms for the ports the route can
     // write, when it always writes one: a core switch routes down one of
     // its k ports, so the other arms are dead.
-    let forward = switch_program(model.scheme_for(s), fields, &model.topo, sp, s, model.dst);
+    let forward = model.switch_route(s, sp);
     let ports = assigned_values(&forward, fields.pt);
     let mut route = forward.seq(model.topology_step_on(s, ports.as_ref()));
     if let Some(cap) = model.hop_cap {
         route = route.seq(bump_hop_counter(fields, cap));
     }
 
-    let mut scratch: Vec<ScratchField> = Vec::new();
-    let prog = if spec.is_factorable() {
-        // Factored mode: never compile the draw. Group flags and ungrouped
-        // `up` flags become entry draws summed out by `eliminate`; grouped
-        // `up` flags are *derived* from their group flag by a compiled
-        // prefix, which resolves every downstream test, leaving them
-        // write-only.
-        let mut prefix = Vec::new();
-        let mut grouped: BTreeSet<u32> = BTreeSet::new();
-        for (j, group) in spec.groups.iter().enumerate() {
-            let members = group.ports_on(sw_val, &prone);
-            if members.is_empty() {
-                continue;
-            }
-            let grp = fields.grp(j as u32 + 1);
-            scratch.push(ScratchField::bernoulli(
-                grp,
-                Ratio::one() - group.pr.clone(),
-            ));
-            for &p in &members {
-                grouped.insert(p);
-                prefix.push(Prog::ite(
-                    Pred::test(grp, 1),
-                    Prog::assign(fields.up(p), 1),
-                    Prog::assign(fields.up(p), 0),
-                ));
-            }
-        }
-        for &p in &prone {
-            if grouped.contains(&p) {
-                scratch.push(ScratchField::write_only(fields.up(p)));
-            } else {
-                scratch.push(ScratchField::bernoulli(
-                    fields.up(p),
-                    Ratio::one() - spec.port_pr(p).clone(),
-                ));
-            }
-        }
-        Prog::seq_all(prefix).seq(route)
-    } else {
-        // Budget-coupled mode: the `fl` guard sequences the draws, so they
-        // must be compiled into the hop. Every health test downstream is
-        // then resolved by the draw's assignments, leaving the scratch
-        // fields write-only.
-        let draw = spec.hop_program(fields, sw_val, &prone);
-        for &p in &prone {
-            scratch.push(ScratchField::write_only(fields.up(p)));
-        }
-        // Mirror `FailureSpec::hop_program`: only groups with members on
-        // this switch are drawn here, so only their flags exist to
-        // eliminate. Listing the rest would couple every switch's
-        // `HopInputs` to every group, making a group edit invalidate
-        // switches the group never touches.
-        for (j, group) in spec.groups.iter().enumerate() {
-            if !group.ports_on(sw_val, &prone).is_empty() {
-                scratch.push(ScratchField::write_only(fields.grp(j as u32 + 1)));
-            }
-        }
-        draw.seq(route)
-    };
-    HopInputs { prog, scratch }
+    let draws = spec.hop_events(fields, model.topo.sw_value(s), &model.prone_ports(s));
+    // Only a switch that draws reads the budget, and a failure-free spec's
+    // draws never consult it: an edit that flips `is_failure_free` must
+    // change no key outside the switches that draw.
+    let budget = spec
+        .k
+        .filter(|_| !draws.is_empty() && !spec.is_failure_free())
+        .map(|k| (fields.fl, k));
+    HopInputs {
+        route,
+        draws,
+        budget,
+    }
 }
 
 /// The values `prog` leaves in `field` on every packet it does not drop,
@@ -304,13 +270,105 @@ fn compile_hop_in(
     opts: &CompileOptions,
     stats: &mut FusedStats,
 ) -> Result<Fdd, CompileError> {
-    let result = scratch.compile_with(&inputs.prog, opts).map(|hop| {
-        let fdd = scratch.eliminate(hop, &inputs.scratch);
+    let result = scratch.compile_with(&inputs.route, opts).map(|route| {
+        let fdd = sum_scenarios(scratch, route, inputs);
         stats.absorb_scratch(scratch);
         target.import(&scratch.export(fdd))
     });
     scratch.clear();
     result
+}
+
+/// Sums the failure events of `inputs` out of its compiled `route`: the
+/// diagram of `draw ; route` with every scratch field projected out, where
+/// `draw` is the switch's [`crate::FailureSpec::hop_program`]. See the module
+/// docs' "The scenario sum".
+fn sum_scenarios(mgr: &Manager, route: Fdd, inputs: &HopInputs) -> Fdd {
+    let draws = &inputs.draws;
+    let one = Ratio::one();
+    // Independent single-port draws sum out in one `eliminate` pass; a
+    // group's flags fall together, so each group is a two-way mix.
+    let singles: Vec<ScratchField> = draws
+        .iter()
+        .filter(|d| d.ups.len() == 1)
+        .map(|d| ScratchField::bernoulli(d.ups[0], &one - &d.pr))
+        .collect();
+    let unbounded =
+        draws
+            .iter()
+            .filter(|d| d.ups.len() > 1)
+            .fold(mgr.eliminate(route, &singles), |hop, d| {
+                let up = Some(set_flags(mgr, hop, &d.ups, 1));
+                let down = Some(set_flags(mgr, hop, &d.ups, 0));
+                let mix = add_scaled(mgr, None, up, &(&one - &d.pr));
+                add_scaled(mgr, mix, down, &d.pr).expect("a mix keeps its mass")
+            });
+    let Some((fl, k)) = inputs.budget else {
+        return unbounded;
+    };
+
+    // One pass over the events in draw order. `under[f]` holds the
+    // scenarios with exactly `f < k` failures so far; `spent[b - 1]` those
+    // that used up a budget of `b` failures, whose later events are then
+    // forced up. `None` is the zero diagram.
+    let mut under: Vec<Option<Fdd>> = vec![None; k as usize];
+    let mut spent: Vec<Option<Fdd>> = vec![None; k as usize];
+    if let Some(none_failed) = under.first_mut() {
+        *none_failed = Some(route);
+    }
+    let mut all_up = route;
+    for d in draws {
+        let p_up = &one - &d.pr;
+        let fail: Vec<Option<Fdd>> = under
+            .iter()
+            .map(|x| x.filter(|_| !d.pr.is_zero()))
+            .map(|x| x.map(|x| set_flags(mgr, x, &d.ups, 0)))
+            .collect();
+        for (b, slot) in spent.iter_mut().enumerate() {
+            let forced_up = slot.map(|x| set_flags(mgr, x, &d.ups, 1));
+            *slot = add_scaled(mgr, forced_up, fail[b], &d.pr);
+        }
+        for (f, slot) in under.iter_mut().enumerate() {
+            let stay_up = slot.map(|x| set_flags(mgr, x, &d.ups, 1));
+            let stay_up = add_scaled(mgr, None, stay_up, &p_up);
+            *slot = match f.checked_sub(1) {
+                None => stay_up,
+                Some(g) => add_scaled(mgr, stay_up, fail[g], &d.pr),
+            };
+        }
+        all_up = set_flags(mgr, all_up, &d.ups, 1);
+    }
+
+    // A start `fl = v < k` leaves a budget of `k - v`; a failing scenario
+    // leaves `fl` at `v` plus its failures.
+    let bump = |x: Fdd, to: Value| mgr.seq(x, mgr.leaf(ActionDist::dirac(Action::assign(fl, to))));
+    let test = |v: Value| mgr.branch(fl, v, mgr.pass(), mgr.fail());
+    let mut hop = mgr.ite(test(k), all_up, unbounded);
+    for v in (0..k).rev() {
+        let left = (k - v) as usize;
+        let mut from_v = under[0];
+        for (f, x) in (0..).zip(&under[..left]).skip(1) {
+            from_v = add_scaled(mgr, from_v, x.map(|x| bump(x, v + f)), &one);
+        }
+        from_v = add_scaled(mgr, from_v, spent[left - 1].map(|x| bump(x, k)), &one);
+        hop = mgr.ite(test(v), from_v.expect("a start keeps its mass"), hop);
+    }
+    hop
+}
+
+/// `p` with every flag in `ups` fixed to `v`: its tests resolved.
+fn set_flags(mgr: &Manager, p: Fdd, ups: &[Field], v: Value) -> Fdd {
+    ups.iter().fold(p, |p, &up| mgr.restrict_eq(p, up, v))
+}
+
+/// `acc + r·p`, where `None` is the zero diagram and a zero weight adds
+/// nothing.
+fn add_scaled(mgr: &Manager, acc: Option<Fdd>, p: Option<Fdd>, r: &Ratio) -> Option<Fdd> {
+    let Some(p) = p.filter(|_| !r.is_zero()) else {
+        return acc;
+    };
+    let scaled = mgr.scale(p, r);
+    Some(acc.map_or(scaled, |a| mgr.sum(a, scaled)))
 }
 
 /// Folds per-switch hop diagrams into the global `sw`-case chain, in
@@ -837,7 +895,7 @@ mod tests {
         );
         let sp = ShortestPaths::towards(&m.topo, m.dst);
         let core = m.topo.find("core0").unwrap();
-        let forward = switch_program(m.scheme, &m.fields, &m.topo, &sp, core, m.dst);
+        let forward = m.switch_route(core, &sp);
         let ports = assigned_values(&forward, m.fields.pt).unwrap();
         assert_eq!(ports.len(), 1, "a core switch routes down one port");
         assert_ne!(
@@ -845,7 +903,7 @@ mod tests {
             m.topology_step(core)
         );
         // The destination's route is `drop`: no arm survives.
-        let at_dst = switch_program(m.scheme, &m.fields, &m.topo, &sp, m.dst, m.dst);
+        let at_dst = m.switch_route(m.dst, &sp);
         let none = assigned_values(&at_dst, m.fields.pt).unwrap();
         assert!(none.is_empty());
         assert_eq!(m.topology_step_on(m.dst, Some(&none)), Prog::drop());

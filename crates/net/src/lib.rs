@@ -21,7 +21,7 @@ mod scheme;
 pub use chain::{chain_benchmark, chain_delivery_native, chain_expected_delivery, ChainBenchmark};
 pub use codec::{Codec, CodecError, ModelDescription, Reader};
 pub use example::{running_example, RunningExample};
-pub use failure::{FailureSpec, Srlg};
+pub use failure::{FailureEvent, FailureSpec, Srlg};
 pub use fields::NetFields;
 pub use fused::FusedStats;
 pub use model::{teleport, NetworkModel};

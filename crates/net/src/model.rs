@@ -159,15 +159,20 @@ impl NetworkModel {
         let draw = self
             .failure
             .hop_program(&self.fields, self.topo.sw_value(s), &prone);
-        let route = switch_program(
+        draw.seq(self.switch_route(s, sp))
+    }
+
+    /// The forwarding program `p_s` of switch `s` alone: its routing
+    /// scheme, testing the `up` flags and never writing them.
+    pub fn switch_route(&self, s: NodeId, sp: &ShortestPaths) -> Prog {
+        switch_program(
             self.scheme_for(s),
             &self.fields,
             &self.topo,
             sp,
             s,
             self.dst,
-        );
-        draw.seq(route)
+        )
     }
 
     /// The full forwarding policy: `case sw=1 then … else case sw=2 …`.
@@ -291,11 +296,10 @@ impl NetworkModel {
     }
 
     /// Compiles the model to its big-step FDD through the fused
-    /// per-switch pipeline: each switch's hop program (`failure draw ;
-    /// scheme ; topology step ; hop bump`) is compiled in a scratch
-    /// manager that is cleared before the next switch, its `up_i`/`grp_j`
-    /// scratch fields are eliminated
-    /// immediately ([`Manager::eliminate`]), and only then is the global
+    /// per-switch pipeline: each switch's route (`scheme ; topology step ;
+    /// hop bump`) is compiled in a scratch manager that is cleared before
+    /// the next switch, its failure draws are summed out of the route
+    /// diagram immediately (see [`crate::fused`]), and only then is the global
     /// `sw`-case chain assembled — so peak diagram size scales with the
     /// largest single switch, not the whole topology. The result mentions
     /// no scratch field, and a spec whose groups are all singletons

@@ -176,13 +176,12 @@ pub enum Delta {
     SetLinkPr(u32, Ratio),
     /// Drop one port's probability override.
     ClearLinkPr(u32),
-    /// Replace the failure budget `k` — **structural**: the budget guard
-    /// sequences every draw, so the whole per-switch cache is dropped.
+    /// Replace the failure budget `k` — **structural**: every switch that
+    /// draws keys on `k`, so the whole per-switch cache is dropped.
     SetBudget(Option<u32>),
     /// Append one shared-risk link group.
     AddGroup(Srlg),
-    /// Remove the named shared-risk group. Groups after it shift down one
-    /// index (and scratch field), so their switches are touched too.
+    /// Remove the named shared-risk group.
     RemoveGroup(String),
     /// Replace the named group's failure probability.
     SetGroupPr(String, Ratio),
@@ -227,7 +226,8 @@ impl Touched {
 
 impl Delta {
     /// Whether this delta touches shared compile structure (the failure
-    /// budget's draw sequencing, the topology's global shortest paths) and
+    /// budget every drawing switch keys on, the topology's global shortest
+    /// paths) and
     /// therefore drops the per-switch cache for a full rebuild instead of
     /// patching.
     pub fn is_structural(&self) -> bool {
@@ -278,9 +278,9 @@ impl Delta {
             Delta::SetSwitchScheme(s, _) | Delta::ClearSwitchScheme(s) => {
                 Touched::Set([*s].into_iter().collect())
             }
-            // Every prone switch reads `is_failure_free`: the budget-coupled
-            // draw collapses to `up_i <- 1` when it holds, and each link
-            // step tests its `up_i` flag only when it does not.
+            // Every prone switch reads `is_failure_free`: its events'
+            // probabilities and its budget drop out when it holds, and each
+            // link step tests its `up_i` flag only when it does not.
             Delta::SetUniformPr(_) => prone_switches(),
             _ if self.flips_failure_free(&model.failure) => prone_switches(),
             Delta::SetLinkPr(port, _) | Delta::ClearLinkPr(port) => Touched::Set(
@@ -293,18 +293,9 @@ impl Delta {
                     .collect(),
             ),
             Delta::AddGroup(g) => Touched::Set(group_switch(&g.members)),
-            Delta::RemoveGroup(name) => {
-                // The removed group's switch, plus every group after it
-                // (their scratch-field index shifts down by one).
-                let mut touched = BTreeSet::new();
-                if let Some(i) = model.failure.groups.iter().position(|g| &g.name == name) {
-                    for g in &model.failure.groups[i..] {
-                        touched.extend(group_switch(&g.members));
-                    }
-                }
-                Touched::Set(touched)
-            }
-            Delta::SetGroupPr(name, _) => Touched::Set(
+            // Hop inputs name a group by its flags, not its index, so the
+            // groups after a removed one keep their keys.
+            Delta::RemoveGroup(name) | Delta::SetGroupPr(name, _) => Touched::Set(
                 model
                     .failure
                     .groups
@@ -2003,6 +1994,34 @@ mod tests {
         let report = engine
             .apply(id, Delta::RemoveGroup("conduit".into()))
             .unwrap();
+        assert_eq!(report.switches_changed, 1);
+        assert!(engine.verify_against_cold(id).unwrap());
+    }
+
+    #[test]
+    fn removing_a_group_patches_its_own_switch_only() {
+        // Hop inputs name a group's flags, not its index: removing the
+        // first of two groups leaves the second group's switch alone.
+        let mut engine = Engine::default();
+        let id = engine.load(fattree_model(Ratio::new(1, 100))).unwrap();
+        engine.apply(id, Delta::SetBudget(Some(1))).unwrap();
+        let cards: Vec<Srlg> = {
+            let m = engine.model(id).unwrap();
+            ["core0", "core1"]
+                .iter()
+                .map(|name| {
+                    let node = m.topo.find(name).unwrap();
+                    Srlg::down_links_of(&m.topo, node, Ratio::new(1, 50))
+                })
+                .collect()
+        };
+        let first = cards[0].name.clone();
+        for card in cards {
+            engine.apply(id, Delta::AddGroup(card)).unwrap();
+        }
+        let report = engine.apply(id, Delta::RemoveGroup(first)).unwrap();
+        assert!(!report.full_rebuild);
+        assert_eq!(report.touched_upper_bound, 1);
         assert_eq!(report.switches_changed, 1);
         assert!(engine.verify_against_cold(id).unwrap());
     }
