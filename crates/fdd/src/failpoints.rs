@@ -12,7 +12,7 @@
 //! fdd::intern              loop-state interning              Panic, Delay, Cancel
 //! fdd::loops::solve        each loop solve                   Singular, Panic, Delay, Cancel
 //! net::parallel::worker    per-hop compile on a pool worker  Panic, Delay, Cancel
-//! serve::journal::append   write-ahead journal append        Singular (= torn write), Cancel, Panic, Delay
+//! serve::journal::append   journal record append             Singular (= torn write), Cancel, Panic, Delay
 //! serve::apply::patch      each re-keyed switch of a patch   Singular, Panic, Delay, Cancel
 //! serve::apply::assemble   post-patch model assembly         Singular, Panic, Delay, Cancel
 //! ```

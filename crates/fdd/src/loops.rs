@@ -353,11 +353,17 @@ mod tests {
         let body = Prog::choice2(Prog::assign(g, 0), Ratio::new(1, 2), Prog::assign(g, 1));
         let prog = Prog::while_(Pred::test(f, 0), body);
         let fdd = mgr.compile(&prog).unwrap();
-        for input in [Packet::new(), Packet::new().with(g, 0), Packet::new().with(g, 7)] {
+        for input in [
+            Packet::new(),
+            Packet::new().with(g, 0),
+            Packet::new().with(g, 7),
+        ] {
             assert!(mgr.eval(fdd, &input).is_drop(), "{input:?}");
         }
         assert!(mgr.eval(fdd, &Packet::new().with(f, 1)).is_skip());
-        assert!(mgr.eval(fdd, &Packet::new().with(f, 1).with(g, 1)).is_skip());
+        assert!(mgr
+            .eval(fdd, &Packet::new().with(f, 1).with(g, 1))
+            .is_skip());
     }
 
     #[test]

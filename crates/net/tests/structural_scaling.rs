@@ -1,0 +1,57 @@
+//! Structural scaling: a cold fat-tree compile may hold at most a small
+//! constant times the nodes its result and its largest per-switch scratch
+//! compile need. An O(n²) construction anywhere in the pipeline (a
+//! left-folded ingress disjunction was one) then fails this test
+//! deterministically instead of hiding in a timing.
+
+use mcnetkat_fdd::{CompileOptions, Manager};
+use mcnetkat_net::fused::{assemble_chain, assemble_model, compile_hops, hop_inputs};
+use mcnetkat_net::{FailureSpec, FusedStats, NetworkModel, RoutingScheme};
+use mcnetkat_num::Ratio;
+use mcnetkat_topo::{fattree, ShortestPaths};
+use std::collections::HashMap;
+
+/// Peak live nodes per node of (result + largest scratch compile).
+/// Measured 7.4 at fattree(16) and 8.0 at fattree(24); with the ingress
+/// disjunction folded left (`Pred::any` as a left fold) they read 26.7
+/// and 56.5.
+const C: usize = 12;
+
+#[test]
+fn peak_nodes_stay_within_a_constant_of_result_plus_scratch() {
+    for k in [16, 24] {
+        let topo = fattree(k);
+        let dst = topo.find("edge0_0").unwrap();
+        let model = NetworkModel::new(
+            topo,
+            dst,
+            RoutingScheme::Ecmp,
+            FailureSpec::independent(Ratio::new(1, 1000)),
+        );
+        let mgr = Manager::new();
+        let opts = CompileOptions::default();
+        let sp = ShortestPaths::towards(&model.topo, model.dst);
+        let switches = model.topo.switches();
+        let inputs: Vec<_> = switches
+            .iter()
+            .map(|&s| hop_inputs(&model, s, &sp))
+            .collect();
+        let mut stats = FusedStats::default();
+        let hops = compile_hops(&mgr, &inputs, 1, &opts, &mut stats).unwrap();
+        let by_switch: HashMap<_, _> = switches.iter().copied().zip(hops).collect();
+        let body = assemble_chain(&mgr, &model, |s| Ok(by_switch[&s])).unwrap();
+        let fdd = assemble_model(&mgr, &model, body, &opts).unwrap();
+
+        let (peak, size) = (mgr.peak_live_nodes(), mgr.reachable_size(fdd));
+        let scratch = stats.max_scratch_nodes;
+        eprintln!(
+            "fattree({k}): peak {peak}, result {size}, scratch {scratch}, ratio {:.1}",
+            peak as f64 / (size + scratch) as f64
+        );
+        assert!(
+            peak <= C * (size + scratch),
+            "fattree({k}): peak {peak} live nodes for a {size}-node result \
+             and {scratch} scratch nodes (bound {C}×)"
+        );
+    }
+}

@@ -10,16 +10,15 @@
 //! [u32 len][u64 fnv1a64(payload)][payload]…         — records
 //! ```
 //!
-//! Every mutating engine operation appends an *intent* record
-//! ([`Record::Load`] / [`Record::Apply`] / [`Record::Unload`]) **before**
-//! touching engine state, and a [`Record::Commit`] marker once the
-//! operation's only fallible work (the compile) has succeeded — the
-//! in-memory mutation that follows the commit marker is infallible map
-//! surgery. Replay applies an intent only when the record *immediately
-//! after it* is a commit marker, so a crash — or a failed compile, which
-//! abandons its intent uncommitted — anywhere before the marker replays
-//! to exactly the state the survivor reports. No undo records, no
-//! double-apply.
+//! The journal is redo-only: every whole record is committed. A mutating
+//! engine operation first runs its only fallible work (the compile, for
+//! a load or an apply), then appends **one** record ([`Record::Load`] /
+//! [`Record::Apply`] / [`Record::Unload`]) with one `fsync`, then swaps
+//! the result into memory, which is infallible map surgery. A failed
+//! compile writes nothing; a crash before the record leaves nothing to
+//! replay, as the survivor never swapped; a crash after it replays the
+//! record, as the survivor would have swapped. No undo records, no
+//! commit markers, no double-apply.
 //!
 //! # Torn tails vs interior corruption
 //!
@@ -59,7 +58,7 @@ pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 
 const JOURNAL_MAGIC: [u8; 8] = *b"MCNKJRNL";
 const SNAPSHOT_MAGIC: [u8; 8] = *b"MCNKSNAP";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 /// Header: magic then version, little-endian.
 const HEADER_LEN: usize = 12;
 /// Record frame: u32 length + u64 checksum before the payload.
@@ -185,9 +184,9 @@ fn io_err(e: std::io::Error) -> JournalError {
     JournalError::Io(e.to_string())
 }
 
-/// One journal record. `Load`/`Apply`/`Unload` are intents — declared
-/// before the engine mutates anything — and `Commit` marks the
-/// *immediately preceding* intent as applied.
+/// One journal record: an operation whose compile has already succeeded,
+/// appended just before the engine swaps its result in. Replay applies
+/// every whole record in file order.
 #[derive(Clone, Debug)]
 pub enum Record {
     /// A model was loaded under this id (ids are engine-assigned and
@@ -210,8 +209,10 @@ pub enum Record {
         /// The unloaded model.
         id: u64,
     },
-    /// The preceding intent's fallible work succeeded and the in-memory
-    /// state was (or is about to be, crash permitting) updated.
+    /// A commit marker from the two-record protocol. No engine path
+    /// writes it and replay skips it; it stays decodable (tag 3) only
+    /// because the `serve-churn` benchmark's shadow journal still appends
+    /// it.
     Commit,
 }
 
@@ -442,26 +443,6 @@ pub fn scan(path: &Path) -> Result<ScanResult, RecoveryError> {
     })
 }
 
-/// The committed intents of a scanned journal, in order: each intent
-/// whose immediately-following record is [`Record::Commit`], paired with
-/// the byte offset of its frame.
-pub fn committed(scan: &ScanResult) -> Vec<(u64, &Record)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < scan.records.len() {
-        let (off, rec) = &scan.records[i];
-        if !matches!(rec, Record::Commit)
-            && matches!(scan.records.get(i + 1), Some((_, Record::Commit)))
-        {
-            out.push((*off, rec));
-            i += 2;
-        } else {
-            i += 1; // an uncommitted intent or a stray commit: skip
-        }
-    }
-    out
-}
-
 /// The appending half of the journal. One writer per engine; appends are
 /// serialized by the engine's `&mut self` mutating API.
 pub struct JournalWriter {
@@ -597,33 +578,6 @@ impl JournalWriter {
         }
         self.offset += frame.len() as u64;
         self.records += 1;
-        Ok(())
-    }
-
-    /// Rolls the journal back to a previously-returned [`offset`]
-    /// (dropping the records after it) — the escape hatch for a commit
-    /// marker that failed to append after its intent already had.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`]; failure poisons the writer.
-    ///
-    /// [`offset`]: JournalWriter::offset
-    pub fn abort_to(&mut self, offset: u64, records: u64) -> Result<(), JournalError> {
-        if self.poisoned {
-            return Err(JournalError::Poisoned);
-        }
-        if let Err(e) = self
-            .file
-            .set_len(offset)
-            .and_then(|()| self.file.sync_data())
-            .and_then(|()| self.file.seek(SeekFrom::End(0)))
-        {
-            self.poisoned = true;
-            return Err(io_err(e));
-        }
-        self.offset = offset;
-        self.records = records;
         Ok(())
     }
 }
@@ -811,14 +765,11 @@ mod tests {
                 id: 0,
                 desc: sample_desc(),
             },
-            Record::Commit,
             Record::Apply {
                 id: 0,
                 delta: Delta::SetUniformPr(Ratio::new(1, 10)),
             },
-            Record::Commit,
             Record::Unload { id: 0 },
-            Record::Commit,
         ]
     }
 
@@ -837,12 +788,11 @@ mod tests {
         for rec in &sample_records() {
             w.append(rec).unwrap();
         }
-        assert_eq!(w.records(), 6);
+        assert_eq!(w.records(), 3);
         let scanned = scan(&path).unwrap();
-        assert_eq!(scanned.records.len(), 6);
+        assert_eq!(scanned.records.len(), 3);
         assert_eq!(scanned.valid_len, w.offset());
         assert_eq!(scanned.truncated_bytes, 0);
-        assert_eq!(committed(&scanned).len(), 3);
         std::fs::remove_file(&path).ok();
     }
 
@@ -851,18 +801,18 @@ mod tests {
         let path = tmp_path("torn");
         let mut w = JournalWriter::create(&path).unwrap();
         let recs = sample_records();
-        for rec in &recs[..4] {
+        for rec in &recs[..2] {
             w.append(rec).unwrap();
         }
         let clean_len = w.offset();
-        w.append(&recs[4]).unwrap();
+        w.append(&recs[2]).unwrap();
         let full = std::fs::read(&path).unwrap();
         // Chop the final record at every possible byte boundary: the scan
-        // must recover exactly the first four records every time.
+        // must recover exactly the first two records every time.
         for cut in clean_len as usize..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
             let s = scan(&path).unwrap();
-            assert_eq!(s.records.len(), 4, "cut at {cut}");
+            assert_eq!(s.records.len(), 2, "cut at {cut}");
             assert_eq!(s.valid_len, clean_len, "cut at {cut}");
             assert_eq!(s.truncated_bytes as usize, cut - clean_len as usize);
         }
@@ -908,53 +858,14 @@ mod tests {
     }
 
     #[test]
-    fn uncommitted_intents_are_skipped() {
-        let path = tmp_path("uncommitted");
-        let mut w = JournalWriter::create(&path).unwrap();
-        w.append(&Record::Load {
-            id: 0,
-            desc: sample_desc(),
-        })
-        .unwrap();
-        w.append(&Record::Commit).unwrap();
-        // A failed apply leaves its intent with no trailing commit …
-        w.append(&Record::Apply {
-            id: 0,
-            delta: Delta::SetBudget(Some(1)),
-        })
-        .unwrap();
-        // … and the next operation's intent/commit pair follows it.
-        w.append(&Record::Apply {
-            id: 0,
-            delta: Delta::SetHopCap(Some(8)),
-        })
-        .unwrap();
-        w.append(&Record::Commit).unwrap();
-        let s = scan(&path).unwrap();
-        let committed = committed(&s);
-        assert_eq!(committed.len(), 2);
-        assert!(matches!(committed[0].1, Record::Load { .. }));
-        assert!(matches!(
-            committed[1].1,
-            Record::Apply {
-                delta: Delta::SetHopCap(Some(8)),
-                ..
-            }
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn open_at_truncates_and_resumes() {
         let path = tmp_path("resume");
         let mut w = JournalWriter::create(&path).unwrap();
         let recs = sample_records();
-        for rec in &recs[..2] {
-            w.append(rec).unwrap();
-        }
+        w.append(&recs[0]).unwrap();
         let clean = w.offset();
-        // Simulate a torn third record.
-        w.append(&recs[2]).unwrap();
+        // Simulate a torn second record.
+        w.append(&recs[1]).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.truncate(bytes.len() - 3);
         std::fs::write(&path, &bytes).unwrap();
@@ -962,34 +873,11 @@ mod tests {
         let s = scan(&path).unwrap();
         assert_eq!(s.valid_len, clean);
         let mut w = JournalWriter::open_at(&path, s.valid_len, s.records.len() as u64).unwrap();
+        w.append(&recs[1]).unwrap();
         w.append(&recs[2]).unwrap();
-        w.append(&Record::Commit).unwrap();
         let s = scan(&path).unwrap();
-        assert_eq!(s.records.len(), 4);
+        assert_eq!(s.records.len(), 3);
         assert_eq!(s.truncated_bytes, 0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn abort_rolls_back_an_intent() {
-        let path = tmp_path("abort");
-        let mut w = JournalWriter::create(&path).unwrap();
-        w.append(&Record::Load {
-            id: 0,
-            desc: sample_desc(),
-        })
-        .unwrap();
-        w.append(&Record::Commit).unwrap();
-        let (off, n) = (w.offset(), w.records());
-        w.append(&Record::Unload { id: 0 }).unwrap();
-        w.abort_to(off, n).unwrap();
-        let s = scan(&path).unwrap();
-        assert_eq!(s.records.len(), 2);
-        assert_eq!(s.valid_len, off);
-        // The writer keeps appending cleanly after the rollback.
-        w.append(&Record::Unload { id: 0 }).unwrap();
-        w.append(&Record::Commit).unwrap();
-        assert_eq!(scan(&path).unwrap().records.len(), 4);
         std::fs::remove_file(&path).ok();
     }
 

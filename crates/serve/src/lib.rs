@@ -37,13 +37,13 @@
 //! retry ([`EngineConfig::degraded_grace`]) before its error surfaces.
 //!
 //! The engine's state can also survive the process. A journaling engine
-//! ([`Engine::with_journal`]) appends every load/delta/unload to a
-//! checksummed write-ahead journal *before* mutating state and marks it
-//! committed once the compile succeeds; [`Engine::snapshot`] checkpoints
-//! the loaded models' descriptions; and [`Engine::recover`] rebuilds an
-//! engine from snapshot + journal tail, truncating torn tails, refusing
-//! interior corruption, and re-verifying every recovered model against a
-//! cold compile. See the [`journal`] module docs for the format and the
+//! ([`Engine::with_journal`]) appends each load/delta/unload to a
+//! checksummed redo journal as one record, after its compile succeeds and
+//! before the in-memory swap; [`Engine::snapshot`] checkpoints the loaded
+//! models' descriptions; and [`Engine::recover`] rebuilds an engine from
+//! snapshot + journal tail, truncating torn tails, refusing interior
+//! corruption, and re-verifying every recovered model against a cold
+//! compile. See the [`journal`] module docs for the format and the
 //! atomicity contract.
 //!
 //! ```
@@ -115,9 +115,8 @@ pub enum EngineError {
     InvalidDelta(String),
     /// The underlying compile failed (budget trip, solver failure, …).
     Compile(CompileError),
-    /// The write-ahead journal rejected the operation's intent record —
-    /// the in-memory state is untouched (the journal append runs
-    /// *before* any mutation).
+    /// The journal rejected the operation's record — the in-memory state
+    /// is untouched (the append runs *before* the swap).
     Journal(JournalError),
     /// The admission gate shed this query:
     /// [`EngineConfig::max_concurrent_queries`] queries were already in
@@ -496,8 +495,8 @@ pub struct ApplyPhases {
     pub loop_solve: Duration,
     /// Ingress, normalisation and local wrappers ([`assemble_tail`]).
     pub tail: Duration,
-    /// Appending the delta and its commit marker to the journal (a
-    /// no-op without one).
+    /// Appending the delta's record to the journal (a no-op without
+    /// one).
     pub journal: Duration,
 }
 
@@ -851,11 +850,8 @@ pub struct Engine {
 pub struct RecoveryReport {
     /// Models rebuilt from the snapshot checkpoint.
     pub snapshot_models: usize,
-    /// Committed journal records replayed past the snapshot offset.
+    /// Journal records replayed past the snapshot offset.
     pub records_replayed: u64,
-    /// Intent records with no commit marker — operations that failed (or
-    /// died) mid-flight and were correctly *not* replayed.
-    pub uncommitted_intents: u64,
     /// Torn-tail bytes truncated off the journal before resuming.
     pub truncated_bytes: u64,
 }
@@ -902,9 +898,10 @@ impl Engine {
 
     /// Creates a **journaling** engine over a fresh durability directory:
     /// every load, delta, and unload is appended to
-    /// `dir/`[`journal::JOURNAL_FILE`] *before* it mutates state, so a
-    /// crash at any point recovers ([`Engine::recover`]) to exactly the
-    /// state the survivor would have reported.
+    /// `dir/`[`journal::JOURNAL_FILE`] after its compile and *before* it
+    /// mutates state, so a crash at any point recovers
+    /// ([`Engine::recover`]) to exactly the state the survivor would have
+    /// reported.
     ///
     /// This is a *fresh start*: any stale journal or snapshot in `dir`
     /// is discarded. To resume an existing directory's state, use
@@ -931,8 +928,8 @@ impl Engine {
     }
 
     /// Rebuilds an engine from a durability directory: the snapshot's
-    /// models (if one exists), then the journal's committed records past
-    /// the snapshot offset, applied in order through the normal
+    /// models (if one exists), then every whole journal record past the
+    /// snapshot offset, applied in order through the normal
     /// (non-journaling) load/apply/unload paths. A torn journal tail is
     /// truncated (partial writes are expected on crash); interior
     /// corruption is refused with a typed [`RecoveryError`]. Every
@@ -997,18 +994,11 @@ impl Engine {
             }
         }
 
-        // Replay the committed tail. An intent with no commit marker is
-        // an operation that died (or failed) before its mutation — the
-        // survivor never saw it applied, so neither does the replay.
+        // Replay the tail. Every whole record is an operation whose
+        // compile had succeeded, appended just before the survivor's swap.
         let floor = snap.as_ref().map_or(0, |s| s.journal_offset);
-        let committed = journal::committed(&scanned);
-        let intents = scanned
-            .records
-            .iter()
-            .filter(|(_, r)| !matches!(r, Record::Commit))
-            .count() as u64;
         let mut replayed = 0u64;
-        for (offset, rec) in &committed {
+        for (offset, rec) in &scanned.records {
             if *offset < floor {
                 continue; // already inside the snapshot
             }
@@ -1037,7 +1027,7 @@ impl Engine {
                         .unload(ModelId(*id))
                         .map_err(|e| fail(e.to_string()))?;
                 }
-                Record::Commit => unreachable!("committed() never yields markers"),
+                Record::Commit => continue, // written by no engine path
             }
             replayed += 1;
         }
@@ -1072,7 +1062,6 @@ impl Engine {
             RecoveryReport {
                 snapshot_models,
                 records_replayed: replayed,
-                uncommitted_intents: intents - committed.len() as u64,
                 truncated_bytes: scanned.truncated_bytes,
             },
         ))
@@ -1107,33 +1096,13 @@ impl Engine {
         Ok(())
     }
 
-    /// Appends an intent record (before any mutation), returning the
-    /// rollback mark for [`Engine::journal_commit`]. No-op without a
-    /// journal.
-    fn journal_intent(&mut self, rec: &Record) -> Result<Option<(u64, u64)>, EngineError> {
-        match &mut self.journal {
-            None => Ok(None),
-            Some(w) => {
-                let mark = (w.offset(), w.records());
-                w.append(rec)?;
-                Ok(Some(mark))
-            }
-        }
-    }
-
-    /// Appends the commit marker for the intent at `mark`. On failure
-    /// the intent is rolled back (best effort — a rollback failure
-    /// poisons the writer, and the uncommitted intent is skipped by
-    /// replay anyway), and the caller must leave the engine unmutated.
-    fn journal_commit(&mut self, mark: Option<(u64, u64)>) -> Result<(), EngineError> {
-        let Some(w) = &mut self.journal else {
-            return Ok(());
-        };
-        if let Err(e) = w.append(&Record::Commit) {
-            if let Some((offset, records)) = mark {
-                let _ = w.abort_to(offset, records);
-            }
-            return Err(e.into());
+    /// Appends one operation's record, with one `fsync` (a no-op
+    /// without a journal). Callers run it after the operation's fallible
+    /// work and before its infallible swap, so on error they leave the
+    /// engine as it was.
+    fn journal_append(&mut self, rec: &Record) -> Result<(), EngineError> {
+        if let Some(w) = &mut self.journal {
+            w.append(rec)?;
         }
         Ok(())
     }
@@ -1153,19 +1122,15 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Propagates compile failures; the engine state is unchanged on
-    /// error.
+    /// Propagates compile failures and [`EngineError::Journal`]; the
+    /// engine state is unchanged on error.
     pub fn load(&mut self, model: NetworkModel) -> Result<ModelId, EngineError> {
         let id = ModelId(self.next_id);
-        // Write-ahead: the intent hits the journal before any state
-        // moves. A compile failure below leaves it uncommitted, and
-        // replay skips uncommitted intents.
-        let mark = self.journal_intent(&Record::Load {
+        let patch = self.compile_incremental(&model, &Touched::All, &SwitchHops::new())?;
+        self.journal_append(&Record::Load {
             id: id.0,
             desc: ModelDescription::of(&model),
         })?;
-        let patch = self.compile_incremental(&model, &Touched::All, &SwitchHops::new())?;
-        self.journal_commit(mark)?;
         self.next_id += 1;
         self.models.insert(id, ModelEntry::new(model, patch));
         self.enforce_hop_cache_limit();
@@ -1193,14 +1158,13 @@ impl Engine {
     /// # Errors
     ///
     /// [`EngineError::UnknownModel`] if `id` is not loaded;
-    /// [`EngineError::Journal`] when the intent cannot be journaled (the
+    /// [`EngineError::Journal`] when the unload cannot be journaled (the
     /// model stays loaded).
     pub fn unload(&mut self, id: ModelId) -> Result<(), EngineError> {
         if !self.models.contains_key(&id) {
             return Err(EngineError::UnknownModel(id));
         }
-        let mark = self.journal_intent(&Record::Unload { id: id.0 })?;
-        self.journal_commit(mark)?;
+        self.journal_append(&Record::Unload { id: id.0 })?;
         self.unload_internal(id);
         Ok(())
     }
@@ -1262,23 +1226,14 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::UnknownModel`], [`EngineError::InvalidDelta`], or a
-    /// propagated compile failure.
+    /// [`EngineError::UnknownModel`], [`EngineError::InvalidDelta`], a
+    /// propagated compile failure, or [`EngineError::Journal`].
     pub fn apply(&mut self, id: ModelId, delta: Delta) -> Result<DeltaReport, EngineError> {
         let start = Instant::now();
         let entry = self.models.get(&id).ok_or(EngineError::UnknownModel(id))?;
         let next = delta.apply_to(&entry.model)?;
         let touched = delta.touched(&entry.model);
         let full_rebuild = delta.is_structural();
-        // Write-ahead: the delta hits the journal before any engine
-        // state moves. If the compile below fails, the intent stays
-        // uncommitted and replay skips it — journal and survivor agree.
-        let journal_start = Instant::now();
-        let mark = self.journal_intent(&Record::Apply {
-            id: id.0,
-            delta: delta.clone(),
-        })?;
-        let intent_time = journal_start.elapsed();
         // Shared structure moved under the cache: a structural delta
         // recompiles against a fresh cache so no stale field/budget
         // coupling survives. The pre-delta cache is kept aside and only
@@ -1294,14 +1249,15 @@ impl Engine {
                 .expect("entry looked up above")
                 .hops,
         );
-        // Commit marker before the (infallible) in-memory mutation: a
-        // crash on either side of it leaves journal and state agreeing.
+        // The record goes down after the compile and before the
+        // (infallible) in-memory swap: a crash on either side of it leaves
+        // journal and state agreeing, and a failed compile writes nothing.
         let compiled = self
             .compile_incremental(&next, &touched, &hops)
             .and_then(|mut patch| {
-                let commit_start = Instant::now();
-                self.journal_commit(mark)?;
-                patch.phases.journal = intent_time + commit_start.elapsed();
+                let journal_start = Instant::now();
+                self.journal_append(&Record::Apply { id: id.0, delta })?;
+                patch.phases.journal = journal_start.elapsed();
                 Ok(patch)
             });
         let entry = self.models.get_mut(&id).expect("entry looked up above");

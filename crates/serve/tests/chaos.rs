@@ -91,10 +91,15 @@ fn storm_one(site: &str, action: FaultAction, expect_compile: fn(&CompileError) 
         !s.journal_poisoned,
         "{site}: clean compile fault poisoned journal"
     );
+    // A failed compile writes nothing: the record follows the compile.
+    assert_eq!(
+        (s.journal_records, s.journal_bytes),
+        (stats_before.journal_records, stats_before.journal_bytes),
+        "{site}: the failed apply reached the journal"
+    );
     assert!(engine.verify_against_cold(id).unwrap());
 
-    // Disarmed, the same delta applies; the failed attempt's uncommitted
-    // intent is still in the journal and recovery must skip it.
+    // Disarmed, the same delta applies, and recovery replays it once.
     failpoints::clear_all();
     engine.apply(id, delta).unwrap();
     let survivor = desc_bytes(&engine, id);
@@ -103,10 +108,7 @@ fn storm_one(site: &str, action: FaultAction, expect_compile: fn(&CompileError) 
     let (rec, report) = Engine::recover(EngineConfig::default(), &dir).unwrap();
     assert_eq!(desc_bytes(&rec, id), survivor, "{site}: recovery disagrees");
     assert_eq!(rec.stats().deltas_applied, survivor_stats.deltas_applied);
-    assert!(
-        report.uncommitted_intents >= 1,
-        "{site}: the failed attempt's intent should be uncommitted"
-    );
+    assert_eq!(report.records_replayed, 2, "{site}: the load and one apply");
     cleanup(&dir);
 }
 
@@ -151,17 +153,17 @@ fn clean_journal_fault_rejects_before_any_mutation() {
 }
 
 #[test]
-fn torn_intent_poisons_writer_but_state_survives_and_recovers() {
+fn torn_record_poisons_writer_but_state_survives_and_recovers() {
     let _guard = serial();
     failpoints::clear_all();
-    let dir = tmp_dir("torn-intent");
+    let dir = tmp_dir("torn-record");
     let mut engine = Engine::with_journal(EngineConfig::default(), &dir).unwrap();
     let id = engine.load(base_model()).unwrap();
     engine.apply(id, Delta::SetHopCap(Some(10))).unwrap();
     let before = desc_bytes(&engine, id);
     let stats_before = engine.stats();
 
-    // Singular at the append site = the intent write tears partway.
+    // Singular at the append site = the record write tears partway.
     failpoints::configure("serve::journal::append", FaultAction::Singular, 1, 1);
     match engine.apply(id, Delta::SetUniformPr(Ratio::new(1, 10))) {
         Err(EngineError::Journal(JournalError::Torn(_))) => {}
@@ -200,41 +202,6 @@ fn torn_intent_poisons_writer_but_state_survives_and_recovers() {
 }
 
 #[test]
-fn failed_commit_marker_rolls_back_intent_and_state() {
-    let _guard = serial();
-    failpoints::clear_all();
-    let dir = tmp_dir("commit-marker");
-    let mut engine = Engine::with_journal(EngineConfig::default(), &dir).unwrap();
-    let id = engine.load(base_model()).unwrap();
-    let before = desc_bytes(&engine, id);
-    let bytes_before = engine.stats().journal_bytes;
-
-    // nth=1 is the apply's intent; nth=2 is its commit marker. A clean
-    // failure there must roll the intent back off the journal and leave
-    // the compiled-but-uncommitted state unapplied.
-    failpoints::configure("serve::journal::append", FaultAction::Cancel, 2, 1);
-    match engine.apply(id, Delta::SetUniformPr(Ratio::new(1, 10))) {
-        Err(EngineError::Journal(JournalError::Cancelled)) => {}
-        other => panic!("expected Journal(Cancelled), got {other:?}"),
-    }
-    failpoints::clear_all();
-    assert_eq!(desc_bytes(&engine, id), before);
-    let s = engine.stats();
-    assert_eq!(s.journal_bytes, bytes_before, "intent not rolled back");
-    assert!(!s.journal_poisoned);
-
-    // Journal and survivor agree — and no uncommitted intent lingers.
-    engine.apply(id, Delta::SetHopCap(Some(10))).unwrap();
-    let survivor = desc_bytes(&engine, id);
-    drop(engine);
-    let (rec, report) = Engine::recover(EngineConfig::default(), &dir).unwrap();
-    assert_eq!(desc_bytes(&rec, id), survivor);
-    assert_eq!(report.uncommitted_intents, 0);
-    assert!(rec.verify_against_cold(id).unwrap());
-    cleanup(&dir);
-}
-
-#[test]
 fn injected_panic_is_contained_by_recovery() {
     let _guard = serial();
     failpoints::clear_all();
@@ -246,8 +213,8 @@ fn injected_panic_is_contained_by_recovery() {
     let stats_before = engine.stats();
 
     // A panic mid-patch is the crash the journal exists for: the process
-    // dies with an intent on disk and no commit marker. The survivor
-    // (recovery) must report the pre-panic state.
+    // dies before the apply's record is written. The survivor (recovery)
+    // must report the pre-panic state.
     failpoints::configure(
         "serve::apply::patch",
         FaultAction::Panic("injected crash".into()),
@@ -259,11 +226,16 @@ fn injected_panic_is_contained_by_recovery() {
     }));
     assert!(panicked.is_err(), "the armed panic must fire");
     failpoints::clear_all();
+    assert_eq!(
+        engine.stats().journal_records,
+        stats_before.journal_records,
+        "the panicked apply reached the journal"
+    );
 
     drop(engine); // the "dead process"
     let (rec, report) = Engine::recover(EngineConfig::default(), &dir).unwrap();
     assert_eq!(desc_bytes(&rec, id), before);
-    assert_eq!(report.uncommitted_intents, 1, "the panicked apply's intent");
+    assert_eq!(report.records_replayed, 2, "the load and the first apply");
     let s = rec.stats();
     assert_eq!(s.deltas_applied, stats_before.deltas_applied);
     assert_eq!(s.switches_changed, stats_before.switches_changed);
@@ -303,7 +275,7 @@ fn kill_and_recover_smoke() {
         .unwrap();
     let survivor = desc_bytes(&engine, id);
 
-    // The kill: the next intent tears and the process "dies".
+    // The kill: the next record tears and the process "dies".
     failpoints::configure("serve::journal::append", FaultAction::Singular, 1, 1);
     assert!(engine.apply(id, Delta::SetHopCap(Some(8))).is_err());
     failpoints::clear_all();

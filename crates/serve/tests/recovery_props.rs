@@ -3,14 +3,14 @@
 //! — byte-identical model descriptions, `equiv` diagrams (recovery
 //! re-verifies every model against a cold compile before returning), and
 //! preserved delta accounting — no matter where the crash cut the
-//! journal: at a record boundary, inside an intent, or inside a commit
-//! marker.
+//! journal: at a record boundary or inside a record. A crash after a
+//! record and before its swap replays the record.
 
 use mcnetkat_net::{
     down_ports, Codec, FailureSpec, ModelDescription, NetworkModel, RoutingScheme, Srlg,
 };
 use mcnetkat_num::Ratio;
-use mcnetkat_serve::journal::RecoveryError;
+use mcnetkat_serve::journal::{self, JournalWriter, Record, RecoveryError};
 use mcnetkat_serve::{Delta, Engine, EngineConfig, EngineError, Query, QueryRequest};
 use mcnetkat_topo::ab_fattree;
 use proptest::collection::vec;
@@ -138,7 +138,9 @@ fn concretize(d: &Desc, model: &NetworkModel) -> Delta {
 
 /// Applies `descs` on a journaled engine, recording the journal offset,
 /// description bytes, and accounting after the load and after every
-/// *successful* apply. Returns the per-prefix history.
+/// *successful* apply, and checking that each successful operation
+/// journals one record and each rejected one none. Returns the
+/// per-prefix history.
 struct History {
     id: mcnetkat_serve::ModelId,
     /// `journal_bytes` after each durable prefix (index 0 = just the
@@ -163,18 +165,23 @@ fn run_history(dir: &Path, descs: &[Desc]) -> Result<History, TestCaseError> {
         descs: vec![desc_bytes(&engine, id)],
         counters: vec![(0, 0, 0)],
     };
+    prop_assert_eq!(engine.stats().journal_records, 1, "one record per load");
     for d in descs {
         let delta = concretize(d, engine.model(id).unwrap());
+        let records_before = engine.stats().journal_records;
         match engine.apply(id, delta) {
             Ok(_) => {
                 let s = engine.stats();
+                prop_assert_eq!(s.journal_records, records_before + 1);
                 h.offsets.push(s.journal_bytes);
                 h.descs.push(desc_bytes(&engine, id));
                 h.counters
                     .push((s.deltas_applied, s.switches_changed, s.full_rebuilds));
             }
             // Invalid deltas are rejected before the journal sees them.
-            Err(EngineError::InvalidDelta(_)) => {}
+            Err(EngineError::InvalidDelta(_)) => {
+                prop_assert_eq!(engine.stats().journal_records, records_before);
+            }
             Err(e) => return Err(TestCaseError::Fail(format!("apply: {e}"))),
         }
     }
@@ -201,7 +208,6 @@ proptest! {
         prop_assert_eq!(s.full_rebuilds, rebuilds);
         prop_assert_eq!(s.recoveries, 1);
         prop_assert_eq!(report.records_replayed, applied + 1, "load + each delta");
-        prop_assert_eq!(report.uncommitted_intents, 0);
         prop_assert_eq!(report.truncated_bytes, 0);
         // The recovered engine still verifies and still answers.
         prop_assert!(rec.verify_against_cold(h.id).unwrap());
@@ -427,12 +433,15 @@ fn expired_deadline_gets_a_degraded_retry() {
 }
 
 #[test]
-fn journal_counts_two_records_per_operation() {
+fn journal_counts_one_record_per_operation() {
     let dir = tmp_dir("counts");
     let mut engine = Engine::with_journal(EngineConfig::default(), &dir).unwrap();
     let id = engine.load(base_model()).unwrap();
     let after_load = engine.stats();
-    assert_eq!(after_load.journal_records, 2, "intent + commit");
+    assert_eq!(
+        after_load.journal_records, 1,
+        "one record, no commit marker"
+    );
     assert!(after_load.journal_bytes > 0);
     engine
         .apply(id, Delta::SetUniformPr(Ratio::new(1, 10)))
@@ -443,7 +452,57 @@ fn journal_counts_two_records_per_operation() {
         .unwrap_err();
     engine.unload(id).unwrap();
     let s = engine.stats();
-    assert_eq!(s.journal_records, 6);
+    assert_eq!(s.journal_records, 3);
     assert!(!s.journal_poisoned);
+    cleanup(&dir);
+}
+
+/// A crash after an apply's record reached the disk and before the
+/// in-memory swap: the record replays, so recovery equals the engine that
+/// did swap.
+#[test]
+fn crash_after_the_record_replays_the_operation() {
+    let dir = tmp_dir("after-record");
+    let mut engine = Engine::with_journal(EngineConfig::default(), &dir).unwrap();
+    let id = engine.load(base_model()).unwrap();
+    engine.apply(id, Delta::SetHopCap(Some(10))).unwrap();
+    drop(engine);
+
+    // Write the next apply's record as the dying engine would have, just
+    // before its swap.
+    let delta = Delta::SetUniformPr(Ratio::new(1, 10));
+    let path = dir.join(journal::JOURNAL_FILE);
+    let scanned = journal::scan(&path).unwrap();
+    let Some((_, Record::Load { id: raw_id, .. })) = scanned.records.first() else {
+        panic!("the journal starts with the load");
+    };
+    let mut w =
+        JournalWriter::open_at(&path, scanned.valid_len, scanned.records.len() as u64).unwrap();
+    w.append(&Record::Apply {
+        id: *raw_id,
+        delta: delta.clone(),
+    })
+    .unwrap();
+    drop(w);
+
+    let mut swapped = Engine::default();
+    let sid = swapped.load(base_model()).unwrap();
+    swapped.apply(sid, Delta::SetHopCap(Some(10))).unwrap();
+    swapped.apply(sid, delta).unwrap();
+
+    let (rec, report) = Engine::recover(EngineConfig::default(), &dir).unwrap();
+    assert_eq!(report.records_replayed, 3);
+    assert_eq!(report.truncated_bytes, 0);
+    assert_eq!(desc_bytes(&rec, id), desc_bytes(&swapped, sid));
+    let (r, s) = (rec.stats(), swapped.stats());
+    assert_eq!(r.deltas_applied, s.deltas_applied);
+    assert_eq!(r.switches_changed, s.switches_changed);
+    assert_eq!(r.full_rebuilds, s.full_rebuilds);
+    assert!(rec.manager().equiv(
+        rec.fdd(id).unwrap(),
+        rec.manager()
+            .import(&swapped.manager().export(swapped.fdd(sid).unwrap()))
+    ));
+    assert!(rec.verify_against_cold(id).unwrap());
     cleanup(&dir);
 }
