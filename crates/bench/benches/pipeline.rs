@@ -2,13 +2,15 @@
 //! stage, the compiler's loop solve, and PRISM-approx's float iteration
 //! beside it (DESIGN.md § "Loop solve").
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use mcnetkat_fdd::{CompileOptions, Manager};
 use mcnetkat_linalg::AbsorbingChain;
-use mcnetkat_net::{chain_benchmark, FailureSpec, NetworkModel, RoutingScheme, Srlg};
+use mcnetkat_net::fused::{assemble_chain, assemble_tail, compile_hops, hop_inputs};
+use mcnetkat_net::{chain_benchmark, FailureSpec, FusedStats, NetworkModel, RoutingScheme, Srlg};
 use mcnetkat_num::Ratio;
 use mcnetkat_prism::{check_reachability, translate, McMode};
-use mcnetkat_topo::fattree;
+use mcnetkat_topo::{fattree, ShortestPaths};
+use std::collections::HashMap;
 
 /// The diagram auditor walks every node and interning table after each
 /// model compile — timings taken with it on are meaningless. The same
@@ -129,6 +131,17 @@ fn bench_chain_engines(c: &mut Criterion) {
             mgr.prob_matching(fdd, &bench.input, &bench.accept)
         })
     });
+    // Figure 10 runs the chain far past k = 4: at k = 32 the `sw` case
+    // spines are long enough that a `restrict` or `seq` quadratic in the
+    // spine length shows.
+    let long = chain_benchmark(32, Ratio::new(1, 1000));
+    group.bench_function("native_fdd_k32", |b| {
+        b.iter(|| {
+            let mgr = Manager::new();
+            let fdd = mgr.compile(&long.program).unwrap();
+            mgr.prob_matching(fdd, &long.input, &long.accept)
+        })
+    });
     group.bench_function("prism_exact", |b| {
         b.iter(|| {
             let auto = translate(&bench.program).unwrap();
@@ -150,6 +163,53 @@ fn bench_chain_engines(c: &mut Criterion) {
             )
         })
     });
+    group.finish();
+}
+
+/// The model tail alone ([`assemble_tail`]: ingress and guard predicates,
+/// the do-while `ite`, port normalisation and the local wrappers) on fat
+/// trees with 1280 and 2000 switches, where the `sw` case spines it merges
+/// are longest. The loop body and the solved loop are compiled once,
+/// outside the timed region; each sample imports them into a fresh
+/// manager (untimed) and times the tail there.
+fn bench_model_tail(c: &mut Criterion) {
+    assert_audit_off();
+    let mut group = c.benchmark_group("model_tail");
+    group.sample_size(10);
+    let opts = CompileOptions::default();
+    for p in [32usize, 40] {
+        let topo = fattree(p);
+        let dst = topo.find("edge0_0").unwrap();
+        let failure = FailureSpec::independent(Ratio::new(1, 1000));
+        let model = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, failure);
+        let mgr = Manager::new();
+        let sp = ShortestPaths::towards(&model.topo, model.dst);
+        let switches = model.topo.switches();
+        let inputs: Vec<_> = switches
+            .iter()
+            .map(|&s| hop_inputs(&model, s, &sp))
+            .collect();
+        let hops = compile_hops(&mgr, &inputs, 1, &opts, &mut FusedStats::default()).unwrap();
+        let by_switch: HashMap<_, _> = switches.iter().copied().zip(hops).collect();
+        let body = assemble_chain(&mgr, &model, |s| Ok(by_switch[&s])).unwrap();
+        let guard = mgr.compile_pred(&model.guard());
+        let loop_fdd = mgr.while_loop(guard, body, &opts).unwrap();
+        let parts = mgr.export_all(&[body, loop_fdd]);
+        group.bench_with_input(BenchmarkId::new("ecmp_f1000", p), &parts, |b, parts| {
+            b.iter_batched(
+                || {
+                    let mgr = Manager::new();
+                    let roots = mgr.import_all(parts);
+                    (mgr, roots)
+                },
+                |(mgr, roots)| {
+                    let tail = assemble_tail(&mgr, &model, roots[0], roots[1], &opts).unwrap();
+                    (mgr, tail)
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
     group.finish();
 }
 
@@ -204,6 +264,7 @@ criterion_group!(
     bench_fattree_compile,
     bench_fattree_srlg,
     bench_chain_engines,
+    bench_model_tail,
     bench_solver_backends,
     bench_loop_solving
 );

@@ -26,7 +26,7 @@
 //! lookup.
 
 use crate::compile::OptsKey;
-use crate::{Action, ActionDist, Budget, CompileError, Domain, SymPkt};
+use crate::{Action, ActionDist, Budget, CaseIndex, CompileError, Domain, SymPkt};
 use fxhash::FxHashMap;
 use mcnetkat_core::{Field, Packet, Value};
 use mcnetkat_num::Ratio;
@@ -82,12 +82,12 @@ impl<K, V> Default for Cache<K, V> {
     }
 }
 
-impl<K: Eq + Hash, V: Copy> Cache<K, V> {
+impl<K: Eq + Hash, V: Clone> Cache<K, V> {
     fn get(&mut self, key: &K) -> Option<V> {
         match self.map.get(key) {
-            Some(&v) => {
+            Some(v) => {
                 self.hits += 1;
-                Some(v)
+                Some(v.clone())
             }
             None => {
                 self.misses += 1;
@@ -163,6 +163,11 @@ struct Inner {
     ite_cache: Cache<(Fdd, Fdd, Fdd), Fdd>,
     restrict_eq_cache: Cache<(Fdd, Field, Value), Fdd>,
     restrict_ne_cache: Cache<(Fdd, Field, Value), Fdd>,
+    /// The case-spine memo behind `restrict_*` on a node's own top field:
+    /// every node of an indexed same-field false-edge chain maps to the
+    /// chain's one shared, sorted [`CaseIndex`] and its position in it
+    /// (its own spine is the index's suffix from there).
+    spine_cache: Cache<Fdd, (Arc<CaseIndex>, usize)>,
     scale_cache: Cache<(Fdd, Ratio), Fdd>,
     prepend_cache: Cache<(Fdd, ActId), Fdd>,
     dist_sum_cache: Cache<(DistId, DistId), DistId>,
@@ -219,6 +224,7 @@ impl Default for Inner {
             ite_cache: Cache::default(),
             restrict_eq_cache: Cache::default(),
             restrict_ne_cache: Cache::default(),
+            spine_cache: Cache::default(),
             scale_cache: Cache::default(),
             prepend_cache: Cache::default(),
             dist_sum_cache: Cache::default(),
@@ -297,6 +303,11 @@ impl Walker<'_> {
             }
         }
         out
+    }
+
+    /// The case spine at the top of `p` (see [`Manager::case_index`]).
+    pub(crate) fn case_index(&self, p: Fdd) -> CaseIndex {
+        index_spine(&self.0.nodes, p, |_| {})
     }
 
     /// `p` restricted to `f = v`, where `(f, v)` is at most `p`'s top
@@ -534,6 +545,29 @@ fn var_of(node: &Node) -> Option<(Field, Value)> {
     }
 }
 
+/// Indexes the case spine at the top of `p`: one walk along its false
+/// edges while they test `p`'s top field, handing each spine node, head
+/// first, to `visit`.
+fn index_spine(nodes: &[Node], p: Fdd, mut visit: impl FnMut(Fdd)) -> CaseIndex {
+    let field = var_of(&nodes[p.0 as usize]).map(|(f, _)| f);
+    let (mut arms, mut rest) = (Vec::new(), p);
+    while let Node::Branch {
+        field: f,
+        value,
+        hi,
+        lo,
+    } = nodes[rest.0 as usize]
+    {
+        if Some(f) != field {
+            break;
+        }
+        visit(rest);
+        arms.push((value, hi));
+        rest = lo;
+    }
+    CaseIndex { field, arms, rest }
+}
+
 /// Explains how a `Branch { field, value, hi, lo }` node would break the
 /// canonical FDD ordering, or `None` when it is well-ordered. The rule
 /// (§5.1): the true branch never re-tests the same field (its root
@@ -617,8 +651,8 @@ impl Manager {
         mgr
     }
 
-    /// Bounds every *operation* cache (`seq`, `sum`, `ite`,
-    /// `restrict_*`, `scale`, `prepend`, `dist_*`, `while`) to at most
+    /// Bounds every *operation* cache (`seq`, `sum`, `ite`, `restrict_*`,
+    /// `case_spine`, `scale`, `prepend`, `dist_*`, `while`) to at most
     /// `capacity` entries. An insert that would exceed the bound clears
     /// the whole cache first (cheap clear-on-overflow, no LRU tracking);
     /// cleared entries are reported as `evictions` in
@@ -644,6 +678,7 @@ impl Manager {
         inner.ite_cache.reset();
         inner.restrict_eq_cache.reset();
         inner.restrict_ne_cache.reset();
+        inner.spine_cache.reset();
         inner.scale_cache.reset();
         inner.prepend_cache.reset();
         inner.dist_sum_cache.reset();
@@ -788,12 +823,19 @@ impl Manager {
     }
 
     /// Partial evaluation under the assumption `f = v`.
+    ///
+    /// When `p`'s top node tests `f`, the answer comes from the index of
+    /// `p`'s case spine (see [`Manager::case_index`]) in O(log n) once
+    /// the spine is indexed, instead of a walk along its false edges.
     pub fn restrict_eq(&self, p: Fdd, f: Field, v: Value) -> Fdd {
         let mut inner = self.inner.lock();
         inner.restrict_eq(p, f, v)
     }
 
     /// Partial evaluation under the assumption `f ≠ v`.
+    ///
+    /// Like [`Manager::restrict_eq`], a spine on `f` is looked up in its
+    /// index: without an arm for `v` the answer is `p` itself.
     pub fn restrict_ne(&self, p: Fdd, f: Field, v: Value) -> Fdd {
         let mut inner = self.inner.lock();
         inner.restrict_ne(p, f, v)
@@ -1051,9 +1093,11 @@ impl Manager {
     ///
     /// `cons` is the hash-cons map (hits = structurally duplicate nodes);
     /// `seq`/`sum`/`ite`/`restrict_*`/`scale`/`prepend` are the diagram
-    /// combinator memos; `dist_sum`/`dist_scale`/`dist_then` are the
-    /// distribution-level memos on interned leaf ids; `while` is the
-    /// loop-solution cache (also available as [`Manager::while_cache_stats`]).
+    /// combinator memos; `case_spine` maps each indexed case-spine node to
+    /// its spine's index (entries count nodes, not spines);
+    /// `dist_sum`/`dist_scale`/`dist_then` are the distribution-level memos
+    /// on interned leaf ids; `while` is the loop-solution cache (also
+    /// available as [`Manager::while_cache_stats`]).
     pub fn op_cache_stats(&self) -> OpCacheStats {
         let inner = self.inner.lock();
         OpCacheStats {
@@ -1064,6 +1108,7 @@ impl Manager {
                 inner.ite_cache.stats("ite"),
                 inner.restrict_eq_cache.stats("restrict_eq"),
                 inner.restrict_ne_cache.stats("restrict_ne"),
+                inner.spine_cache.stats("case_spine"),
                 inner.scale_cache.stats("scale"),
                 inner.prepend_cache.stats("prepend"),
                 inner.dist_sum_cache.stats("dist_sum"),
@@ -1452,6 +1497,7 @@ impl Inner {
             ite_cache,
             restrict_eq_cache,
             restrict_ne_cache,
+            spine_cache,
             scale_cache,
             prepend_cache,
             dist_sum_cache,
@@ -1477,6 +1523,7 @@ impl Inner {
         ite_cache.clear();
         restrict_eq_cache.clear();
         restrict_ne_cache.clear();
+        spine_cache.clear();
         scale_cache.clear();
         prepend_cache.clear();
         dist_sum_cache.clear();
@@ -1752,6 +1799,22 @@ impl Inner {
         result
     }
 
+    /// The case spine of branch `p` on its own top field: the shared index
+    /// and `p`'s position in it, indexed by one walk on a miss.
+    fn spine(&mut self, p: Fdd) -> (Arc<CaseIndex>, usize) {
+        if let Some(hit) = self.spine_cache.get(&p) {
+            return hit;
+        }
+        let mut walked = Vec::new();
+        let index = Arc::new(index_spine(&self.nodes, p, |node| walked.push(node)));
+        // Head last, so that a clear-on-overflow keeps the head's entry.
+        let cap = self.cache_capacity;
+        for (at, node) in walked.into_iter().enumerate().rev() {
+            self.spine_cache.insert(node, (index.clone(), at), cap);
+        }
+        (index, 0)
+    }
+
     fn restrict_eq(&mut self, p: Fdd, f: Field, v: Value) -> Fdd {
         let (field, value, hi, lo) = match self.nodes[p.0 as usize] {
             Node::Leaf(_) => return p,
@@ -1765,6 +1828,15 @@ impl Inner {
         if field > f {
             return p;
         }
+        if field == f {
+            if value == v {
+                return hi; // the true branch never tests `f` again
+            }
+            // A spine on `f`: the arm for `v`, or else where the spine
+            // ends (the arms ascend, so `v` is not tested further down).
+            let (spine, at) = self.spine(p);
+            return spine.arm_from(at, v).unwrap_or(spine.rest);
+        }
         let key = (p, f, v);
         if let Some(hit) = self.restrict_eq_cache.get(&key) {
             return hit;
@@ -1772,15 +1844,9 @@ impl Inner {
         if self.gov_checkpoint() {
             return self.leaf_fail();
         }
-        let result = if field < f {
-            let nh = self.restrict_eq(hi, f, v);
-            let nl = self.restrict_eq(lo, f, v);
-            self.mk_branch(field, value, nh, nl)
-        } else if value == v {
-            hi // true-branch never tests `f` again
-        } else {
-            self.restrict_eq(lo, f, v)
-        };
+        let nh = self.restrict_eq(hi, f, v);
+        let nl = self.restrict_eq(lo, f, v);
+        let result = self.mk_branch(field, value, nh, nl);
         if !self.gov_tripped() {
             let cap = self.cache_capacity;
             self.restrict_eq_cache.insert(key, result, cap);
@@ -1801,6 +1867,16 @@ impl Inner {
         if field > f || (field == f && value > v) {
             return p;
         }
+        if field == f {
+            if value == v {
+                return lo; // the (f,v) test fails; lo never re-tests (f,v)
+            }
+            // `value < v`: nothing to remove unless the spine tests `v`.
+            let (spine, at) = self.spine(p);
+            if spine.arm_from(at, v).is_none() {
+                return p;
+            }
+        }
         let key = (p, f, v);
         if let Some(hit) = self.restrict_ne_cache.get(&key) {
             return hit;
@@ -1812,10 +1888,8 @@ impl Inner {
             let nh = self.restrict_ne(hi, f, v);
             let nl = self.restrict_ne(lo, f, v);
             self.mk_branch(field, value, nh, nl)
-        } else if value == v {
-            lo // the (f,v) test fails; lo never re-tests (f,v)
         } else {
-            // field == f, value < v: keep the test, recurse on the lo side.
+            // field == f, value < v: keep the test, drop `f = v` below it.
             let nl = self.restrict_ne(lo, f, v);
             self.mk_branch(field, value, hi, nl)
         };
@@ -2085,10 +2159,18 @@ impl Inner {
     /// (resp. `≠`) also resolves the residual tests `q` contributes — the
     /// leaf case only restricted `q` by the *modifications*, not by the
     /// path.
+    ///
+    /// `ite` reads its true operand only under `f = v`, so
+    /// `ite(f=v, p, q) = ite(f=v, p|f=v, q)`: restricting `nh` first keeps
+    /// the meaning and leaves an operand that no longer tests `field`. A
+    /// composed arm that still held a whole case spine on `field` would
+    /// otherwise be peeled one arm at a time by the Shannon expansion; the
+    /// restricted arm lets the case-arm `ite` build the node at once.
     fn seq_branch(&mut self, field: Field, value: Value, nh: Fdd, nl: Fdd) -> Fdd {
         let pass = self.leaf_pass();
         let fail = self.leaf_fail();
         let test = self.mk_branch(field, value, pass, fail);
+        let nh = self.restrict_eq(nh, field, value);
         self.ite(test, nh, nl)
     }
 
@@ -2112,6 +2194,84 @@ impl Inner {
                 let nl = self.seq_reference(lo, q, memo);
                 self.seq_branch(field, value, nh, nl)
             }
+        };
+        memo.insert(p, result);
+        result
+    }
+
+    /// `restrict_eq` by walking the false edges of a spine on `f` instead
+    /// of answering from its index, memoised per call: the reference the
+    /// indexed restrict is differential-tested against.
+    #[cfg(test)]
+    fn restrict_eq_reference(
+        &mut self,
+        p: Fdd,
+        f: Field,
+        v: Value,
+        memo: &mut FxHashMap<Fdd, Fdd>,
+    ) -> Fdd {
+        let Node::Branch {
+            field,
+            value,
+            hi,
+            lo,
+        } = self.nodes[p.0 as usize]
+        else {
+            return p;
+        };
+        if field > f {
+            return p;
+        }
+        if let Some(&hit) = memo.get(&p) {
+            return hit;
+        }
+        let result = if field < f {
+            let nh = self.restrict_eq_reference(hi, f, v, memo);
+            let nl = self.restrict_eq_reference(lo, f, v, memo);
+            self.mk_branch(field, value, nh, nl)
+        } else if value == v {
+            hi
+        } else {
+            self.restrict_eq_reference(lo, f, v, memo)
+        };
+        memo.insert(p, result);
+        result
+    }
+
+    /// `restrict_ne` by walking, memoised per call: the reference for the
+    /// indexed `restrict_ne` (see [`Inner::restrict_eq_reference`]).
+    #[cfg(test)]
+    fn restrict_ne_reference(
+        &mut self,
+        p: Fdd,
+        f: Field,
+        v: Value,
+        memo: &mut FxHashMap<Fdd, Fdd>,
+    ) -> Fdd {
+        let Node::Branch {
+            field,
+            value,
+            hi,
+            lo,
+        } = self.nodes[p.0 as usize]
+        else {
+            return p;
+        };
+        if field > f || (field == f && value > v) {
+            return p;
+        }
+        if let Some(&hit) = memo.get(&p) {
+            return hit;
+        }
+        let result = if field < f {
+            let nh = self.restrict_ne_reference(hi, f, v, memo);
+            let nl = self.restrict_ne_reference(lo, f, v, memo);
+            self.mk_branch(field, value, nh, nl)
+        } else if value == v {
+            lo
+        } else {
+            let nl = self.restrict_ne_reference(lo, f, v, memo);
+            self.mk_branch(field, value, hi, nl)
         };
         memo.insert(p, result);
         result
@@ -2430,19 +2590,33 @@ mod tests {
     #[test]
     fn cache_capacity_clears_on_overflow_and_reports_evictions() {
         let mgr = Manager::with_cache_capacity(4);
-        let (f, _) = fields();
-        // Distinct restrict_eq keys overflow the 4-entry bound quickly.
+        let (f, g) = ordered_fields();
+        // A 12-arm case spine on `f` whose arms test `g`.
         let mut p = mgr.pass();
         for v in (1..=12u32).rev() {
-            p = mgr.branch(f, v, mgr.fail(), p);
+            let arm = mgr.branch(g, v, mgr.fail(), mgr.pass());
+            p = mgr.branch(f, v, arm, p);
         }
+        // Restricting on the spine field indexes the spine: one
+        // `case_spine` entry per spine node overflows the 4-entry bound.
+        for v in 1..=13u32 {
+            let want = mgr
+                .inner
+                .lock()
+                .restrict_eq_reference(p, f, v, &mut FxHashMap::default());
+            assert_eq!(mgr.restrict_eq(p, f, v), want);
+        }
+        // Restricting off the spine field memoises per (node, value):
+        // distinct `restrict_eq` keys overflow the bound as well.
         for v in 1..=12u32 {
-            let _ = mgr.restrict_eq(p, f, v);
+            let _ = mgr.restrict_eq(p, g, v);
         }
         let stats = mgr.op_cache_stats();
-        let re = stats.get("restrict_eq").unwrap();
-        assert!(re.evictions > 0, "expected evictions, got {re:?}");
-        assert!(re.entries <= 4, "bounded cache grew to {}", re.entries);
+        for name in ["restrict_eq", "case_spine"] {
+            let c = stats.get(name).unwrap();
+            assert!(c.evictions > 0, "expected {name} evictions, got {c:?}");
+            assert!(c.entries <= 4, "bounded {name} cache grew to {}", c.entries);
+        }
         // The hash-cons identity table is exempt from the bound.
         let cons = stats.get("cons").unwrap();
         assert_eq!(cons.entries, mgr.node_count());
@@ -2597,7 +2771,9 @@ mod tests {
             for v in 1..=6u32 {
                 let _ = mgr.restrict_eq(p, f, v);
             }
-            assert!(mgr.op_cache_stats().get("restrict_eq").unwrap().entries <= 2);
+            let stats = mgr.op_cache_stats();
+            assert!(stats.get("case_spine").unwrap().entries <= 2);
+            assert!(stats.get("restrict_eq").unwrap().entries <= 2);
         }
     }
 
@@ -2630,6 +2806,112 @@ mod tests {
             assert_eq!(mgr.restrict_eq(chain, f, v), arm);
         }
         assert_eq!(mgr.restrict_eq(chain, f, 9), mgr.fail());
+    }
+
+    /// Indexed `restrict_*` against [`Inner::restrict_eq_reference`] and
+    /// [`Inner::restrict_ne_reference`], which walk a spine's false edges:
+    /// the very same node, from the head or any interior node of a case
+    /// spine, for values below, at, between and above its arms.
+    mod spine_restrict {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Three fields in variable order: `e < f < g`.
+        fn fields() -> [Field; 3] {
+            let mut fs = ["mgr_sr_e", "mgr_sr_f", "mgr_sr_g"].map(Field::named);
+            fs.sort();
+            fs
+        }
+
+        /// A small diagram testing at most `g`, picked by `shape`.
+        fn below(mgr: &Manager, g: Field, shape: u32) -> Fdd {
+            let assign = |w| mgr.leaf(ActionDist::dirac(Action::assign(g, w)));
+            match shape % 4 {
+                0 => mgr.pass(),
+                1 => mgr.fail(),
+                2 => assign(shape),
+                _ => mgr.branch(g, shape, assign(1), mgr.fail()),
+            }
+        }
+
+        /// A case spine on `f` over `rest`, one arm per ascending value;
+        /// returns its nodes, head first.
+        fn spine(mgr: &Manager, [_, f, g]: [Field; 3], values: &[u32], rest: Fdd) -> Vec<Fdd> {
+            let mut nodes = Vec::new();
+            let mut node = rest;
+            for &v in values.iter().rev() {
+                node = mgr.branch(f, v, below(mgr, g, v * 7 + 3), node);
+                nodes.push(node);
+            }
+            nodes.reverse();
+            nodes
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Spine `a` has ascending arms with gaps between them; spine
+            /// `b` puts its own arms (values below the join) on top of the
+            /// suffix of `a` at `cut`, so the two share that suffix; a test
+            /// on `e` above both reaches them through the memoised
+            /// recursion. Either spine may be indexed first, and a small
+            /// cache capacity evicts index entries mid-walk.
+            #[test]
+            fn indexed_restrict_matches_walking_restrict(
+                gaps in proptest::collection::vec(1..=3u32, 0..8),
+                extra in proptest::collection::vec(0..24u32, 0..4),
+                cut in 0..9usize,
+                rest_shape in 0..8u32,
+                b_first in any::<bool>(),
+                capacity in 0..6usize,
+            ) {
+                let mgr = match capacity {
+                    0 => Manager::new(),
+                    c => Manager::with_cache_capacity(c),
+                };
+                let fs = fields();
+                let [e, _, g] = fs;
+                let a_values: Vec<u32> = gaps
+                    .iter()
+                    .scan(0, |v, gap| {
+                        *v += gap;
+                        Some(*v)
+                    })
+                    .collect();
+                let a = spine(&mgr, fs, &a_values, below(&mgr, g, rest_shape));
+                let cut = cut.min(a_values.len());
+                let join = a.get(cut).copied().unwrap_or(below(&mgr, g, rest_shape));
+                let bound = a_values.get(cut).copied().unwrap_or(u32::MAX);
+                let mut b_values: Vec<u32> = extra.into_iter().filter(|&v| v < bound).collect();
+                b_values.sort_unstable();
+                b_values.dedup();
+                let b = spine(&mgr, fs, &b_values, join);
+                let heads = [a.first(), b.first()].map(|h| h.copied().unwrap_or(join));
+                let top = mgr.branch(e, 1, heads[0], heads[1]);
+
+                let mut starts = if b_first { [b, a] } else { [a, b] }.concat();
+                starts.extend([join, top]);
+                let max = a_values.iter().chain(&b_values).max().copied().unwrap_or(0);
+                for &x in &starts {
+                    for h in fs {
+                        for v in 0..=max + 2 {
+                            let want = mgr
+                                .inner
+                                .lock()
+                                .restrict_eq_reference(x, h, v, &mut FxHashMap::default());
+                            prop_assert_eq!(mgr.restrict_eq(x, h, v), want);
+                            let want = mgr
+                                .inner
+                                .lock()
+                                .restrict_ne_reference(x, h, v, &mut FxHashMap::default());
+                            prop_assert_eq!(mgr.restrict_ne(x, h, v), want);
+                        }
+                    }
+                }
+                let spines = *mgr.op_cache_stats().get("case_spine").unwrap();
+                prop_assert!(spines.entries <= if capacity == 0 { usize::MAX } else { capacity });
+            }
+        }
     }
 
     /// `seq`'s fast paths against [`Inner::seq_reference`], the general

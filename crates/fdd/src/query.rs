@@ -51,6 +51,11 @@
 //! each distinct leaf once; the aggregate network queries (minimum and
 //! mean delivery, hop-count statistics) are built on it, and the `while`
 //! loop exploration (`loops::compile_while`) starts each state at its arm.
+//! [`Manager::restrict_eq`] and [`Manager::restrict_ne`] on a diagram
+//! topped by a test of the restricted field answer from the same index,
+//! kept in a bounded memo (`case_spine` in [`Manager::op_cache_stats`]):
+//! the arm for the value, or `rest` (resp. the diagram itself) when the
+//! spine has no arm for it.
 
 use crate::manager::{DistId, Walker};
 use crate::{Action, ActionDist, Fdd, Manager, SymPkt};
@@ -203,12 +208,12 @@ impl Manager {
 #[derive(Clone, Debug)]
 pub struct CaseIndex {
     /// The root's top field; `None` when the root is a leaf.
-    field: Option<Field>,
+    pub(crate) field: Option<Field>,
     /// `(v, true child of the test field = v)`, ascending in `v` (the order
     /// the false edges visit them in).
-    arms: Vec<(Value, Fdd)>,
+    pub(crate) arms: Vec<(Value, Fdd)>,
     /// The first node along the spine that does not test `field`.
-    rest: Fdd,
+    pub(crate) rest: Fdd,
 }
 
 impl CaseIndex {
@@ -219,10 +224,16 @@ impl CaseIndex {
 
     /// The true child of the spine's `field = v` test, if it has one.
     pub fn arm(&self, v: Value) -> Option<Fdd> {
-        self.arms
-            .binary_search_by_key(&v, |&(w, _)| w)
+        self.arm_from(0, v)
+    }
+
+    /// [`CaseIndex::arm`] on the spine's suffix from its `from`-th arm on:
+    /// the spine of the node that tests the `from`-th value.
+    pub(crate) fn arm_from(&self, from: usize, v: Value) -> Option<Fdd> {
+        let arms = &self.arms[from..];
+        arms.binary_search_by_key(&v, |&(w, _)| w)
             .ok()
-            .map(|ix| self.arms[ix].1)
+            .map(|ix| arms[ix].1)
     }
 
     /// Where the spine ends: the start for every value without an arm.
@@ -248,18 +259,6 @@ impl CaseIndex {
 }
 
 impl Walker<'_> {
-    /// One walk along the false edges of `p` while they test its top field.
-    pub(crate) fn case_index(&self, p: Fdd) -> CaseIndex {
-        let field = self.top(p).map(|(f, _)| f);
-        let mut arms = Vec::new();
-        let mut rest = p;
-        while let Some((f, v)) = self.top(rest).filter(|&(f, _)| Some(f) == field) {
-            arms.push((v, self.cofactor_eq(rest, f, v)));
-            rest = self.cofactor_ne(rest, f, v);
-        }
-        CaseIndex { field, arms, rest }
-    }
-
     /// The leaf distribution the symbolic packet `pk` reaches, starting at
     /// its arm of `spine`.
     pub(crate) fn eval_sym_at(&self, spine: &CaseIndex, pk: &SymPkt) -> &ActionDist {

@@ -1,12 +1,14 @@
 //! Structural scaling: a cold fat-tree compile may hold at most a small
 //! constant times the nodes its result and its largest per-switch scratch
-//! compile need. An O(n²) construction anywhere in the pipeline (a
-//! left-folded ingress disjunction was one) then fails this test
-//! deterministically instead of hiding in a timing.
+//! compile need, and a whole-program chain compile's peak nodes grow
+//! linearly in the chain length. An O(n²) construction anywhere in the
+//! pipeline (a left-folded ingress disjunction was one, and `restrict` on
+//! a `sw` case spine walking its false edges another) then fails this
+//! test deterministically instead of hiding in a timing.
 
 use mcnetkat_fdd::{CompileOptions, Manager};
 use mcnetkat_net::fused::{assemble_chain, assemble_model, compile_hops, hop_inputs};
-use mcnetkat_net::{FailureSpec, FusedStats, NetworkModel, RoutingScheme};
+use mcnetkat_net::{chain_benchmark, FailureSpec, FusedStats, NetworkModel, RoutingScheme};
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::{fattree, ShortestPaths};
 use std::collections::HashMap;
@@ -54,4 +56,27 @@ fn peak_nodes_stay_within_a_constant_of_result_plus_scratch() {
              and {scratch} scratch nodes (bound {C}×)"
         );
     }
+}
+
+/// Largest allowed ratio of chain(64)'s peak live nodes to chain(32)'s.
+/// Measured 2.0; with `restrict` walking the case spine's false edges and
+/// `seq` composing unrestricted arms it read 41,995 / 12,811 = 3.3.
+const CHAIN_DOUBLING: f64 = 2.2;
+
+#[test]
+fn chain_compile_peak_nodes_grow_linearly() {
+    let peak = |k: usize| {
+        let bench = chain_benchmark(k, Ratio::new(1, 1000));
+        let mgr = Manager::new();
+        mgr.compile(&bench.program).unwrap();
+        mgr.peak_live_nodes()
+    };
+    let (p32, p64) = (peak(32), peak(64));
+    let ratio = p64 as f64 / p32 as f64;
+    eprintln!("chain(32): peak {p32}; chain(64): peak {p64}; ratio {ratio:.2}");
+    assert!(
+        ratio <= CHAIN_DOUBLING,
+        "chain(64) peaks at {p64} live nodes, {ratio:.2}× chain(32)'s {p32} \
+         (bound {CHAIN_DOUBLING}×)"
+    );
 }
