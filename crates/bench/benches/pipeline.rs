@@ -3,7 +3,7 @@
 //! beside it (DESIGN.md § "Loop solve").
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use mcnetkat_fdd::{CompileOptions, Manager};
+use mcnetkat_fdd::{CompileOptions, Fdd, Manager};
 use mcnetkat_linalg::AbsorbingChain;
 use mcnetkat_net::fused::{assemble_chain, assemble_tail, compile_hops, hop_inputs};
 use mcnetkat_net::{chain_benchmark, FailureSpec, FusedStats, NetworkModel, RoutingScheme, Srlg};
@@ -166,6 +166,21 @@ fn bench_chain_engines(c: &mut Criterion) {
     group.finish();
 }
 
+/// The model's loop body, built the way a cold compile builds it: every
+/// switch's fused hop, assembled into the `sw`-case chain.
+fn fused_body(mgr: &Manager, model: &NetworkModel) -> Fdd {
+    let sp = ShortestPaths::towards(&model.topo, model.dst);
+    let switches = model.topo.switches();
+    let inputs: Vec<_> = switches
+        .iter()
+        .map(|&s| hop_inputs(model, s, &sp))
+        .collect();
+    let opts = CompileOptions::default();
+    let hops = compile_hops(mgr, &inputs, 1, &opts, &mut FusedStats::default()).unwrap();
+    let by_switch: HashMap<_, _> = switches.iter().copied().zip(hops).collect();
+    assemble_chain(mgr, model, |s| Ok(by_switch[&s])).unwrap()
+}
+
 /// The model tail alone ([`assemble_tail`]: ingress and guard predicates,
 /// the do-while `ite`, port normalisation and the local wrappers) on fat
 /// trees with 1280 and 2000 switches, where the `sw` case spines it merges
@@ -183,15 +198,7 @@ fn bench_model_tail(c: &mut Criterion) {
         let failure = FailureSpec::independent(Ratio::new(1, 1000));
         let model = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, failure);
         let mgr = Manager::new();
-        let sp = ShortestPaths::towards(&model.topo, model.dst);
-        let switches = model.topo.switches();
-        let inputs: Vec<_> = switches
-            .iter()
-            .map(|&s| hop_inputs(&model, s, &sp))
-            .collect();
-        let hops = compile_hops(&mgr, &inputs, 1, &opts, &mut FusedStats::default()).unwrap();
-        let by_switch: HashMap<_, _> = switches.iter().copied().zip(hops).collect();
-        let body = assemble_chain(&mgr, &model, |s| Ok(by_switch[&s])).unwrap();
+        let body = fused_body(&mgr, &model);
         let guard = mgr.compile_pred(&model.guard());
         let loop_fdd = mgr.while_loop(guard, body, &opts).unwrap();
         let parts = mgr.export_all(&[body, loop_fdd]);
@@ -243,7 +250,11 @@ fn bench_solver_backends(c: &mut Criterion) {
     group.finish();
 }
 
-/// The compiler's loop solve (sparse SCC) on a 3-hop chain.
+/// The compiler's loop solve (sparse SCC) on a 3-hop chain, and
+/// `while_loop` alone on fat-tree loop bodies: exploration, chain build,
+/// solve and leaf build. The body and guard are compiled once, outside the
+/// timed region; each sample imports them into a fresh manager (untimed),
+/// where the `while` cache cannot answer.
 fn bench_loop_solving(c: &mut Criterion) {
     assert_audit_off();
     let mut group = c.benchmark_group("loop_solving");
@@ -256,6 +267,43 @@ fn bench_loop_solving(c: &mut Criterion) {
                 .unwrap()
         })
     });
+    let pr = Ratio::new(1, 1000);
+    for (label, p, failure) in [
+        (
+            "fattree_ecmp_f1000",
+            16usize,
+            FailureSpec::independent(pr.clone()),
+        ),
+        (
+            "fattree_ecmp_f1000",
+            32,
+            FailureSpec::independent(pr.clone()),
+        ),
+        ("fattree_ecmp_k1", 12, FailureSpec::bounded(pr.clone(), 1)),
+    ] {
+        let topo = fattree(p);
+        let dst = topo.find("edge0_0").unwrap();
+        let model = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, failure);
+        let mgr = Manager::new();
+        let body = fused_body(&mgr, &model);
+        let guard = mgr.compile_pred(&model.guard());
+        let parts = mgr.export_all(&[guard, body]);
+        group.bench_with_input(BenchmarkId::new(label, p), &parts, |b, parts| {
+            b.iter_batched(
+                || {
+                    let mgr = Manager::new();
+                    let roots = mgr.import_all(parts);
+                    (mgr, roots)
+                },
+                |(mgr, roots)| {
+                    let opts = CompileOptions::default();
+                    let solved = mgr.while_loop(roots[0], roots[1], &opts).unwrap();
+                    (mgr, solved)
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
     group.finish();
 }
 

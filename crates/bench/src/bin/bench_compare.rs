@@ -48,16 +48,30 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 /// Benchmarks whose medians are robust across machines — the blocking
-/// subset behind `--stable-only`. The two large fat-tree compiles ride on
-/// the sparse SCC loop solve; they are in the blocking set so a dense
-/// solve sneaking back in (a 10×+ cliff, far beyond machine noise) fails
-/// the gate rather than drowning in the advisory report.
-const STABLE_PREFIXES: &[&str] = &[
+/// subset behind `--stable-only`. An entry ending in `/` names a whole
+/// group; any other entry names one row exactly, so a new row whose name
+/// merely starts like a stable one (`chain_engines/native_fdd_k32`) stays
+/// advisory. The two large fat-tree compiles ride on the sparse SCC loop
+/// solve; they are in the blocking set so a dense solve sneaking back in
+/// (a 10×+ cliff, far beyond machine noise) fails the gate rather than
+/// drowning in the advisory report.
+const STABLE_ROWS: &[&str] = &[
     "solver_backends/",
     "chain_engines/native_fdd",
     "fattree_compile/f1000/16",
     "fattree_srlg/linecard1000/12",
 ];
+
+/// Whether the benchmark row `name` is in the blocking subset.
+fn is_stable(name: &str) -> bool {
+    STABLE_ROWS.iter().any(|&entry| {
+        if entry.ends_with('/') {
+            name.starts_with(entry)
+        } else {
+            name == entry
+        }
+    })
+}
 
 // The audit guard asserts on a feature-dependent constant on purpose: a
 // const assert would instead break `cargo test --features audit`, where
@@ -173,10 +187,9 @@ fn main() -> ExitCode {
     };
 
     if stable_only {
-        let stable = |n: &str| STABLE_PREFIXES.iter().any(|p| n.starts_with(p));
-        current.retain(|n, _| stable(n));
-        baseline.retain(|n, _| stable(n));
-        println!("stable subset only: {STABLE_PREFIXES:?}");
+        current.retain(|n, _| is_stable(n));
+        baseline.retain(|n, _| is_stable(n));
+        println!("stable subset only: {STABLE_ROWS:?}");
     }
 
     println!("comparing {current_path} against {baseline_path} (threshold {threshold_pct}%)\n");
@@ -465,4 +478,35 @@ fn parse_number(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<
         lit.push(chars.next().unwrap());
     }
     lit.parse().map_err(|e| format!("bad number {lit:?}: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Exact-name matching blocks on the very baseline rows the old prefix
+    /// matching did, and leaves rows that only share a prefix advisory.
+    #[test]
+    fn stable_rows_match_groups_by_prefix_and_rows_exactly() {
+        let baseline = parse_flat_json(include_str!("../../BENCH_baseline.json")).unwrap();
+        let blocking: Vec<&str> = baseline
+            .keys()
+            .map(String::as_str)
+            .filter(|n| is_stable(n))
+            .collect();
+        assert_eq!(
+            blocking,
+            [
+                "chain_engines/native_fdd",
+                "fattree_compile/f1000/16",
+                "fattree_srlg/linecard1000/12",
+                "solver_backends/GaussSeidel",
+            ]
+        );
+        let by_prefix = |n: &str| STABLE_ROWS.iter().any(|p| n.starts_with(p));
+        assert!(baseline.keys().all(|n| is_stable(n) == by_prefix(n)));
+        assert!(!is_stable("chain_engines/native_fdd_k32"));
+        assert!(!is_stable("fattree_compile/f1000/160"));
+        assert!(is_stable("solver_backends/Jacobi"));
+    }
 }

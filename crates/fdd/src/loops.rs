@@ -16,11 +16,39 @@
 //! loop, so a state's step starts at its switch's arm rather than at the
 //! root (`fdd::query`, "The case-spine index"): a network body is an
 //! `sw`-case chain with one arm per switch.
+//!
+//! # The row memo
+//!
+//! Most states of a network chain differ only in fields the hop
+//! overwrites: on ECMP the `pt` a packet arrived on never changes where it
+//! goes next. So a guard-true state is looked up before it is expanded,
+//! under the key
+//!
+//! * the interned id of the body leaf it reaches, and
+//! * the state with the fields in `W` removed, where `W` is the set of
+//!   fields every modification of that leaf writes (every field, for a
+//!   leaf whose outcomes all drop), computed once per leaf.
+//!
+//! The key is exact. `pk.apply(a)` reads `pk` only outside the fields `a`
+//! writes, every modification of the leaf writes all of `W`, and `Drop`
+//! goes to `∅` whatever the input. So two states with the same key have
+//! the same successors with the same probabilities: the same transition
+//! row, hence the same absorption row. A state whose key is already
+//! stored becomes an *alias* of the stored state (its representative): it
+//! is interned and counted against the state limit like any state, but
+//! never expanded. The solve then runs on the compact chain of `∅`, the
+//! absorbing states and the representatives, numbered in state-id order so
+//! the result stays deterministic; every row target and input class maps
+//! through the alias map. The full exploration, which expands and solves
+//! every state, survives as the test-only `compile_while_reference`.
 
+use crate::manager::DistId;
 use crate::{Action, ActionDist, CompileError, CompileOptions, Fdd, Manager, SymPkt};
+use fxhash::FxHashMap;
 use mcnetkat_core::{Field, Value};
 use mcnetkat_linalg::{AbsorbingChain, LinalgError};
 use mcnetkat_num::Ratio;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Index of the distinguished `∅` (dropped) state.
@@ -37,6 +65,47 @@ pub fn compile_while(
     guard: Fdd,
     body: Fdd,
     opts: &CompileOptions,
+) -> Result<Fdd, CompileError> {
+    solve_while(mgr, guard, body, opts, true)
+}
+
+/// [`compile_while`] with every transient state expanded and solved on
+/// its own: the reference the row memo is tested against.
+#[cfg(test)]
+pub(crate) fn compile_while_reference(
+    mgr: &Manager,
+    guard: Fdd,
+    body: Fdd,
+    opts: &CompileOptions,
+) -> Result<Fdd, CompileError> {
+    solve_while(mgr, guard, body, opts, false)
+}
+
+/// The fields every modification of `dist` writes, in field order, or
+/// `None` when `dist` has no modification (every outcome drops): a
+/// state's successors under `dist` do not depend on these fields.
+fn overwritten(dist: &ActionDist) -> Option<Vec<Field>> {
+    let mut written: Option<Vec<Field>> = None;
+    for (action, _) in dist.iter() {
+        if let Action::Mods(mods) = action {
+            let fields = mods.iter().map(|&(f, _)| f);
+            written = Some(match written {
+                None => fields.collect(),
+                Some(w) => fields.filter(|f| w.binary_search(f).is_ok()).collect(),
+            });
+        }
+    }
+    written
+}
+
+/// The loop solve behind [`compile_while`]. `share_rows` turns the row
+/// memo (module docs) on; only the test reference turns it off.
+fn solve_while(
+    mgr: &Manager,
+    guard: Fdd,
+    body: Fdd,
+    opts: &CompileOptions,
+    share_rows: bool,
 ) -> Result<Fdd, CompileError> {
     // 1. Dynamic domain: fields/values tested by guard or body.
     let mut dom = mgr.domain(guard);
@@ -57,7 +126,7 @@ pub fn compile_while(
     //    arbitrarily far before the next check.
     let limit = opts.state_limit;
     let budget = &opts.budget;
-    let mut index: HashMap<SymPkt, usize> = HashMap::new();
+    let mut index: FxHashMap<SymPkt, usize> = FxHashMap::default();
     let mut states: Vec<SymPkt> = Vec::new();
     let mut worklist: Vec<usize> = Vec::new();
     let mut polls: u32 = 0;
@@ -94,11 +163,17 @@ pub fn compile_while(
         intern(class.clone(), &mut states, &mut worklist)?;
     }
     // rows[s]: sparse transition list of transient state s (empty for
-    // absorbing states). Indexed by state id for deterministic iteration —
-    // the chain, and hence the solver's pivoting order, must not depend on
-    // hash iteration order.
+    // absorbing states and aliases). Indexed by state id for
+    // deterministic iteration — the chain, and hence the solver's
+    // pivoting order, must not depend on hash iteration order.
     let mut rows: Vec<Vec<(usize, Ratio)>> = Vec::new();
     let mut absorbing: Vec<usize> = vec![DROP_STATE];
+    // The row memo (module docs): each expanded state under its key, the
+    // `(alias, representative)` pairs it answered, and each body leaf's
+    // overwritten fields.
+    let mut representatives: FxHashMap<(DistId, SymPkt), usize> = FxHashMap::default();
+    let mut aliases: Vec<(usize, usize)> = Vec::new();
+    let mut overwrites: FxHashMap<DistId, Option<Vec<Field>>> = FxHashMap::default();
     // The body is typically the model's `sw`-case chain: index the guard's
     // and the body's case spines once and start each state at its arm
     // instead of walking the chain from the root. One lock covers the
@@ -106,8 +181,8 @@ pub fn compile_while(
     let walk = mgr.walker();
     let (guard_spine, body_spine) = (walk.case_index(guard), walk.case_index(body));
     while let Some(ix) = worklist.pop() {
-        let pk = states[ix - 1].clone();
-        let gd = walk.eval_sym_at(&guard_spine, &pk);
+        let pk = &states[ix - 1];
+        let (_, gd) = walk.eval_sym_at(&guard_spine, pk);
         if gd.is_drop() {
             absorbing.push(ix);
             continue;
@@ -115,7 +190,25 @@ pub fn compile_while(
         if !gd.is_skip() {
             return Err(CompileError::ProbabilisticGuard);
         }
-        let dist = walk.eval_sym_at(&body_spine, &pk);
+        let (leaf, dist) = walk.eval_sym_at(&body_spine, pk);
+        if share_rows {
+            let kept = match overwrites.entry(leaf).or_insert_with(|| overwritten(dist)) {
+                Some(w) => {
+                    SymPkt::from_pairs(pk.iter().filter(|(f, _)| w.binary_search(f).is_err()))
+                }
+                None => SymPkt::star(),
+            };
+            match representatives.entry((leaf, kept)) {
+                Entry::Occupied(rep) => {
+                    aliases.push((ix, *rep.get()));
+                    continue;
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(ix);
+                }
+            }
+        }
+        let pk = pk.clone();
         let mut row = Vec::with_capacity(dist.support_size());
         for (action, r) in dist.iter() {
             let target = match pk.apply(action) {
@@ -130,8 +223,34 @@ pub fn compile_while(
         rows[ix] = row;
     }
     drop(walk);
-    let n = states.len() + 1;
-    rows.resize(n, Vec::new());
+    rows.resize(states.len() + 1, Vec::new());
+
+    // The compact chain: ∅, the absorbing states and the representatives,
+    // numbered in state-id order; an alias takes its representative's
+    // number. `members[c]` is compact state `c`'s state id.
+    let mut aliased = vec![false; states.len() + 1];
+    for &(alias, _) in &aliases {
+        aliased[alias] = true;
+    }
+    let members: Vec<usize> = (0..aliased.len()).filter(|&s| !aliased[s]).collect();
+    let mut compact = vec![0; aliased.len()];
+    for (c, &s) in members.iter().enumerate() {
+        compact[s] = c;
+    }
+    for &(alias, rep) in &aliases {
+        compact[alias] = compact[rep];
+    }
+    let n = members.len();
+    let rows: Vec<Vec<(usize, Ratio)>> = members
+        .iter()
+        .map(|&s| {
+            std::mem::take(&mut rows[s])
+                .into_iter()
+                .map(|(t, r)| (compact[t], r))
+                .collect()
+        })
+        .collect();
+    let absorbing: Vec<usize> = absorbing.iter().map(|&a| compact[a]).collect();
 
     // 3. Drop states that cannot reach an absorbing state: they represent
     //    sure non-termination, which the semantics equates with drop.
@@ -212,13 +331,13 @@ pub fn compile_while(
         }
         Err(e) => return Err(CompileError::Solver(e)),
     };
-    mgr.record_loop_solve(nt, sol.scc_count());
+    mgr.record_loop_solve(nt + aliases.len(), aliases.len(), sol.scc_count());
     let solved = sol.into_rows();
 
     // 5. Build the leaf distribution for each input class.
     let mut class_dists: HashMap<SymPkt, ActionDist> = HashMap::new();
     for class in &input_classes {
-        let ix = index[class];
+        let ix = compact[index[class]];
         let dist = if chain.is_absorbing(ix) {
             if ix == DROP_STATE {
                 ActionDist::drop()
@@ -234,7 +353,7 @@ pub fn compile_while(
                 if pr.is_zero() || pr.is_negative() {
                     continue;
                 }
-                let a = absorbing_ids[*a_rank];
+                let a = members[absorbing_ids[*a_rank]];
                 let action = if a == DROP_STATE {
                     Action::Drop
                 } else {
@@ -441,6 +560,129 @@ mod tests {
         }
         // A permissive limit compiles the same loop fine.
         mgr.compile(&prog).unwrap();
+    }
+
+    #[test]
+    fn states_with_the_same_row_are_aliased() {
+        let mgr = Manager::new();
+        let f = field("lp_f9");
+        let g = field("lp_g9");
+        // while g=0 do (if f=0 ∨ f=1 then drop else (g<-1 ⊕½ g<-0); f<-2):
+        // f=0 and f=1 reach the same all-drop leaf, and the other leaf
+        // overwrites f and g on every outcome, so f=* steps exactly as
+        // f=2 does. Four transient states, two of them aliases.
+        let step = Prog::choice2(Prog::assign(g, 1), Ratio::new(1, 2), Prog::assign(g, 0))
+            .seq(Prog::assign(f, 2));
+        let body = Prog::ite(Pred::test(f, 0).or(Pred::test(f, 1)), Prog::drop(), step);
+        let guard = mgr.compile_pred(&Pred::test(g, 0));
+        let body = mgr.compile(&body).unwrap();
+        let opts = CompileOptions::default();
+        let want = compile_while_reference(&mgr, guard, body, &opts).unwrap();
+        let before = mgr.loop_solve_stats();
+        assert_eq!(compile_while(&mgr, guard, body, &opts).unwrap(), want);
+        let stats = mgr.loop_solve_stats();
+        assert_eq!(stats.transient_states - before.transient_states, 4);
+        assert_eq!(stats.aliased_states - before.aliased_states, 2);
+        assert_eq!(before.aliased_states, 0);
+    }
+
+    /// Random `while t do p`, `p` loop-free with probabilistic choices:
+    /// the row memo builds the very diagram the full exploration builds.
+    mod memo {
+        use super::*;
+        use crate::manager::tests::fast_paths::{arb_pred, arb_prog, field};
+        use proptest::prelude::*;
+
+        /// A hop: a weighted choice of outcomes, each a drop or up to three
+        /// assignments, so an outcome often writes a field another keeps.
+        fn arb_hop() -> BoxedStrategy<Prog> {
+            let outcome = prop_oneof![
+                Just(Prog::drop()),
+                proptest::collection::vec((0..3usize, 0..=3u32), 0..4).prop_map(|mods| {
+                    mods.into_iter()
+                        .fold(Prog::skip(), |p, (f, v)| p.seq(Prog::assign(field(f), v)))
+                }),
+            ];
+            proptest::collection::vec((outcome, 1..4i64), 1..4)
+                .prop_map(|outcomes| {
+                    let total: i64 = outcomes.iter().map(|(_, w)| w).sum();
+                    Prog::choice(
+                        outcomes
+                            .into_iter()
+                            .map(|(p, w)| (p, Ratio::new(w, total)))
+                            .collect(),
+                    )
+                })
+                .boxed()
+        }
+
+        /// A case on the first field with a hop per arm, each arm split by
+        /// a test: the shape of a network's `sw` case, where many states
+        /// reach the same leaf.
+        fn arb_case_body() -> BoxedStrategy<Prog> {
+            let arm = (0..=3u32, arb_pred(), arb_hop(), arb_hop());
+            (proptest::collection::vec(arm, 0..4), arb_hop())
+                .prop_map(|(arms, rest)| {
+                    let arms = arms
+                        .into_iter()
+                        .map(|(v, t, p, q)| (Pred::test(field(0), v), Prog::ite(t, p, q)))
+                        .collect();
+                    Prog::case(arms, rest)
+                })
+                .boxed()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn memoised_loop_matches_full_exploration(
+                t in arb_pred(),
+                p in prop_oneof![arb_prog(), arb_case_body()],
+            ) {
+                let mgr = Manager::new();
+                let guard = mgr.compile_pred(&t);
+                let body = mgr.compile(&p).unwrap();
+                let opts = CompileOptions::default();
+                let want = compile_while_reference(&mgr, guard, body, &opts).unwrap();
+                prop_assert_eq!(compile_while(&mgr, guard, body, &opts).unwrap(), want);
+            }
+        }
+    }
+
+    /// The network models' loops: fattree(4) and (6), ECMP and F10₃, under
+    /// independent, line-card SRLG and `k = 1` failures. The body is the
+    /// model's whole-body program, compiled here; the row memo builds the
+    /// very diagram the full exploration builds.
+    #[test]
+    fn fattree_loops_match_full_exploration() {
+        use mcnetkat_net::{FailureSpec, NetworkModel, RoutingScheme, Srlg};
+        use mcnetkat_topo::fattree;
+        let pr = Ratio::new(1, 1000);
+        let opts = CompileOptions::default();
+        for p in [4, 6] {
+            let topo = fattree(p);
+            let dst = topo.find("edge0_0").unwrap();
+            let linecards =
+                FailureSpec::independent(Ratio::zero()).with_groups(Srlg::linecards(&topo, &pr));
+            for scheme in [RoutingScheme::Ecmp, RoutingScheme::F10_3] {
+                for spec in [
+                    FailureSpec::independent(pr.clone()),
+                    linecards.clone(),
+                    FailureSpec::bounded(pr.clone(), 1),
+                ] {
+                    let label = format!("fattree({p}), {scheme:?}, {spec:?}");
+                    let m = NetworkModel::new(topo.clone(), dst, scheme, spec);
+                    let mgr = Manager::new();
+                    let body = mgr.compile(&m.body()).unwrap();
+                    let guard = mgr.compile_pred(&m.guard());
+                    let want = compile_while_reference(&mgr, guard, body, &opts).unwrap();
+                    let got = compile_while(&mgr, guard, body, &opts).unwrap();
+                    assert_eq!(got, want, "{label}");
+                    assert!(mgr.loop_solve_stats().aliased_states > 0, "{label}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -348,17 +348,23 @@ impl Walker<'_> {
 /// Cumulative gauges over every absorbing-chain solve this manager ran
 /// (cache hits don't count — they skip the solve).
 ///
-/// `sccs` counts components of the condensed transient graphs.
+/// `transient_states` and `max_transient` count every transient state the
+/// exploration discovered; `sccs` counts components of the chains actually
+/// solved, which hold one representative per group of states with the same
+/// transition row (`aliased_states` counts the rest).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoopSolveStats {
     /// Absorbing chains actually solved.
     pub solves: u64,
     /// Total transient states across all solves.
     pub transient_states: u64,
+    /// Transient states never expanded or solved because an explored
+    /// state provably has the same transition row (`fdd::loops`).
+    pub aliased_states: u64,
     /// Always equal to `transient_states`: the loop solve runs on the raw
     /// chain. Kept only because the benchmark harness reads it.
     pub lumped_blocks: u64,
-    /// Total SCCs of the transient graphs.
+    /// Total SCCs of the solved transient graphs (representatives only).
     pub sccs: u64,
     /// Largest single chain solved (transient states).
     pub max_transient: usize,
@@ -936,11 +942,12 @@ impl Manager {
     }
 
     /// Accumulates one absorbing-chain solve into [`LoopSolveStats`].
-    pub(crate) fn record_loop_solve(&self, transient: usize, sccs: usize) {
+    pub(crate) fn record_loop_solve(&self, transient: usize, aliased: usize, sccs: usize) {
         let mut inner = self.inner.lock();
         let s = &mut inner.loop_stats;
         s.solves += 1;
         s.transient_states += transient as u64;
+        s.aliased_states += aliased as u64;
         s.lumped_blocks += transient as u64;
         s.sccs += sccs as u64;
         s.max_transient = s.max_transient.max(transient);
@@ -2305,7 +2312,7 @@ impl Inner {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mcnetkat_core::{Pred, Prog};
 
@@ -2915,17 +2922,18 @@ mod tests {
     }
 
     /// `seq`'s fast paths against [`Inner::seq_reference`], the general
-    /// product with both fast paths off.
-    mod fast_paths {
+    /// product with both fast paths off. The program generators also drive
+    /// `loops::tests`.
+    pub(crate) mod fast_paths {
         use super::*;
         use mcnetkat_core::{Pred, Prog};
         use proptest::prelude::*;
 
-        fn field(ix: usize) -> Field {
+        pub(crate) fn field(ix: usize) -> Field {
             Field::named(["mgr_fp_a", "mgr_fp_b", "mgr_fp_c"][ix])
         }
 
-        fn arb_pred() -> BoxedStrategy<Pred> {
+        pub(crate) fn arb_pred() -> BoxedStrategy<Pred> {
             let leaf = prop_oneof![
                 Just(Pred::t()),
                 Just(Pred::f()),
@@ -2941,7 +2949,7 @@ mod tests {
             .boxed()
         }
 
-        fn arb_prog() -> BoxedStrategy<Prog> {
+        pub(crate) fn arb_prog() -> BoxedStrategy<Prog> {
             let leaf = prop_oneof![
                 Just(Prog::skip()),
                 Just(Prog::drop()),

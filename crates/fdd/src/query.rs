@@ -259,11 +259,10 @@ impl CaseIndex {
 }
 
 impl Walker<'_> {
-    /// The leaf distribution the symbolic packet `pk` reaches, starting at
-    /// its arm of `spine`.
-    pub(crate) fn eval_sym_at(&self, spine: &CaseIndex, pk: &SymPkt) -> &ActionDist {
+    /// The leaf the symbolic packet `pk` reaches, starting at its arm of
+    /// `spine`: its distribution and the distribution's interned id.
+    pub(crate) fn eval_sym_at(&self, spine: &CaseIndex, pk: &SymPkt) -> (DistId, &ActionDist) {
         self.leaf(self.descend(spine.start_sym(pk), |f, v| pk.test(f, v)))
-            .1
     }
 }
 

@@ -43,11 +43,15 @@ impl SymPkt {
     /// Returns a copy with `f` set to the concrete value `v`.
     pub fn with(&self, f: Field, v: Value) -> SymPkt {
         let mut out = self.clone();
-        match out.entries.binary_search_by_key(&f, |&(g, _)| g) {
-            Ok(ix) => out.entries[ix].1 = v,
-            Err(ix) => out.entries.insert(ix, (f, v)),
-        }
+        out.set(f, v);
         out
+    }
+
+    fn set(&mut self, f: Field, v: Value) {
+        match self.entries.binary_search_by_key(&f, |&(g, _)| g) {
+            Ok(ix) => self.entries[ix].1 = v,
+            Err(ix) => self.entries.insert(ix, (f, v)),
+        }
     }
 
     /// Whether the test `f = v` succeeds. Wildcards fail every test (sound
@@ -63,7 +67,7 @@ impl SymPkt {
             Action::Mods(mods) => {
                 let mut out = self.clone();
                 for &(f, v) in mods {
-                    out = out.with(f, v);
+                    out.set(f, v);
                 }
                 Some(out)
             }

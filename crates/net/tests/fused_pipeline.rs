@@ -429,7 +429,9 @@ fn fattree16_smoke_compile_with_failures() {
 
 /// A fat-tree compile solves its loops: on fattree(4)/(6), ECMP and F10₃,
 /// unbounded and bounded at the paper's 1/1000, the loop-solve gauges
-/// record at least one solve.
+/// record at least one solve. On ECMP the port a packet arrived on never
+/// changes its next hop, so the loop solve aliases states that differ only
+/// in it.
 #[test]
 fn fattree_compiles_record_loop_solves() {
     let pr = Ratio::new(1, 1000);
@@ -447,6 +449,10 @@ fn fattree_compiles_record_loop_solves() {
                 m.compile(&mgr).unwrap();
                 let stats = mgr.loop_solve_stats();
                 assert!(stats.solves > 0, "{label}: no loop was solved");
+                assert!(stats.aliased_states < stats.transient_states, "{label}");
+                if scheme == RoutingScheme::Ecmp {
+                    assert!(stats.aliased_states > 0, "{label}: no state aliased");
+                }
             }
         }
     }
