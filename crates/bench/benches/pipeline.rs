@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks (E10): the compilation pipeline stage by
-//! stage, the compiler's loop solve, and PRISM-approx's float iteration
-//! beside it (DESIGN.md § "Loop solve").
+//! stage, the compiler's loop solve, PRISM-approx's float iteration
+//! beside it (DESIGN.md § "Loop solve"), and the serve engine's journal
+//! replay.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use mcnetkat_fdd::{CompileOptions, Fdd, Manager};
@@ -9,6 +10,7 @@ use mcnetkat_net::fused::{assemble_chain, assemble_tail, compile_hops, hop_input
 use mcnetkat_net::{chain_benchmark, FailureSpec, FusedStats, NetworkModel, RoutingScheme, Srlg};
 use mcnetkat_num::Ratio;
 use mcnetkat_prism::{check_reachability, translate, McMode};
+use mcnetkat_serve::{Delta, Engine, EngineConfig};
 use mcnetkat_topo::{fattree, ShortestPaths};
 use std::collections::HashMap;
 
@@ -307,6 +309,70 @@ fn bench_loop_solving(c: &mut Criterion) {
     group.finish();
 }
 
+/// [`Engine::recover`] on a 100-delta journal: fattree(8), ECMP with
+/// independent 1/1000 failures, loaded once, then single-switch scheme
+/// flaps and a link-probability flap, applied and reverted in turn. The
+/// journal is written once, outside the timed region; each sample times
+/// one recovery (replay plus the cold re-verification of the model) and
+/// drops the engine untimed. This is the slope behind the snapshot
+/// cadence advice in the README.
+fn bench_serve_recovery(c: &mut Criterion) {
+    assert_audit_off();
+    const DELTAS: usize = 100;
+    let mut group = c.benchmark_group("serve_recovery");
+    group.sample_size(10);
+    let topo = fattree(8);
+    let dst = topo.find("edge0_0").unwrap();
+    let failure = FailureSpec::independent(Ratio::new(1, 1000));
+    let model = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, failure);
+    let mut flaps: Vec<(Delta, Delta)> = ["core0", "core1", "agg0_0", "agg1_0"]
+        .iter()
+        .map(|name| {
+            let s = model.topo.find(name).unwrap();
+            (
+                Delta::SetSwitchScheme(s, RoutingScheme::F10_3),
+                Delta::ClearSwitchScheme(s),
+            )
+        })
+        .collect();
+    let port = model.prone_ports(model.topo.switches()[0])[0];
+    flaps.push((
+        Delta::SetLinkPr(port, Ratio::new(1, 10)),
+        Delta::ClearLinkPr(port),
+    ));
+    let dir = std::env::temp_dir().join(format!("mcnetkat-bench-recovery-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut engine = Engine::with_journal(EngineConfig::default(), &dir).unwrap();
+    let id = engine.load(model).unwrap();
+    for step in 0..DELTAS {
+        let (apply, revert) = &flaps[step % flaps.len()];
+        let d = if (step / flaps.len()).is_multiple_of(2) {
+            apply
+        } else {
+            revert
+        };
+        engine.apply(id, d.clone()).unwrap();
+    }
+    drop(engine);
+    group.bench_with_input(
+        BenchmarkId::new("replay_100", "fattree8"),
+        &dir,
+        |b, dir| {
+            b.iter_batched(
+                || (),
+                |()| {
+                    let (engine, report) = Engine::recover(EngineConfig::default(), dir).unwrap();
+                    assert_eq!(report.records_replayed, DELTAS as u64 + 1);
+                    engine
+                },
+                BatchSize::LargeInput,
+            )
+        },
+    );
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group!(
     benches,
     bench_fattree_compile,
@@ -314,6 +380,7 @@ criterion_group!(
     bench_chain_engines,
     bench_model_tail,
     bench_solver_backends,
-    bench_loop_solving
+    bench_loop_solving,
+    bench_serve_recovery
 );
 criterion_main!(benches);

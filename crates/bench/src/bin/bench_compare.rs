@@ -24,13 +24,6 @@
 //! `--stable-only --fail-on-regress` is the *blocking* CI gate, while the
 //! full set stays advisory.
 //!
-//! When a `BENCH_serve.json` dump is present (written by `serve_bench`),
-//! its metrics are diffed against `crates/bench/BENCH_serve_baseline.json`,
-//! advisory only — keys ending in `_per_sec` or `_speedup_x` are
-//! higher-is-better, everything else is nanoseconds, lower-is-better.
-//! `--serve-only` reports just that diff (and exits 0), for the CI serve
-//! job where no `cargo bench` dump exists.
-//!
 //! ```text
 //! cargo bench -p mcnetkat-bench
 //! cargo run -p mcnetkat-bench --bin bench_compare -- --fail-on-regress
@@ -97,7 +90,6 @@ fn main() -> ExitCode {
     let mut fail_on_regress = false;
     let mut update_baseline = false;
     let mut stable_only = false;
-    let mut serve_only = false;
     let args: Vec<String> = std::env::args()
         .skip(1)
         .filter(|a| match a.as_str() {
@@ -113,22 +105,12 @@ fn main() -> ExitCode {
                 stable_only = true;
                 false
             }
-            "--serve-only" => {
-                serve_only = true;
-                false
-            }
             _ => true,
         })
         .collect();
-    let threshold_default = 15.0;
-    if serve_only {
-        // The CI serve job's advisory diff: only the serve_bench dump is
-        // present there, so skip the cargo-bench comparison entirely.
-        let threshold_pct: f64 = args.first().map_or(threshold_default, |s| {
-            s.parse().expect("threshold must be a number (percent)")
-        });
-        report_serve_diff(threshold_pct);
-        return ExitCode::SUCCESS;
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("error: unknown argument {flag}");
+        return ExitCode::FAILURE;
     }
     // `cargo bench` writes the dump with the *package* directory as CWD,
     // while this binary usually runs from the workspace root — accept the
@@ -143,7 +125,7 @@ fn main() -> ExitCode {
         str::to_string,
     );
     let baseline_path = baseline_path.as_str();
-    let threshold_pct: f64 = args.get(2).map_or(threshold_default, |s| {
+    let threshold_pct: f64 = args.get(2).map_or(15.0, |s| {
         s.parse().expect("threshold must be a number (percent)")
     });
 
@@ -235,7 +217,6 @@ fn main() -> ExitCode {
         ]);
     }
     table.print();
-    report_serve_diff(threshold_pct);
 
     if missing > 0 {
         eprintln!("\nwarning: {missing} baseline benchmark(s) missing from {current_path}");
@@ -271,104 +252,6 @@ fn write_baseline(path: &str, results: &BTreeMap<String, f64>) -> Result<(), Str
     }
     json.push_str("}\n");
     std::fs::write(path, json).map_err(|e| e.to_string())
-}
-
-/// Diffs the `serve_bench` dump against its checked-in baseline, when
-/// both exist. Always advisory: the serve numbers mix latencies with
-/// rates, and the steady-state figures are the most machine-sensitive in
-/// the suite — the blocking serve gate in CI is the incremental-vs-cold
-/// equivalence check, not these timings.
-fn report_serve_diff(threshold_pct: f64) {
-    let current_path = first_existing(&["crates/bench/BENCH_serve.json", "BENCH_serve.json"]);
-    let Ok(current) = load(&current_path) else {
-        return;
-    };
-    let baseline_path = first_existing(&[
-        "crates/bench/BENCH_serve_baseline.json",
-        "BENCH_serve_baseline.json",
-    ]);
-    let Ok(baseline) = load(&baseline_path) else {
-        println!("\nserve metrics ({current_path}; no baseline to diff):");
-        let mut table = Table::new(&["metric", "value"]);
-        for (name, v) in &current {
-            table.row(vec![name.clone(), fmt_serve(name, *v)]);
-        }
-        table.print();
-        return;
-    };
-    println!("\nserve engine diff ({current_path} vs {baseline_path}, advisory):");
-    let mut table = Table::new(&["metric", "baseline", "current", "delta", "verdict"]);
-    for (name, &base) in &baseline {
-        let Some(&cur) = current.get(name) else {
-            table.row(vec![
-                name.clone(),
-                fmt_serve(name, base),
-                "—".into(),
-                "—".into(),
-                "missing".into(),
-            ]);
-            continue;
-        };
-        if base == 0.0 {
-            // No meaningful relative delta against a zero baseline (e.g. a
-            // 0 ns latency from a degenerate smoke run).
-            table.row(vec![
-                name.clone(),
-                fmt_serve(name, base),
-                fmt_serve(name, cur),
-                "—".into(),
-                "n/a".into(),
-            ]);
-            continue;
-        }
-        let delta_pct = (cur - base) / base * 100.0;
-        // Throughput and speedup improve upward; latencies downward.
-        let worsened = if higher_is_better(name) {
-            -delta_pct
-        } else {
-            delta_pct
-        };
-        let verdict = if worsened > threshold_pct {
-            "regressed"
-        } else if worsened < -threshold_pct {
-            "improved"
-        } else {
-            "ok"
-        };
-        table.row(vec![
-            name.clone(),
-            fmt_serve(name, base),
-            fmt_serve(name, cur),
-            format!("{delta_pct:+.1}%"),
-            verdict.into(),
-        ]);
-    }
-    for name in current.keys().filter(|n| !baseline.contains_key(*n)) {
-        table.row(vec![
-            name.clone(),
-            "—".into(),
-            fmt_serve(name, current[name]),
-            "—".into(),
-            "new".into(),
-        ]);
-    }
-    table.print();
-}
-
-fn higher_is_better(name: &str) -> bool {
-    name.ends_with("_per_sec") || name.ends_with("_speedup_x")
-}
-
-fn fmt_serve(name: &str, v: f64) -> String {
-    if name.ends_with("_ns") {
-        fmt_ns(v)
-    } else if name.ends_with("_per_sec") {
-        format!("{v:.0}/s")
-    } else if name.ends_with("_speedup_x") {
-        format!("{v:.1}x")
-    } else {
-        format!("{v:.2}")
-    }
 }
 
 /// The most recently modified candidate that exists on disk, else the

@@ -39,7 +39,7 @@
 //!
 //! Every compile takes that shape. A cold compile keys every switch and
 //! compiles them all, inline ([`NetworkModel::compile_with`]) or on a
-//! worker pool ([`crate::compile_model_parallel`]); the incremental
+//! worker pool ([`compile_model_parallel`]); the incremental
 //! engine in `mcnetkat-serve` keys only the switches a delta touches and
 //! compiles only its hop-cache misses. [`compile_hops`] is the one place
 //! hop diagrams are made.
@@ -551,31 +551,42 @@ fn contain_panics<T>(f: impl FnOnce() -> Result<T, CompileError>) -> Result<T, C
     }
 }
 
-/// A cold compile of the whole model: key every switch, compile every hop
-/// with [`compile_hops`] on `workers` threads, fold the `sw`-case chain,
-/// and finish with [`assemble_model`]. Returns the diagram in `mgr`
-/// together with the scratch-size gauges.
-pub(crate) fn compile_model_fused(
+/// The cold compile of the whole model, the parallelising backend of §6
+/// ("Parallel speedup"): key every switch, compile every hop with
+/// [`compile_hops`] on `workers` threads (each with a private manager,
+/// mirroring the paper's per-process workers), fold the `sw`-case chain
+/// and finish with [`assemble_model`]. Returns the diagram in `mgr`.
+///
+/// With `workers == 1` the hops compile inline; that is
+/// [`NetworkModel::compile_with`], the baseline for speedup measurements.
+/// `opts` governs every compile performed by this function, on worker
+/// threads and in `mgr` alike. The `while` solve goes through
+/// [`Manager::while_loop`], so repeated loops across models sharing a
+/// manager hit the loop-solution cache.
+///
+/// # Errors
+///
+/// Propagates the first [`CompileError`] raised by any worker.
+pub fn compile_model_parallel(
     mgr: &Manager,
     model: &NetworkModel,
     workers: usize,
     opts: &CompileOptions,
-) -> Result<(Fdd, FusedStats), CompileError> {
+) -> Result<Fdd, CompileError> {
     let sp = ShortestPaths::towards(&model.topo, model.dst);
     let switches = model.topo.switches();
     let inputs: Vec<HopInputs> = switches
         .iter()
         .map(|&s| hop_inputs(model, s, &sp))
         .collect();
-    let mut stats = FusedStats::default();
-    let hops = compile_hops(mgr, &inputs, workers, opts, &mut stats)?;
+    let hops = compile_hops(mgr, &inputs, workers, opts, &mut FusedStats::default())?;
     drop(inputs); // the hop ASTs are dead weight during the loop solve
     let by_switch: HashMap<NodeId, Fdd> = switches.iter().copied().zip(hops).collect();
     let body = assemble_chain(mgr, model, |s| Ok(by_switch[&s]))?;
     let fdd = assemble_model(mgr, model, body, opts)?;
     #[cfg(feature = "audit")]
     audit_compiled_model(mgr, model, fdd);
-    Ok((fdd, stats))
+    Ok(fdd)
 }
 
 /// The `audit` feature's post-compile verification, run on every model
@@ -757,13 +768,7 @@ mod tests {
             RoutingScheme::F10_3,
             FailureSpec::independent(Ratio::new(1, 10)),
         );
-        let sp = ShortestPaths::towards(&m.topo, m.dst);
-        let mut every: Vec<HopInputs> = m
-            .topo
-            .switches()
-            .iter()
-            .map(|&s| hop_inputs(&m, s, &sp))
-            .collect();
+        let mut every = every_hop(&m);
         every.push(every[3].clone());
         let cases: [&[HopInputs]; 3] = [&[], &every[..1], &every];
         let opts = CompileOptions::default();
@@ -786,6 +791,16 @@ mod tests {
         }
     }
 
+    /// Every switch's [`HopInputs`], in switch order.
+    fn every_hop(m: &NetworkModel) -> Vec<HopInputs> {
+        let sp = ShortestPaths::towards(&m.topo, m.dst);
+        m.topo
+            .switches()
+            .iter()
+            .map(|&s| hop_inputs(m, s, &sp))
+            .collect()
+    }
+
     #[test]
     fn fused_scratch_stats_are_per_switch_sized() {
         let m = mk(
@@ -794,9 +809,7 @@ mod tests {
         );
         let opts = CompileOptions::default();
         let mgr = Manager::new();
-        let (fdd, stats) = compile_model_fused(&mgr, &m, 1, &opts).unwrap();
-        assert_eq!(stats.switches, m.topo.switches().len());
-        assert!(stats.max_scratch_nodes > 0);
+        let fdd = compile_model_parallel(&mgr, &m, 1, &opts).unwrap();
         // The compiled diagram mentions no scratch field.
         let dom = mgr.domain(fdd);
         for up in m.fields.ups() {
@@ -805,19 +818,83 @@ mod tests {
         // The reused scratch manager is cleared between switches, so its
         // peaks are the largest single switch's: the same as from a fresh
         // manager per switch, inline or on workers.
-        let sp = ShortestPaths::towards(&m.topo, m.dst);
+        let inputs = every_hop(&m);
         let (mut nodes, mut dists) = (0, 0);
-        for &s in m.topo.switches() {
+        for inp in &inputs {
             let mut one = FusedStats::default();
-            compile_hop_import(&Manager::new(), &hop_inputs(&m, s, &sp), &opts, &mut one).unwrap();
+            compile_hop_import(&Manager::new(), inp, &opts, &mut one).unwrap();
             nodes = nodes.max(one.max_scratch_nodes);
             dists = dists.max(one.max_scratch_dist_entries);
         }
-        assert_eq!(stats.max_scratch_nodes, nodes);
-        assert_eq!(stats.max_scratch_dist_entries, dists);
-        let (_, pooled) = compile_model_fused(&Manager::new(), &m, 2, &opts).unwrap();
-        assert_eq!(pooled.max_scratch_nodes, nodes);
-        assert_eq!(pooled.max_scratch_dist_entries, dists);
+        for workers in [1, 2] {
+            let mut stats = FusedStats::default();
+            compile_hops(&Manager::new(), &inputs, workers, &opts, &mut stats).unwrap();
+            assert_eq!(stats.switches, m.topo.switches().len());
+            assert_eq!(stats.max_scratch_nodes, nodes, "workers = {workers}");
+            assert_eq!(stats.max_scratch_dist_entries, dists, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn parallel_stats_cover_every_switch() {
+        let m = mk(
+            RoutingScheme::F10_3,
+            FailureSpec::independent(Ratio::new(1, 10)),
+        );
+        let opts = CompileOptions::default();
+        let mgr = Manager::new();
+        let mut stats = FusedStats::default();
+        let hops = compile_hops(&mgr, &every_hop(&m), 3, &opts, &mut stats).unwrap();
+        assert_eq!(stats.switches, m.topo.switches().len());
+        assert!(stats.max_scratch_nodes > 0);
+        let by_switch: HashMap<NodeId, Fdd> = m.topo.switches().iter().copied().zip(hops).collect();
+        let body = assemble_chain(&mgr, &m, |s| Ok(by_switch[&s])).unwrap();
+        let fdd = assemble_model(&mgr, &m, body, &opts).unwrap();
+        assert!(mgr.equiv(fdd, m.compile(&mgr).unwrap()));
+    }
+
+    #[test]
+    fn parallel_respects_state_limit_like_sequential() {
+        // Regression: workers used to compile with `CompileOptions::default()`
+        // regardless of the caller's options. A tiny state limit must make
+        // the parallel path fail with the same error as the sequential one.
+        let m = mk(
+            RoutingScheme::F10_3,
+            FailureSpec::independent(Ratio::new(1, 10)),
+        );
+        let opts = CompileOptions {
+            state_limit: 4,
+            ..CompileOptions::default()
+        };
+        let mgr = Manager::new();
+        let seq_err = m.compile_with(&mgr, &opts).unwrap_err();
+        assert!(
+            matches!(seq_err, CompileError::StateSpaceTooLarge { .. }),
+            "sequential: {seq_err}"
+        );
+        for workers in [1, 4] {
+            let par_err = compile_model_parallel(&mgr, &m, workers, &opts).unwrap_err();
+            assert!(
+                matches!(par_err, CompileError::StateSpaceTooLarge { .. }),
+                "workers = {workers}: {par_err}"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_loop_solutions_hit_the_cache_on_recompile() {
+        let m = mk(
+            RoutingScheme::F10_3,
+            FailureSpec::independent(Ratio::new(1, 10)),
+        );
+        let mgr = Manager::new();
+        let first = compile_model_parallel(&mgr, &m, 2, &Default::default()).unwrap();
+        let misses_after_first = mgr.while_cache_stats().misses;
+        let second = compile_model_parallel(&mgr, &m, 3, &Default::default()).unwrap();
+        assert!(mgr.equiv(first, second));
+        let stats = mgr.while_cache_stats();
+        assert!(stats.hits >= 1, "expected a cache hit, got {stats:?}");
+        assert_eq!(stats.misses, misses_after_first, "no new loop solves");
     }
 
     #[test]

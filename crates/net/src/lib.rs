@@ -14,7 +14,6 @@ mod failure;
 mod fields;
 pub mod fused;
 mod model;
-mod parallel;
 mod queries;
 mod scheme;
 
@@ -23,8 +22,7 @@ pub use codec::{Codec, CodecError, ModelDescription, Reader};
 pub use example::{running_example, RunningExample};
 pub use failure::{FailureEvent, FailureSpec, Srlg};
 pub use fields::NetFields;
-pub use fused::FusedStats;
+pub use fused::{compile_model_parallel, FusedStats};
 pub use model::{teleport, NetworkModel};
-pub use parallel::compile_model_parallel;
 pub use queries::{HopStats, Queries};
 pub use scheme::{down_ports, RoutingScheme};

@@ -11,7 +11,7 @@
 //! failure model is memoryless, exactly as in the paper where `f` runs at
 //! every hop).
 
-use crate::fused::compile_model_fused;
+use crate::fused::{compile_model_parallel, local_wrappers};
 use crate::scheme::{down_ports, switch_program};
 use crate::{FailureSpec, NetFields, RoutingScheme};
 use mcnetkat_core::{Pred, Prog, Value};
@@ -323,7 +323,7 @@ impl NetworkModel {
     ///
     /// Propagates [`CompileError`] from the FDD backend.
     pub fn compile_with(&self, mgr: &Manager, opts: &CompileOptions) -> Result<Fdd, CompileError> {
-        Ok(compile_model_fused(mgr, self, 1, opts)?.0)
+        compile_model_parallel(mgr, self, 1, opts)
     }
 
     /// The legacy whole-body compile: builds the complete program AST
@@ -378,25 +378,23 @@ pub(crate) fn bump_hop_counter(fields: &NetFields, cap: u32) -> Prog {
 }
 
 /// The teleport specification for a model (see
-/// [`NetworkModel::teleport`]).
+/// [`NetworkModel::teleport`]): `pre ; in ; sw<-dst ; pt<-0 ; post`, with
+/// the model's local-variable wrappers as flat assignment sequences (the
+/// ones the compiled model's tail uses) rather than one nested `local`
+/// per field, so the ingress-sized diagram is built once instead of once
+/// per port.
 pub fn teleport(model: &NetworkModel) -> Prog {
     let fields = &model.fields;
-    let mut prog = Prog::filter(model.ingress_pred())
+    let mut core = Prog::filter(model.ingress_pred())
         .seq(Prog::assign(fields.sw, model.topo.sw_value(model.dst)))
         .seq(Prog::assign(fields.pt, 0));
     if model.hop_cap.is_some() {
         // Teleportation is never compared against hop-counting models, but
         // keep the field deterministic if someone tries.
-        prog = prog.seq(Prog::assign(fields.cnt, 0));
+        core = core.seq(Prog::assign(fields.cnt, 0));
     }
-    prog = Prog::local(fields.dt, 0, prog);
-    if model.failure.k.is_some() && !model.failure.is_failure_free() {
-        prog = Prog::local(fields.fl, 0, prog);
-    }
-    for i in (1..=model.topo.max_degree() as u32).rev() {
-        prog = Prog::local(fields.up(i), 1, prog);
-    }
-    prog
+    let (pre, post) = local_wrappers(model);
+    pre.seq(core.seq(post))
 }
 
 #[cfg(test)]
@@ -446,6 +444,50 @@ mod tests {
                 peak <= 8 * size,
                 "fattree({k}): peak {peak} nodes for a {size}-node predicate"
             );
+        }
+    }
+
+    /// The teleport spec as one nested `local` per field, the way
+    /// [`NetworkModel::program`] wraps the model.
+    fn teleport_nested(model: &NetworkModel) -> Prog {
+        let fields = &model.fields;
+        let mut prog = Prog::filter(model.ingress_pred())
+            .seq(Prog::assign(fields.sw, model.topo.sw_value(model.dst)))
+            .seq(Prog::assign(fields.pt, 0));
+        if model.hop_cap.is_some() {
+            prog = prog.seq(Prog::assign(fields.cnt, 0));
+        }
+        prog = Prog::local(fields.dt, 0, prog);
+        if model.failure.k.is_some() && !model.failure.is_failure_free() {
+            prog = Prog::local(fields.fl, 0, prog);
+        }
+        for i in (1..=model.topo.max_degree() as u32).rev() {
+            prog = Prog::local(fields.up(i), 1, prog);
+        }
+        prog
+    }
+
+    #[test]
+    fn flat_teleport_is_the_nested_diagram() {
+        let pr = Ratio::new(1, 1000);
+        for topo in [
+            mcnetkat_topo::fattree(4),
+            mcnetkat_topo::fattree(6),
+            ab_fattree(4),
+        ] {
+            let dst = topo.find("edge0_0").unwrap();
+            for scheme in [RoutingScheme::Ecmp, RoutingScheme::F10_3] {
+                for failure in [
+                    FailureSpec::independent(pr.clone()),
+                    FailureSpec::bounded(pr.clone(), 1),
+                ] {
+                    let model = NetworkModel::new(topo.clone(), dst, scheme, failure);
+                    let mgr = Manager::new();
+                    let flat = mgr.compile(&model.teleport()).unwrap();
+                    let nested = mgr.compile(&teleport_nested(&model)).unwrap();
+                    assert_eq!(flat, nested, "{:?} {:?}", scheme, model.failure);
+                }
+            }
         }
     }
 

@@ -80,3 +80,34 @@ fn chain_compile_peak_nodes_grow_linearly() {
          (bound {CHAIN_DOUBLING}×)"
     );
 }
+
+/// Largest allowed ratio of the teleport spec's peak live nodes at
+/// fattree(32) to its peak at fattree(16) (4× the switches). Measured
+/// 4.3; with one nested `local` per port around the ingress filter, each
+/// rebuilding the ingress-sized diagram, it read 6.7.
+const TELEPORT_DOUBLING: f64 = 5.0;
+
+#[test]
+fn teleport_spec_peak_nodes_grow_with_the_switches() {
+    for failure in [
+        FailureSpec::independent(Ratio::new(1, 1000)),
+        FailureSpec::bounded(Ratio::new(1, 1000), 1),
+    ] {
+        let peak = |k: usize| {
+            let topo = fattree(k);
+            let dst = topo.find("edge0_0").unwrap();
+            let model = NetworkModel::new(topo, dst, RoutingScheme::Ecmp, failure.clone());
+            let mgr = Manager::new();
+            mgr.compile(&model.teleport()).unwrap();
+            mgr.peak_live_nodes()
+        };
+        let (p16, p32) = (peak(16), peak(32));
+        let ratio = p32 as f64 / p16 as f64;
+        eprintln!("teleport fattree(16): peak {p16}; fattree(32): peak {p32}; ratio {ratio:.2}");
+        assert!(
+            ratio <= TELEPORT_DOUBLING,
+            "teleport at fattree(32) peaks at {p32} live nodes, {ratio:.2}× \
+             fattree(16)'s {p16} (bound {TELEPORT_DOUBLING}×)"
+        );
+    }
+}

@@ -6,9 +6,13 @@
 //! An append-only file of length-prefixed, checksummed records:
 //!
 //! ```text
-//! [8-byte magic "MCNKJRNL"][u32 version]            — file header
-//! [u32 len][u64 fnv1a64(payload)][payload]…         — records
+//! [8-byte magic "MCNKJRNL"][u32 version = 3]        — file header
+//! [u32 len][u64 fnv1a64(payload)][u32 check][payload]…  — records
 //! ```
+//!
+//! `check` is the low half of `fnv1a64` over the 12 bytes before it, so
+//! a frame header vouches for its own length: a damaged length field is
+//! caught by the header it sits in rather than obeyed.
 //!
 //! The journal is redo-only: every whole record is committed. A mutating
 //! engine operation first runs its only fallible work (the compile, for
@@ -26,13 +30,15 @@
 //! file. [`scan`] distinguishes the two failure shapes the way the
 //! recovery contract demands:
 //!
-//! * **torn tail** — the file ends inside a record header, inside a
-//!   payload, or with a checksum-failing *final* record: tolerated, the
-//!   journal is truncated to the last whole record;
-//! * **interior corruption** — a checksum or decode failure on a record
-//!   with bytes after it, or an impossible length field: rejected with
-//!   [`RecoveryError::Corrupt`], because bytes *behind* a valid suffix
-//!   cannot be explained by a partial write.
+//! * **torn tail** — the file ends inside a frame header, inside the
+//!   payload a checked header announces, or with a checksum-failing
+//!   *final* frame: tolerated, the journal is truncated to the last whole
+//!   record;
+//! * **interior corruption** — a frame header failing its check, or a
+//!   payload failing its checksum or decode, with bytes after it, or an
+//!   impossible length field: rejected with [`RecoveryError::Corrupt`],
+//!   because bytes *behind* a valid suffix cannot be explained by a
+//!   partial write.
 //!
 //! # Snapshots
 //!
@@ -58,11 +64,12 @@ pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 
 const JOURNAL_MAGIC: [u8; 8] = *b"MCNKJRNL";
 const SNAPSHOT_MAGIC: [u8; 8] = *b"MCNKSNAP";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 /// Header: magic then version, little-endian.
 const HEADER_LEN: usize = 12;
-/// Record frame: u32 length + u64 checksum before the payload.
-const FRAME_LEN: usize = 12;
+/// Frame header: u32 length, u64 payload checksum, u32 check over those
+/// 12 bytes, before the payload.
+const FRAME_LEN: usize = 16;
 /// Cap on a single record's payload. A length field past this cannot be
 /// a real record (the largest topology we serve encodes far below it),
 /// so it is diagnosed as corruption rather than obeyed.
@@ -73,6 +80,29 @@ fn header(magic: [u8; 8]) -> [u8; HEADER_LEN] {
     h[..8].copy_from_slice(&magic);
     h[8..].copy_from_slice(&VERSION.to_le_bytes());
     h
+}
+
+/// Appends the frame of `payload` (frame header, then the payload) to
+/// `out`.
+fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    let start = out.len();
+    (payload.len() as u32).encode(out);
+    fnv1a64(payload).encode(out);
+    let check = fnv1a64(&out[start..]) as u32;
+    check.encode(out);
+    out.extend_from_slice(payload);
+}
+
+/// The payload length and checksum of a frame header, or `None` when the
+/// header fails its own check.
+fn read_frame_header(h: &[u8]) -> Option<(usize, u64)> {
+    let check = u32::from_le_bytes(h[12..FRAME_LEN].try_into().expect("4 bytes"));
+    if fnv1a64(&h[..12]) as u32 != check {
+        return None;
+    }
+    let len = u32::from_le_bytes(h[..4].try_into().expect("4 bytes")) as usize;
+    let sum = u64::from_le_bytes(h[4..12].try_into().expect("8 bytes"));
+    Some((len, sum))
 }
 
 /// FNV-1a, 64-bit — the in-repo checksum (the build environment is
@@ -405,10 +435,18 @@ pub fn scan(path: &Path) -> Result<ScanResult, RecoveryError> {
         if rem < FRAME_LEN {
             break; // torn inside a frame header
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+        let Some((len, sum)) = read_frame_header(&bytes[pos..pos + FRAME_LEN]) else {
+            if rem == FRAME_LEN {
+                break; // a damaged final header: nothing behind it is lost
+            }
+            // Its length cannot be trusted, so neither can the position
+            // of anything behind it.
+            return Err(RecoveryError::Corrupt {
+                offset: pos as u64,
+                why: "frame header fails its check".to_string(),
+            });
+        };
         if len > MAX_RECORD_LEN {
-            // A length field is written in one piece with its frame; a
-            // nonsense value is corruption, not a partial write.
             return Err(RecoveryError::Corrupt {
                 offset: pos as u64,
                 why: format!("record length {len} exceeds format cap"),
@@ -417,7 +455,6 @@ pub fn scan(path: &Path) -> Result<ScanResult, RecoveryError> {
         if FRAME_LEN + len > rem {
             break; // torn inside the payload
         }
-        let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"));
         let payload = &bytes[pos + FRAME_LEN..pos + FRAME_LEN + len];
         let last = pos + FRAME_LEN + len == bytes.len();
         if fnv1a64(payload) != sum {
@@ -541,9 +578,7 @@ impl JournalWriter {
             return Err(JournalError::TooLarge(payload.len()));
         }
         let mut frame = Vec::with_capacity(FRAME_LEN + payload.len());
-        (payload.len() as u32).encode(&mut frame);
-        fnv1a64(&payload).encode(&mut frame);
-        frame.extend_from_slice(&payload);
+        push_frame(&mut frame, &payload);
 
         if let Some(fault) = journal_failpoint() {
             match fault {
@@ -681,9 +716,7 @@ pub fn write_snapshot(path: &Path, snap: &Snapshot) -> Result<(), JournalError> 
     let payload = snap.to_bytes();
     let mut bytes = Vec::with_capacity(HEADER_LEN + FRAME_LEN + payload.len());
     bytes.extend_from_slice(&header(SNAPSHOT_MAGIC));
-    (payload.len() as u32).encode(&mut bytes);
-    fnv1a64(&payload).encode(&mut bytes);
-    bytes.extend_from_slice(&payload);
+    push_frame(&mut bytes, &payload);
 
     let tmp = path.with_extension("tmp");
     let mut file = File::create(&tmp).map_err(io_err)?;
@@ -711,16 +744,9 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, RecoveryError> {
     if bytes[..HEADER_LEN] != header(SNAPSHOT_MAGIC) {
         return Err(bad("magic or version mismatch"));
     }
-    let len = u32::from_le_bytes(
-        bytes[HEADER_LEN..HEADER_LEN + 4]
-            .try_into()
-            .expect("4 bytes"),
-    ) as usize;
-    let sum = u64::from_le_bytes(
-        bytes[HEADER_LEN + 4..HEADER_LEN + 12]
-            .try_into()
-            .expect("8 bytes"),
-    );
+    let Some((len, sum)) = read_frame_header(&bytes[HEADER_LEN..HEADER_LEN + FRAME_LEN]) else {
+        return Err(bad("frame header fails its check"));
+    };
     let body = &bytes[HEADER_LEN + FRAME_LEN..];
     if body.len() != len {
         return Err(bad("payload length mismatch"));

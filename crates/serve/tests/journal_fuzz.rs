@@ -4,8 +4,8 @@
 //! `journal::scan` and `journal::read_snapshot` as `Ok` or a typed
 //! `RecoveryError` — never a panic — and the shapes the recovery contract
 //! names must get the verdict it names: a truncated journal is a torn
-//! tail, a damaged interior record is `Corrupt`, a damaged snapshot is
-//! `Snapshot`.
+//! tail, a damaged interior frame (header or payload) is `Corrupt`, a
+//! damaged snapshot is `Snapshot`.
 
 use mcnetkat_net::{FailureSpec, NetworkModel, RoutingScheme, Srlg};
 use mcnetkat_num::Ratio;
@@ -19,8 +19,9 @@ use std::sync::OnceLock;
 
 /// Header bytes: magic then a little-endian `u32` version.
 const HEADER_LEN: usize = 12;
-/// Frame bytes before a payload: `u32` length then `u64` checksum.
-const FRAME_LEN: usize = 12;
+/// Frame bytes before a payload: `u32` length, `u64` payload checksum,
+/// then a `u32` check over those 12 bytes.
+const FRAME_LEN: usize = 16;
 /// The readers' cap on one record's payload.
 const MAX_RECORD_LEN: u32 = 1 << 28;
 
@@ -149,15 +150,14 @@ proptest! {
         prop_assert!(typed(&result), "{:?}", result.err());
     }
 
-    /// One flip in the checksum or payload of a record with records after
-    /// it is interior corruption, never a torn tail. (A flip in the length
-    /// field may instead run the frame past the end of the file, which is
-    /// the torn-write shape; the length cases below pin what that does.)
+    /// One flip anywhere in the frame of a record with records after it
+    /// (its length, either check or its payload) is interior corruption,
+    /// never a torn tail.
     #[test]
     fn interior_flip_is_corrupt(pick in any::<usize>(), bit in 0..8usize) {
         let f = fixture();
         let record = pick % (f.records() - 1);
-        let sealed = f.frames[record] + 4..f.frames[record + 1];
+        let sealed = f.frames[record]..f.frames[record + 1];
         let pos = sealed.start + pick % sealed.len();
         let mut bytes = f.journal.clone();
         flip(&mut bytes, pos * 8 + bit);
@@ -205,11 +205,10 @@ proptest! {
         prop_assert!(matches!(result, Err(RecoveryError::Snapshot(_))));
     }
 
-    /// A frame length past the format cap is corruption at that frame.
-    /// One past the remaining input but within the cap is either that
-    /// (the records behind it are acknowledged history) or, as the scan
-    /// reads it today, a torn tail cut at that frame: nothing at or past
-    /// the damaged frame may be accepted.
+    /// A frame length overwritten past the remaining input, within the
+    /// format cap or past it, is corruption at that frame: its header
+    /// fails its check, and the records behind it are acknowledged
+    /// history, not a torn tail.
     #[test]
     fn overwritten_frame_length(record in any::<usize>(), over in any::<u32>(), past_cap in any::<bool>()) {
         let f = fixture();
@@ -227,10 +226,6 @@ proptest! {
             Err(RecoveryError::Corrupt { offset, .. }) => {
                 prop_assert_eq!(offset as usize, at);
             }
-            Ok(s) if !past_cap => {
-                prop_assert_eq!(s.records.len(), record);
-                prop_assert_eq!(s.valid_len as usize, at);
-            }
             other => prop_assert!(false, "length {len} at record {record}: {:?}", other.map(|s| s.records.len())),
         }
 
@@ -243,9 +238,10 @@ proptest! {
         prop_assert!(matches!(result, Err(RecoveryError::Snapshot(_))));
     }
 
-    /// Bits flipped inside a payload whose checksum is then re-sealed:
-    /// the decoder sees hostile bytes behind a valid checksum. It must
-    /// decode them or refuse them as corruption at that record.
+    /// Bits flipped inside a payload whose checksum and frame check are
+    /// then re-sealed: the decoder sees hostile bytes behind a valid
+    /// frame. It must decode them or refuse them as corruption at that
+    /// record.
     #[test]
     fn resealed_payload_edits_decode_or_are_corrupt(pick in any::<usize>(), bits in vec(0..64usize, 1..4)) {
         let f = fixture();
@@ -256,8 +252,11 @@ proptest! {
             let pos = start + (pick / 7 + b / 8) % (end - start);
             flip(&mut bytes, pos * 8 + b % 8);
         }
+        let at = f.frames[record];
         let sum = fnv1a64(&bytes[start..end]);
-        bytes[start - 8..start].copy_from_slice(&sum.to_le_bytes());
+        bytes[at + 4..at + 12].copy_from_slice(&sum.to_le_bytes());
+        let check = fnv1a64(&bytes[at..at + 12]) as u32;
+        bytes[at + 12..start].copy_from_slice(&check.to_le_bytes());
         match scan_bytes("reseal", &bytes) {
             Ok(s) => prop_assert_eq!(s.records.len(), f.records()),
             Err(RecoveryError::Corrupt { offset, .. }) => {
@@ -268,33 +267,46 @@ proptest! {
     }
 }
 
-/// The header a version-1 file carries.
-fn v1_header(magic: &[u8; 8]) -> Vec<u8> {
+/// The header a file of `version` carries.
+fn versioned_header(magic: &[u8; 8], version: u32) -> Vec<u8> {
     let mut h = magic.to_vec();
-    h.extend_from_slice(&1u32.to_le_bytes());
+    h.extend_from_slice(&version.to_le_bytes());
     h
 }
 
-/// A file written by the two-record (intent + commit marker) protocol is
-/// refused by its header; there is no second reader.
-#[test]
-fn version_1_files_are_refused() {
+/// The fixture's records behind a `version` header are refused by that
+/// header; there is no second reader.
+fn assert_version_refused(version: u32) {
     let f = fixture();
-    let mut journal = v1_header(b"MCNKJRNL");
+    let mut journal = versioned_header(b"MCNKJRNL", version);
     journal.extend_from_slice(&f.journal[HEADER_LEN..]);
     assert!(matches!(
-        scan_bytes("v1-journal", &journal),
+        scan_bytes(&format!("v{version}-journal"), &journal),
         Err(RecoveryError::BadHeader(_))
     ));
-    let mut snapshot = v1_header(b"MCNKSNAP");
+    let mut snapshot = versioned_header(b"MCNKSNAP", version);
     snapshot.extend_from_slice(&f.snapshot[HEADER_LEN..]);
     assert!(matches!(
-        read_snapshot_bytes("v1-snapshot", &snapshot),
+        read_snapshot_bytes(&format!("v{version}-snapshot"), &snapshot),
         Err(RecoveryError::Snapshot(why)) if why == "magic or version mismatch"
     ));
-    // The fixture itself carries version 2.
-    assert_eq!(f.journal[8..HEADER_LEN], 2u32.to_le_bytes());
-    assert_eq!(f.snapshot[8..HEADER_LEN], 2u32.to_le_bytes());
+    // The fixture itself carries version 3.
+    assert_eq!(f.journal[8..HEADER_LEN], 3u32.to_le_bytes());
+    assert_eq!(f.snapshot[8..HEADER_LEN], 3u32.to_le_bytes());
+}
+
+/// A file written by the two-record (intent + commit marker) protocol is
+/// refused by its header.
+#[test]
+fn version_1_files_are_refused() {
+    assert_version_refused(1);
+}
+
+/// A file whose frame headers carry no check of their own is refused by
+/// its header.
+#[test]
+fn version_2_files_are_refused() {
+    assert_version_refused(2);
 }
 
 /// A v1 journal refuses recovery as a whole, and nothing is rewritten.
@@ -303,7 +315,7 @@ fn version_1_journal_refuses_recovery() {
     let dir = tmp_path("v1-dir");
     std::fs::create_dir_all(&dir).unwrap();
     let path: &Path = &dir.join(journal::JOURNAL_FILE);
-    let mut bytes = v1_header(b"MCNKJRNL");
+    let mut bytes = versioned_header(b"MCNKJRNL", 1);
     bytes.extend_from_slice(&fixture().journal[HEADER_LEN..]);
     std::fs::write(path, &bytes).unwrap();
     assert!(matches!(
