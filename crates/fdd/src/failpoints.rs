@@ -8,13 +8,13 @@
 //! Nth hit:
 //!
 //! ```text
-//! site                     seam                              sensible actions
-//! fdd::intern              loop-state interning              Panic, Delay, Cancel
-//! fdd::loops::solve        each loop solve                   Singular, Panic, Delay, Cancel
-//! net::parallel::worker    per-hop compile on a pool worker  Panic, Delay, Cancel
-//! serve::journal::append   journal record append             Singular (= torn write), Cancel, Panic, Delay
-//! serve::apply::patch      each re-keyed switch of a patch   Singular, Panic, Delay, Cancel
-//! serve::apply::assemble   post-patch model assembly         Singular, Panic, Delay, Cancel
+//! site                      seam                              sensible actions
+//! fdd::intern               loop-state interning              Panic, Delay, Cancel
+//! fdd::loops::solve         each loop solve                   Singular, Panic, Delay, Cancel
+//! net::fused::compile_hops  per-hop compile on a pool worker  Panic, Delay, Cancel
+//! serve::journal::append    journal record append             Singular (= torn write), Cancel, Panic, Delay
+//! serve::apply::patch       each re-keyed switch of a patch   Singular, Panic, Delay, Cancel
+//! serve::apply::assemble    post-patch model assembly         Singular, Panic, Delay, Cancel
 //! ```
 //!
 //! `fdd::loops::solve` is checked once per loop solve; a `Singular` there

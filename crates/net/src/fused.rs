@@ -508,7 +508,7 @@ fn compile_chunk(
     let mut hops = Vec::with_capacity(work.len());
     for inp in work {
         #[cfg(feature = "failpoints")]
-        mcnetkat_fdd::failpoints::check_compile("net::parallel::worker")?;
+        mcnetkat_fdd::failpoints::check_compile("net::fused::compile_hops")?;
         opts.budget.check_external()?;
         hops.push(compile_hop_in(&scratch, &local, inp, opts, &mut stats)?);
     }

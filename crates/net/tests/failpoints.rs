@@ -80,7 +80,7 @@ fn worker_panic_is_contained_and_typed() {
     let m = model();
     let mgr = Manager::new();
     failpoints::configure(
-        "net::parallel::worker",
+        "net::fused::compile_hops",
         FaultAction::Panic("injected worker crash".into()),
         1,
         1,
@@ -94,7 +94,7 @@ fn worker_panic_is_contained_and_typed() {
         }
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }
-    assert!(failpoints::fired("net::parallel::worker") >= 1);
+    assert!(failpoints::fired("net::fused::compile_hops") >= 1);
     assert_recovers(&mgr, &m);
 }
 
@@ -122,7 +122,7 @@ fn injected_delays_trip_a_deadline_budget() {
     let m = model();
     let mgr = Manager::new();
     failpoints::configure(
-        "net::parallel::worker",
+        "net::fused::compile_hops",
         FaultAction::Delay(Duration::from_millis(30)),
         1,
         10_000,
@@ -144,7 +144,7 @@ fn injected_cancellation_surfaces_cancelled() {
     failpoints::clear_all();
     let m = model();
     let mgr = Manager::new();
-    failpoints::configure("net::parallel::worker", FaultAction::Cancel, 2, 1);
+    failpoints::configure("net::fused::compile_hops", FaultAction::Cancel, 2, 1);
     match compile_model_parallel(&mgr, &m, WORKERS, &Default::default()) {
         Err(CompileError::Cancelled) => {}
         other => panic!("expected Cancelled, got {other:?}"),
@@ -164,9 +164,13 @@ struct Schedule {
 /// The site where a panic is caught by the containment layer. Panicking
 /// at a sequential-path site would (correctly) abort the test process, so
 /// the storm only arms `Panic` here.
-const PANIC_SITE: &str = "net::parallel::worker";
+const PANIC_SITE: &str = "net::fused::compile_hops";
 /// All sites reachable from the parallel fattree(4) compile.
-const ALL_SITES: [&str; 3] = ["fdd::intern", "fdd::loops::solve", "net::parallel::worker"];
+const ALL_SITES: [&str; 3] = [
+    "fdd::intern",
+    "fdd::loops::solve",
+    "net::fused::compile_hops",
+];
 
 fn arb_schedule() -> impl Strategy<Value = Schedule> {
     (0..4u8, 0..8u8, 1..=6u64, 1..=3u64).prop_map(|(kind, site_sel, nth, times)| match kind {

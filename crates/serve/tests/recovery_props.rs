@@ -6,6 +6,7 @@
 //! journal: at a record boundary or inside a record. A crash after a
 //! record and before its swap replays the record.
 
+use mcnetkat_fdd::CompileError;
 use mcnetkat_net::{
     down_ports, Codec, FailureSpec, ModelDescription, NetworkModel, RoutingScheme, Srlg,
 };
@@ -411,25 +412,61 @@ fn concurrent_batches_account_for_sheds_exactly() {
 }
 
 #[test]
-fn expired_deadline_gets_a_degraded_retry() {
-    let config = EngineConfig {
-        degraded_grace: Some(Duration::from_secs(60)),
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(config);
+fn expired_deadline_is_a_typed_error() {
+    let mut engine = Engine::default();
     let id = engine.load(base_model()).unwrap();
-    // A zero deadline is already expired at admission: without the
-    // grace path this is a guaranteed DeadlineExceeded.
+    // A zero deadline is already expired at admission.
     let req = QueryRequest::from(Query::MinDelivery { model: id }).with_deadline(Duration::ZERO);
-    let answer = engine.query(&req).expect("degraded retry salvages it");
-    assert!(answer.prob().is_some());
-    assert_eq!(engine.stats().degraded_answers, 1);
+    assert!(matches!(
+        engine.query(&req),
+        Err(EngineError::Compile(CompileError::DeadlineExceeded))
+    ));
+    assert_eq!(engine.stats().queries, 1);
+}
 
-    // Without the grace configured, the same request is a plain error.
-    let mut strict = Engine::default();
-    let id = strict.load(base_model()).unwrap();
-    let req = QueryRequest::from(Query::MinDelivery { model: id }).with_deadline(Duration::ZERO);
-    assert!(strict.query(&req).is_err());
+/// Writes `records` as a fresh journal in its own directory and
+/// recovers from it.
+fn recover_from(tag: &str, records: &[Record]) -> Result<u64, RecoveryError> {
+    let dir = tmp_dir(tag);
+    let mut w = JournalWriter::create(&dir.join(journal::JOURNAL_FILE)).unwrap();
+    for rec in records {
+        w.append(rec).unwrap();
+    }
+    drop(w);
+    let result = Engine::recover(EngineConfig::default(), &dir).map(|(_, r)| r.records_replayed);
+    cleanup(&dir);
+    result
+}
+
+#[test]
+fn recovery_refuses_a_record_that_cannot_replay() {
+    let load = Record::Load {
+        id: 0,
+        desc: ModelDescription::of(&base_model()),
+    };
+    // The well-formed history recovers, so each failure below is the
+    // bad record's alone.
+    assert!(matches!(
+        recover_from("replay-ok", &[load.clone(), Record::Unload { id: 0 }]),
+        Ok(2)
+    ));
+    let cases = [
+        ("replay-dup-load", load.clone()),
+        (
+            "replay-apply-unknown",
+            Record::Apply {
+                id: 7,
+                delta: Delta::SetUniformPr(Ratio::new(1, 10)),
+            },
+        ),
+        ("replay-unload-unknown", Record::Unload { id: 7 }),
+    ];
+    for (tag, bad) in cases {
+        match recover_from(tag, &[load.clone(), bad]) {
+            Err(RecoveryError::Replay { index: 1, .. }) => {}
+            other => panic!("{tag}: {other:?}"),
+        }
+    }
 }
 
 #[test]
