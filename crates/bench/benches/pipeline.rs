@@ -11,7 +11,7 @@ use mcnetkat_net::{chain_benchmark, FailureSpec, FusedStats, NetworkModel, Routi
 use mcnetkat_num::Ratio;
 use mcnetkat_prism::{check_reachability, translate, McMode};
 use mcnetkat_serve::{Delta, Engine, EngineConfig};
-use mcnetkat_topo::{fattree, ShortestPaths};
+use mcnetkat_topo::{ab_fattree, fattree, ShortestPaths};
 use std::collections::HashMap;
 
 /// The diagram auditor walks every node and interning table after each
@@ -222,6 +222,56 @@ fn bench_model_tail(c: &mut Criterion) {
     group.finish();
 }
 
+/// The per-switch hop compile alone: [`compile_hops`] with one worker into
+/// a fresh manager, i.e. every switch's route compile and failure sum. The
+/// [`hop_inputs`] are built once, outside the timed region, and each
+/// sample's manager is made and dropped untimed. The F10₃,₅ row sums the
+/// same arm diagrams over many failure subsets, which the `sum` memo
+/// shares across calls.
+fn bench_hop_compile(c: &mut Criterion) {
+    assert_audit_off();
+    let mut group = c.benchmark_group("hop_compile");
+    group.sample_size(10);
+    let opts = CompileOptions::default();
+    for (label, p, topo, scheme) in [
+        (
+            "fattree_ecmp_f1000",
+            16usize,
+            fattree(16),
+            RoutingScheme::Ecmp,
+        ),
+        (
+            "ab_fattree_f10_3_5_f1000",
+            8,
+            ab_fattree(8),
+            RoutingScheme::F10_3_5,
+        ),
+    ] {
+        let dst = topo.find("edge0_0").unwrap();
+        let failure = FailureSpec::independent(Ratio::new(1, 1000));
+        let model = NetworkModel::new(topo, dst, scheme, failure);
+        let sp = ShortestPaths::towards(&model.topo, model.dst);
+        let inputs: Vec<_> = model
+            .topo
+            .switches()
+            .iter()
+            .map(|&s| hop_inputs(&model, s, &sp))
+            .collect();
+        group.bench_with_input(BenchmarkId::new(label, p), &inputs, |b, inputs| {
+            b.iter_batched(
+                Manager::new,
+                |mgr| {
+                    let mut stats = FusedStats::default();
+                    let hops = compile_hops(&mgr, inputs, 1, &opts, &mut stats).unwrap();
+                    (mgr, hops)
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 /// PRISM-approx's Gauss–Seidel reachability solve on one large SCC.
 fn bench_solver_backends(c: &mut Criterion) {
     assert_audit_off();
@@ -379,6 +429,7 @@ criterion_group!(
     bench_fattree_srlg,
     bench_chain_engines,
     bench_model_tail,
+    bench_hop_compile,
     bench_solver_backends,
     bench_loop_solving,
     bench_serve_recovery

@@ -175,6 +175,35 @@ impl ActionDist {
         }
     }
 
+    /// `Σ rᵢ · (aᵢ ; dᵢ)` over terms `(aᵢ, dᵢ, rᵢ)`: each distribution's
+    /// actions behind its optional prefix (composed with [`Action::then`]),
+    /// scaled by its nonzero weight, and summed. One sort and one merging
+    /// pass, however many terms, so a weighted sum of leaves is built once
+    /// instead of one partial sum at a time.
+    pub(crate) fn weighted_sum<'a>(
+        terms: impl IntoIterator<Item = (Option<&'a Action>, &'a ActionDist, &'a Ratio)>,
+    ) -> ActionDist {
+        let mut scaled: Vec<(Arc<Action>, Ratio)> = Vec::new();
+        for (prefix, d, r) in terms {
+            for (a, p) in &d.entries {
+                let a = match prefix {
+                    Some(pre) => Arc::new(pre.then(a)),
+                    None => a.clone(),
+                };
+                scaled.push((a, p * r));
+            }
+        }
+        scaled.sort_by(|(a, _), (b, _)| a.cmp(b));
+        let mut entries: Vec<(Arc<Action>, Ratio)> = Vec::with_capacity(scaled.len());
+        for (a, p) in scaled {
+            match entries.last_mut() {
+                Some((b, q)) if *b == a => *q += &p,
+                _ => entries.push((a, p)),
+            }
+        }
+        ActionDist { entries }
+    }
+
     /// Pointwise sum of two sub-distributions.
     ///
     /// Both operands are sorted by action, so this is a linear merge; the

@@ -223,6 +223,9 @@ impl Manager {
             Prog::Union(..) => Err(CompileError::Unguarded("&")),
             Prog::Star(..) => Err(CompileError::Unguarded("*")),
             Prog::Seq(a, b) => {
+                if let Some(run) = assignment_run(p) {
+                    return Ok(self.leaf(ActionDist::dirac(run)));
+                }
                 let fa = self.compile_ast(a, opts)?;
                 let fb = self.compile_ast(b, opts)?;
                 Ok(self.seq(fa, fb))
@@ -254,6 +257,30 @@ impl Manager {
             }
         }
     }
+}
+
+/// A `Seq` tree made only of assignments, as the one modification set it
+/// performs (later writes win): `seq` of the assignment leaves would build
+/// the same leaf, interning a leaf per partial composition on the way.
+/// `None` if any operand is not an assignment. The walk goes right to left
+/// and stops at the first other operand, so on a `Prog::seq_all` chain
+/// (left-nested) it costs at most the run of assignments at the chain's
+/// end.
+fn assignment_run(p: &Prog) -> Option<Action> {
+    let mut mods = Vec::new();
+    let mut stack = vec![p];
+    while let Some(q) = stack.pop() {
+        match q {
+            Prog::Assign(f, v) => mods.push((*f, *v)),
+            Prog::Seq(a, b) => {
+                stack.push(a);
+                stack.push(b);
+            }
+            _ => return None,
+        }
+    }
+    mods.reverse();
+    Some(Action::mods(mods))
 }
 
 #[cfg(test)]

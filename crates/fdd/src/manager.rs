@@ -184,6 +184,10 @@ struct Inner {
     /// The installed resource governor, present only while a governed
     /// compile is in flight (see `Manager::govern`).
     governor: Option<Governor>,
+    /// Routes `weighted_sum` to its term-by-term reference fold, so one
+    /// manager can build a diagram both ways.
+    #[cfg(test)]
+    fold_reference: bool,
 }
 
 /// The state of one governed compile: the budget under enforcement, a
@@ -233,6 +237,8 @@ impl Default for Inner {
             while_cache: Cache::default(),
             loop_stats: LoopSolveStats::default(),
             governor: None,
+            #[cfg(test)]
+            fold_reference: false,
         }
     }
 }
@@ -783,6 +789,11 @@ impl Manager {
     /// * a leaf `q` tests nothing, so `p ; q` keeps `p`'s tests and maps
     ///   each of `p`'s leaves through `q` — no path test has to be
     ///   re-introduced with `ite`.
+    ///
+    /// At a leaf of `p`, each action's continuation (`q` restricted by the
+    /// action's modifications, behind the action) is one term of a single
+    /// weighted sum: the leaf continuations merge into one distribution,
+    /// interned once, rather than one interned partial sum per action.
     pub fn seq(&self, p: Fdd, q: Fdd) -> Fdd {
         let mut inner = self.inner.lock();
         inner.seq(p, q)
@@ -813,19 +824,21 @@ impl Manager {
 
     /// Convex combination `Σ rᵢ · pᵢ`.
     ///
+    /// The leaf branches are merged into one distribution, interned once;
+    /// only the branches that test something go through the memoised
+    /// `scale` and `sum` (see `Inner::weighted_sum`).
+    ///
     /// # Panics
     ///
     /// Panics if the weights do not sum to 1.
     pub fn convex(&self, branches: &[(Fdd, Ratio)]) -> Fdd {
         let total: Ratio = branches.iter().map(|(_, r)| r).sum();
         assert!(total == Ratio::one(), "convex weights sum to {total}");
-        let mut inner = self.inner.lock();
-        let mut acc = inner.leaf_zero();
-        for (p, r) in branches {
-            let scaled = inner.scale(*p, r);
-            acc = inner.sum(acc, scaled);
-        }
-        acc
+        let terms: Vec<_> = branches
+            .iter()
+            .map(|(p, r)| (*p, None, r.clone()))
+            .collect();
+        self.inner.lock().weighted_sum(&terms)
     }
 
     /// Partial evaluation under the assumption `f = v`.
@@ -1513,6 +1526,8 @@ impl Inner {
             while_cache,
             loop_stats,
             governor: _,
+            #[cfg(test)]
+                fold_reference: _,
         } = self;
         nodes.clear();
         predicate.clear();
@@ -1781,24 +1796,20 @@ impl Inner {
                     // Σ_v P(f=v)·elim(arm_v), with the untested mass on
                     // the fall-through branch.
                     let mut used = Ratio::zero();
-                    let mut acc = self.leaf_zero();
+                    let mut terms = Vec::with_capacity(arms.len() + 1);
                     for (v, branch) in arms {
                         let w = sf.prob_of(v);
                         if w.is_zero() {
                             continue;
                         }
                         used += &w;
-                        let e = self.eliminate(branch, scratch, memo);
-                        let scaled = self.scale(e, &w);
-                        acc = self.sum(acc, scaled);
+                        terms.push((self.eliminate(branch, scratch, memo), None, w));
                     }
                     let rest = Ratio::one() - used;
                     if !rest.is_zero() {
-                        let e = self.eliminate(tail, scratch, memo);
-                        let scaled = self.scale(e, &rest);
-                        acc = self.sum(acc, scaled);
+                        terms.push((self.eliminate(tail, scratch, memo), None, rest));
                     }
-                    acc
+                    self.weighted_sum(&terms)
                 }
             },
         };
@@ -2058,23 +2069,95 @@ impl Inner {
         (f, v, hi, lo)
     }
 
-    /// Restricts `q` by the modifications of `mods` (partial evaluation),
-    /// then prepends the modifications to every resulting action.
-    fn action_then(&mut self, mods: &Action, q: Fdd) -> Fdd {
-        match mods {
-            Action::Drop => self.leaf_fail(),
+    /// `action ; q` as a [`Inner::weighted_sum`] term: `q` restricted by
+    /// the action's modifications (partial evaluation), with the action as
+    /// the prefix of every resulting action.
+    fn action_term(&mut self, action: &Action, q: Fdd) -> (Fdd, Option<ActId>) {
+        match action {
+            Action::Drop => (self.leaf_fail(), None),
             Action::Mods(pairs) => {
                 let mut restricted = q;
                 for &(f, v) in pairs {
                     restricted = self.restrict_eq(restricted, f, v);
                 }
-                if pairs.is_empty() {
-                    return restricted;
-                }
-                let aid = self.intern_action(mods);
-                self.prepend(aid, restricted)
+                let prefix = (!pairs.is_empty()).then(|| self.intern_action(action));
+                (restricted, prefix)
             }
         }
+    }
+
+    /// `Σ rᵢ · (aᵢ ; pᵢ)` over terms `(pᵢ, aᵢ, rᵢ)`, where the optional
+    /// prefix `aᵢ` is prepended to every action of `pᵢ`; zero weights are
+    /// dropped. The leaf terms merge into one distribution, interned once,
+    /// instead of one interned partial sum per term. The branch terms go
+    /// through the memoised `prepend`, `scale` and `sum`, in order, and
+    /// the merged leaf is added last: adding a leaf maps every leaf of a
+    /// diagram injectively and keeps its shape, so the result is the very
+    /// diagram the term-by-term fold builds. Keeping the branch terms on
+    /// the binary memo lets separate calls share partial sums (F10's
+    /// subset enumeration sums the same arms again and again).
+    fn weighted_sum(&mut self, terms: &[(Fdd, Option<ActId>, Ratio)]) -> Fdd {
+        if self.gov_checkpoint() {
+            return self.leaf_fail();
+        }
+        #[cfg(test)]
+        if self.fold_reference {
+            return self.weighted_sum_reference(terms);
+        }
+        let mut leaves = Vec::new();
+        let mut acc = None;
+        for (p, prefix, r) in terms {
+            if r.is_zero() {
+                continue;
+            }
+            match self.nodes[p.0 as usize] {
+                Node::Leaf(did) => leaves.push((
+                    prefix.map(|aid| self.actions[aid.0 as usize].clone()),
+                    self.dists[did.0 as usize].clone(),
+                    r,
+                )),
+                Node::Branch { .. } => {
+                    let q = match *prefix {
+                        Some(aid) => self.prepend(aid, *p),
+                        None => *p,
+                    };
+                    let scaled = self.scale(q, r);
+                    acc = Some(match acc {
+                        Some(acc) => self.sum(acc, scaled),
+                        None => scaled,
+                    });
+                }
+            }
+        }
+        if leaves.is_empty() {
+            return acc.unwrap_or_else(|| self.leaf_zero());
+        }
+        let merged = ActionDist::weighted_sum(
+            leaves
+                .iter()
+                .map(|(prefix, d, r)| (prefix.as_deref(), d.as_ref(), *r)),
+        );
+        let leaf = self.mk_leaf(merged);
+        match acc {
+            Some(acc) => self.sum(acc, leaf),
+            None => leaf,
+        }
+    }
+
+    /// [`Inner::weighted_sum`] as a fold, one interned partial sum per
+    /// term: the reference the fused sum is differential-tested against.
+    #[cfg(test)]
+    fn weighted_sum_reference(&mut self, terms: &[(Fdd, Option<ActId>, Ratio)]) -> Fdd {
+        let mut acc = self.leaf_zero();
+        for (p, prefix, r) in terms {
+            let q = match *prefix {
+                Some(aid) => self.prepend(aid, *p),
+                None => *p,
+            };
+            let scaled = self.scale(q, r);
+            acc = self.sum(acc, scaled);
+        }
+        acc
     }
 
     fn prepend(&mut self, aid: ActId, q: Fdd) -> Fdd {
@@ -2149,16 +2232,18 @@ impl Inner {
     }
 
     /// `seq`'s leaf case: each action of the leaf, continued into `q`
-    /// (restricted by the action's modifications), weighted and summed.
+    /// (restricted by the action's modifications), weighted and summed in
+    /// one [`Inner::weighted_sum`].
     fn seq_leaf(&mut self, did: DistId, q: Fdd) -> Fdd {
         let d = self.dists[did.0 as usize].clone();
-        let mut acc = self.leaf_zero();
-        for (action, r) in d.iter() {
-            let cont = self.action_then(action, q);
-            let scaled = self.scale(cont, r);
-            acc = self.sum(acc, scaled);
-        }
-        acc
+        let terms: Vec<_> = d
+            .iter()
+            .map(|(action, r)| {
+                let (cont, prefix) = self.action_term(action, q);
+                (cont, prefix, r.clone())
+            })
+            .collect();
+        self.weighted_sum(&terms)
     }
 
     /// `seq`'s general branch case, given the composed children: the path
@@ -3065,6 +3150,137 @@ pub(crate) mod tests {
                 let want = reference(&mgr, fp, leaf);
                 prop_assert_eq!(mgr.seq(fp, leaf), want);
             }
+        }
+    }
+
+    /// The fused weighted sum (`seq`'s leaf case, `convex`, `eliminate`)
+    /// against its term-by-term reference fold, and assignment runs
+    /// against nested `seq`: each pair must be the very same diagram.
+    mod fused_sums {
+        use super::fast_paths::{arb_prog, field};
+        use super::*;
+        use mcnetkat_core::Prog;
+        use proptest::prelude::*;
+
+        /// `build` run with the fused sum, then again with every
+        /// `weighted_sum` routed to the reference fold and no op memo
+        /// left to answer from the first run.
+        fn both_ways(mgr: &Manager, build: impl Fn(&Manager) -> Fdd) -> (Fdd, Fdd) {
+            let fused = build(mgr);
+            mgr.reset_op_caches();
+            mgr.inner.lock().fold_reference = true;
+            let folded = build(mgr);
+            mgr.inner.lock().fold_reference = false;
+            (fused, folded)
+        }
+
+        /// Weights proportional to `raw` (some zero), summing to 1.
+        fn weights(raw: &[i64]) -> Vec<Ratio> {
+            let total: i64 = raw.iter().sum();
+            if total == 0 {
+                let mut w = vec![Ratio::zero(); raw.len()];
+                w[0] = Ratio::one();
+                return w;
+            }
+            raw.iter().map(|&x| Ratio::new(x, total)).collect()
+        }
+
+        /// A `Seq` tree of assignments over three fields, so runs repeat
+        /// fields.
+        fn arb_run() -> BoxedStrategy<Prog> {
+            let leaf = (0..3usize, 0..=3u32).prop_map(|(f, v)| Prog::assign(field(f), v));
+            leaf.prop_recursive(4, 24, 2, |inner| {
+                (inner.clone(), inner).prop_map(|(a, b)| Prog::Seq(Arc::new(a), Arc::new(b)))
+            })
+            .boxed()
+        }
+
+        /// `p` compiled as nested `seq`s of one-assignment leaves.
+        fn nested(mgr: &Manager, p: &Prog) -> Fdd {
+            match p {
+                Prog::Assign(f, v) => mgr.leaf(ActionDist::dirac(Action::assign(*f, *v))),
+                Prog::Seq(a, b) => mgr.seq(nested(mgr, a), nested(mgr, b)),
+                other => panic!("not an assignment run: {other:?}"),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Compiling `seq`s and choices, and `seq` of two compiled
+            /// programs.
+            #[test]
+            fn fused_seq_matches_the_fold(p in arb_prog(), q in arb_prog()) {
+                let mgr = Manager::new();
+                let (fused, folded) = both_ways(&mgr, |m| {
+                    let fp = m.compile(&p).unwrap();
+                    let fq = m.compile(&q).unwrap();
+                    m.seq(fp, fq)
+                });
+                prop_assert_eq!(fused, folded);
+            }
+
+            #[test]
+            fn fused_convex_matches_the_fold(
+                progs in proptest::collection::vec(arb_prog(), 4),
+                raw in proptest::collection::vec(0..4i64, 1..5),
+            ) {
+                let w = weights(&raw);
+                let mgr = Manager::new();
+                let (fused, folded) = both_ways(&mgr, |m| {
+                    let branches: Vec<(Fdd, Ratio)> = progs
+                        .iter()
+                        .zip(&w)
+                        .map(|(p, r)| (m.compile(p).unwrap(), r.clone()))
+                        .collect();
+                    m.convex(&branches)
+                });
+                prop_assert_eq!(fused, folded);
+            }
+
+            /// Eliminating a drawn field (tested and written by the
+            /// program) and a health flag.
+            #[test]
+            fn fused_eliminate_matches_the_fold(
+                p in arb_prog(),
+                draw in proptest::collection::vec(0..3i64, 4),
+                up in 0..=4i64,
+            ) {
+                let draw: Vec<(Value, Ratio)> = (0..4u32)
+                    .zip(weights(&draw))
+                    .filter(|(_, r)| !r.is_zero())
+                    .collect();
+                let scratch = [
+                    ScratchField::bernoulli(field(0), Ratio::new(up, 4)),
+                    ScratchField::drawn(field(2), draw),
+                ];
+                let mgr = Manager::new();
+                let (fused, folded) = both_ways(&mgr, |m| {
+                    let fp = m.compile(&p).unwrap();
+                    m.eliminate(fp, &scratch)
+                });
+                prop_assert_eq!(fused, folded);
+            }
+
+            /// An assignment run compiles to the one leaf nested `seq`
+            /// builds, repeated fields included (later writes win).
+            #[test]
+            fn assignment_run_matches_nested_seq(run in arb_run()) {
+                let mgr = Manager::new();
+                let compiled = mgr.compile(&run).unwrap();
+                prop_assert_eq!(compiled, nested(&mgr, &run));
+            }
+        }
+
+        /// A link step `sw<-x ; pt<-y` interns one leaf, not three.
+        #[test]
+        fn a_link_step_interns_one_leaf() {
+            let mgr = Manager::new();
+            let step = Prog::assign(field(0), 3).seq(Prog::assign(field(1), 1));
+            let fdd = mgr.compile(&step).unwrap();
+            assert_eq!((mgr.node_count(), mgr.dist_count()), (1, 1));
+            let want = Action::mods([(field(0), 3), (field(1), 1)]);
+            assert_eq!(mgr.eval(fdd, &Packet::new()), ActionDist::dirac(want));
         }
     }
 }

@@ -149,6 +149,21 @@ fn scenario_hops_match_the_draw_first_hops_under_a_hop_cap() {
     }
 }
 
+/// The largest per-switch scratch manager of a one-worker `compile_hops`.
+fn max_scratch_nodes(model: &NetworkModel) -> usize {
+    let sp = ShortestPaths::towards(&model.topo, model.dst);
+    let inputs: Vec<HopInputs> = model
+        .topo
+        .switches()
+        .iter()
+        .map(|&s| hop_inputs(model, s, &sp))
+        .collect();
+    let mut stats = FusedStats::default();
+    let opts = CompileOptions::default();
+    compile_hops(&Manager::new(), &inputs, 1, &opts, &mut stats).unwrap();
+    stats.max_scratch_nodes
+}
+
 /// The scenario sum never builds the draw's outcome cross-product: the
 /// largest per-switch scratch manager stays small where compiling the
 /// budget-guarded draw chain, or one group prefix per line card, made
@@ -168,21 +183,33 @@ fn scenario_hops_keep_the_scratch_manager_small() {
         } else {
             FailureSpec::bounded(pr.clone(), 1)
         };
-        let model = NetworkModel::new(topo, dst, scheme, spec);
-        let sp = ShortestPaths::towards(&model.topo, model.dst);
-        let inputs: Vec<HopInputs> = model
-            .topo
-            .switches()
-            .iter()
-            .map(|&s| hop_inputs(&model, s, &sp))
-            .collect();
-        let mut stats = FusedStats::default();
-        let opts = CompileOptions::default();
-        compile_hops(&Manager::new(), &inputs, 1, &opts, &mut stats).unwrap();
+        let nodes = max_scratch_nodes(&NetworkModel::new(topo, dst, scheme, spec));
         assert!(
-            stats.max_scratch_nodes <= 128,
-            "fattree({k}), {scheme:?}, line cards {line_cards}: {} scratch nodes",
-            stats.max_scratch_nodes
+            nodes <= 128,
+            "fattree({k}), {scheme:?}, line cards {line_cards}: {nodes} scratch nodes"
+        );
+    }
+}
+
+/// `seq`'s leaf case, `convex` and `eliminate` intern one leaf per sum,
+/// not one per partial sum, and an assignment run is one leaf: an ECMP
+/// route on fattree(16), whose hop is a couple of nodes, peaked at 74
+/// scratch nodes when every partial sum was interned, and F10₃,₅ on
+/// fattree(6) at 943.
+#[test]
+fn fused_leaf_sums_keep_route_compiles_small() {
+    let pr = Ratio::new(1, 1000);
+    for (k, scheme, bound) in [
+        (16, RoutingScheme::Ecmp, 48),
+        (6, RoutingScheme::F10_3_5, 943),
+    ] {
+        let topo = fattree(k);
+        let dst = topo.find("edge0_0").unwrap();
+        let spec = FailureSpec::independent(pr.clone());
+        let nodes = max_scratch_nodes(&NetworkModel::new(topo, dst, scheme, spec));
+        assert!(
+            nodes <= bound,
+            "fattree({k}), {scheme:?}: {nodes} scratch nodes, bound {bound}"
         );
     }
 }

@@ -264,15 +264,6 @@ impl Engine {
             }
         }
     }
-
-    /// Clears the recorded query-latency samples (so a benchmark can
-    /// measure steady state without its warmup skewing the percentiles).
-    pub fn reset_latencies(&self) {
-        self.latencies_ns
-            .lock()
-            .expect("latency gauge poisoned")
-            .clear();
-    }
 }
 
 /// An admission-gate permit: holding one means the query is counted in

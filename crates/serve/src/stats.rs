@@ -175,11 +175,6 @@ impl LatencyRing {
             self.cursor = (self.cursor + 1) % LATENCY_SAMPLE_CAP;
         }
     }
-
-    pub(crate) fn clear(&mut self) {
-        self.samples.clear();
-        self.cursor = 0;
-    }
 }
 
 /// `(p50, p99)` of a latency sample set, in the sample unit. Zero when
